@@ -19,7 +19,7 @@ from .geometry import (BC_TYPES, BUILTIN_NAMES, DomainError, builtin_domain,
 from .mesh import MeshError, initial_mesh, refine_uniform
 from .singular import CutoffSpec, QuadratureError
 from .solver import CompatibilityError, LevelContext, SingularVertexError
-from .sources import SOURCES
+from .sources import SOURCES, get_source
 from .study import FORMULATIONS, StudyConfig, _run_formulation, run_study
 
 
@@ -70,6 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(p)
     _add_solver_flags(p)
     p.add_argument("--level", type=int, default=3)
+    # study-only settings, so that a single solve shares the study config
+    p.set_defaults(levels=2, compare=None, out=None, field_levels=[])
 
     p = sub.add_parser("mesh-info", help="mesh statistics and conformity check")
     _add_domain_flags(p)
@@ -86,6 +88,8 @@ def _resolve_domain(args):
 
 
 def _mesh_at_level(domain, level):
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     mesh = initial_mesh(domain)
     for _ in range(level):
         mesh = refine_uniform(mesh)
@@ -139,11 +143,10 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = _config_from_args_single(args)
+    config = _config_from_args(args)
     domain = _resolve_domain(args)
     mesh = _mesh_at_level(domain, args.level)
     ctx = LevelContext(mesh, config.solver_options)
-    from .sources import get_source
     res = _run_formulation(config.formulation, mesh, get_source(args.f),
                            config, ctx)
     d_perp, contributing = perp_dimension(domain)
@@ -158,20 +161,6 @@ def _cmd_solve(args) -> int:
           f"max|w_h| = {np.max(np.abs(w)):.8g}")
     print(f"|u_h|_1 = {math.sqrt(max(u @ (ctx.stiffness @ u), 0.0)):.8g}")
     return 0
-
-
-def _config_from_args_single(args) -> StudyConfig:
-    return StudyConfig(
-        domain=args.domain_file or args.domain,
-        bc_type=args.bc,
-        formulation=args.formulation,
-        source=args.f,
-        max_level=2,
-        cutoff=CutoffSpec(tau=args.cutoff_tau, R=args.cutoff_radius),
-        solver_options=LinearSolveOptions(
-            tolerance=args.tol, max_iterations=args.max_iterations,
-            preconditioner=args.preconditioner),
-    )
 
 
 def _cmd_mesh_info(args) -> int:

@@ -235,5 +235,6 @@ def h1_seminorm_diff(v1: np.ndarray, v2: np.ndarray, stiffness: sp.csr_matrix) -
 def linf_diff(v1: np.ndarray, v2: np.ndarray) -> float:
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    n = min(len(v1), len(v2))
-    return float(np.max(np.abs(v1[:n] - v2[:n]))) if n else 0.0
+    if v1.shape != v2.shape:
+        raise ValueError(f"vectors differ in shape: {v1.shape} vs {v2.shape}")
+    return float(np.max(np.abs(v1 - v2))) if v1.size else 0.0

@@ -1,12 +1,25 @@
 """Corner singular functions, the radial cutoff, and singular quadrature.
 
-A corner with interior angle omega contributes harmonic functions
+A corner q with interior angle omega contributes harmonic functions
 ``s = r**(-beta) * trig(beta*theta)`` in the local polar frame of the
 corner.  They are localized by a radial quintic cutoff ``chi`` equal to 1
-inside r = tau*R and 0 beyond r = R.  Products of chi*s with P1 hat
-functions are integrated by a graded scheme: triangles with a vertex at
-the corner get a radially exact Gauss-Jacobi rule through a Duffy map,
-and nearby triangles are subdivided until the integrand is resolved.
+inside r = tau*R and 0 beyond r = R.  Quadrature:
+
+- Loads of lap(chi*s) and chi*s against the P1 hats.  Triangles at q, and
+  for lap(chi*s) the triangles straddling its radial kinks r = tau*R and
+  r = R, use the fan rule: a triangle is the signed sum of the triangles
+  (q, a, b) over its edges, each Duffy-mapped with its radial variable
+  split at the cutoff circles (Gauss-Jacobi absorbs r**(-gamma) at q) and
+  its angular variable split where the edge a->b crosses a circle, so
+  each piece is smooth.  Other triangles use a collapsed Gauss rule on
+  red-refinement children graded toward q and across the cutoff band.
+- The Gram pair integral of (chi*s_a)*(chi*s_b).  When the disk B(q, R)
+  meets the domain only inside the corner sector it separates: a radial
+  factor (closed form on [0, tau*R], self-checked Gauss rule on
+  [tau*R, R]) times a closed-form angular factor.  Otherwise the graded
+  2-D rule runs at two depths that must agree.
+
+``solver.LevelContext`` caches these per mesh level.
 """
 
 from __future__ import annotations
@@ -17,8 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .geometry import SingularSpec
+from .geometry import PolygonDomain, SingularSpec
 from .mesh import TriMesh
+
+_FAN_CHUNK = 512      # fan triangles per batch of quadrature points
+_CELL_CHUNK = 16384   # graded cells per batch
 
 
 class QuadratureError(RuntimeError):
@@ -49,25 +65,29 @@ class CutoffSpec:
 
 def chi(r, spec: CutoffSpec):
     """Quintic cutoff: 1 below tau*R, 0 above R, C^2 transition between."""
-    return chi_derivs(r, spec)[0]
+    return chi_derivs(r, spec, orders=(0,))[0]
 
 
-def chi_derivs(r, spec: CutoffSpec):
-    """(chi, chi', chi'') of the piecewise quintic cutoff."""
+def chi_derivs(r, spec: CutoffSpec, orders=(0, 1, 2)):
+    """The requested derivatives (default chi, chi', chi'') of the piecewise
+    quintic cutoff; the quintic is evaluated on the transition band only."""
     r = np.asarray(r, dtype=float)
+    band = (r > spec.inner) & (r < spec.R)
     scale = 2.0 / (spec.R * (1.0 - spec.tau))
-    t = scale * r - (1.0 + spec.tau) / (1.0 - spec.tau)
-    c = -3 / 16 * t**5 + 5 / 8 * t**3 - 15 / 16 * t + 0.5
-    c1 = (-15 / 16 * t**4 + 15 / 8 * t**2 - 15 / 16) * scale
-    c2 = (-15 / 4 * t**3 + 15 / 4 * t) * scale**2
-    below = r <= spec.inner
-    above = r >= spec.R
-    c = np.where(below, 1.0, np.where(above, 0.0, c))
-    c1 = np.where(below | above, 0.0, c1)
-    c2 = np.where(below | above, 0.0, c2)
-    if c.ndim == 0:
-        return float(c), float(c1), float(c2)
-    return c, c1, c2
+    t = scale * r[band] - (1.0 + spec.tau) / (1.0 - spec.tau)
+    t2 = t * t
+    out = []
+    for k in orders:
+        c = np.zeros(r.shape)
+        if k == 0:
+            c[r <= spec.inner] = 1.0
+            c[band] = ((-3 / 16 * t2 + 5 / 8) * t2 - 15 / 16) * t + 0.5
+        elif k == 1:
+            c[band] = ((-15 / 16 * t2 + 15 / 8) * t2 - 15 / 16) * scale
+        else:
+            c[band] = (-15 / 4 * t2 + 15 / 4) * t * scale**2
+        out.append(float(c) if c.ndim == 0 else c)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -87,6 +107,13 @@ class SingularBasis:
         if self.trig not in ("sin", "cos"):
             raise ValueError("trig must be 'sin' or 'cos'")
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
+
+    @property
+    def key(self):
+        """Hashable defining values (beta, trig, then the corner, frame and
+        cutoff): equal keys mean equal functions."""
+        return (self.beta, self.trig, tuple(self.origin.tolist()),
+                self.frame_angle, self.omega, self.cutoff)
 
     def local_polar(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -126,7 +153,7 @@ class SingularBasis:
         out = np.zeros_like(r)
         band = (r > self.cutoff.inner) & (r < self.cutoff.R)
         rb = r[band]
-        _, c1, c2 = chi_derivs(rb, self.cutoff)
+        c1, c2 = chi_derivs(rb, self.cutoff, orders=(1, 2))
         out[band] = (c2 + (1.0 - 2.0 * self.beta) * c1 / rb) \
             * rb ** (-self.beta) * self.angular(theta[band])
         return out
@@ -152,14 +179,8 @@ class HybridField:
     nodal: np.ndarray
     analytic_parts: list[tuple[SingularBasis, float]] = field(default_factory=list)
 
-    def evaluate(self, points, nodal_values):
-        out = np.asarray(nodal_values, dtype=float).copy()
-        for basis, coeff in self.analytic_parts:
-            out = out + coeff * basis.eval_chi_s(points)
-        return out
 
-
-# -- graded quadrature ---------------------------------------------------------
+# -- quadrature ----------------------------------------------------------------
 
 
 def _collapsed_rule(n: int):
@@ -191,32 +212,12 @@ def _subdivision_templates(depth: int) -> np.ndarray:
     return tris
 
 
-_RULE_CACHE: dict = {}
-
-
-def _refined_rule(n: int, depth: int):
-    key = (n, depth)
-    if key not in _RULE_CACHE:
-        lam, w = _collapsed_rule(n)
-        sub = _subdivision_templates(depth)          # (4^d, 3, 3)
-        pts = np.einsum("qi,sij->sqj", lam, sub).reshape(-1, 3)
-        weights = np.tile(w / 4.0**depth, len(sub))
-        _RULE_CACHE[key] = (pts, weights)
-    return _RULE_CACHE[key]
-
-
-def _dist_to_corner(tri_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distance from the corner to each triangle (min over the 3 edges)."""
-    d = np.full(len(tri_pts), np.inf)
-    for i in range(3):
-        a = tri_pts[:, i]
-        b = tri_pts[:, (i + 1) % 3]
-        ab = b - a
-        t = np.einsum("td,td->t", q - a, ab) / np.einsum("td,td->t", ab, ab)
-        t = np.clip(t, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        d = np.minimum(d, np.linalg.norm(proj - q, axis=1))
-    return d
+def _segment_dist(q, a, b) -> np.ndarray:
+    """Distance from the point q to each segment a[k] -> b[k]."""
+    ab = b - a
+    t = np.einsum("kd,kd->k", q - a, ab) / np.einsum("kd,kd->k", ab, ab)
+    proj = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    return np.linalg.norm(proj - q, axis=1)
 
 
 @dataclass(frozen=True)
@@ -225,230 +226,219 @@ class GradedQuadratureOptions:
     near_ratio: float = 6.0   # subdivide until child diameter <= dist/near_ratio
     n_feature: int = 10       # resolve the cutoff band to (R - tau*R)/n_feature
     max_depth: int = 8
-    n_radial: int = 24        # corner-triangle radial nodes per segment
-    n_angular: int = 24       # corner-triangle angular nodes
-    kink_resolve: float = 1e-3  # cell size at which kink-circle straddle stops
+    n_radial: int = 24        # fan-rule nodes per radial segment; pair radial rule
+    n_angular: int = 24       # fan-rule angular nodes per piece
 
 
-def _corner_rule(q, p1, p2, gamma, breakpoints, opts: GradedQuadratureOptions):
-    """Points/weights integrating r**(-gamma)*smooth over triangle (q,p1,p2).
+def _fan_rule(q, a, b, gamma, radii, opts: GradedQuadratureOptions):
+    """Points, weights (signed like det(a-q, b-q)) and fan index for
+    r**(-gamma)*smooth over the triangles (q, a[k], b[k]) within
+    radii[0] <= r <= radii[-1], by the Duffy map x = q + u*p(v),
+    p(v) = (1-v)*(a-q) + v*(b-q).  u is split at each circle r = radii[i],
+    with Gauss-Jacobi absorbing u**(1-gamma) on a segment from the corner;
+    v is split where |p(v)| crosses a circle (a quadratic in v)."""
+    d, e = a - q, b - a
+    two_area = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
+    ee, de, dd = (e * e).sum(axis=1), (d * e).sum(axis=1), (d * d).sum(axis=1)
+    cuts = [np.zeros(len(d)), np.ones(len(d))]
+    for c in radii:
+        if c > 0.0:
+            disc = de**2 - ee * (dd - c * c)
+            for sgn in (-1.0, 1.0):
+                v = (-de + sgn * np.sqrt(np.maximum(disc, 0.0))) / ee
+                cuts.append(np.where((disc > 0) & (v > 0) & (v < 1), v, np.nan))
+    cuts = np.sort(np.column_stack(cuts), axis=1)      # nan sorts last
+    fan, piece = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    v0 = cuts[fan, piece]
+    dv = cuts[fan, piece + 1] - v0
 
-    Duffy map x = q + u*((1-v)(p1-q) + v(p2-q)); the radial integral is
-    split at the cutoff breakpoints, with a Gauss-Jacobi rule absorbing the
-    u**(1-gamma) factor on the segment containing the corner.
-    """
-    e1, e2 = p1 - q, p2 - q
-    two_area = e1[0] * e2[1] - e1[1] * e2[0]
-    xv, wv = roots_legendre(opts.n_angular)
-    v = 0.5 * (xv + 1.0)
-    wv = 0.5 * wv
+    xa, wa = roots_legendre(opts.n_angular)
+    v = v0[:, None] + dv[:, None] * (0.5 * (xa + 1.0))          # (P, A)
+    p = d[fan, None, :] + v[..., None] * e[fan, None, :]       # (P, A, 2)
+    rho = np.linalg.norm(p, axis=-1)
+    xl, wl = roots_legendre(opts.n_radial)
+    tl, wl = 0.5 * (xl + 1.0), 0.5 * wl
     xj, wj = roots_jacobi(opts.n_radial, 0.0, 1.0 - gamma)
     tj = 0.5 * (xj + 1.0)
-    wj = wj * 2.0 ** (-(2.0 - gamma))     # maps the [-1,1] weight to [0,1]
-    xl, wl = roots_legendre(opts.n_radial)
-    tl = 0.5 * (xl + 1.0)
-    wl = 0.5 * wl
-
-    pts, wts = [], []
-    for vj, wvj in zip(v, wv):
-        edge = (1.0 - vj) * e1 + vj * e2
-        rho = math.hypot(edge[0], edge[1])
-        cuts = sorted({bp / rho for bp in breakpoints if 0.0 < bp / rho < 1.0})
-        segs = [0.0] + cuts + [1.0]
-        # corner segment: Gauss-Jacobi in the scaled variable
-        a = segs[1]
-        upts = a * tj
-        uw = a**2 * wj * tj**gamma
-        for lo, hi in zip(segs[1:], segs[2:]):
-            upts = np.concatenate([upts, lo + (hi - lo) * tl])
-            uw = np.concatenate([uw, (hi - lo) * wl * (lo + (hi - lo) * tl)])
-        pts.append(q[None, :] + upts[:, None] * edge[None, :])
-        wts.append(two_area * wvj * uw)
-    return np.vstack(pts), np.concatenate(wts)
-
-
-def _select_support(mesh: TriMesh, q, r_hi, r_lo=0.0):
-    """Triangle indices intersecting the radial band [r_lo, r_hi] about q,
-    split into (corner, other), plus distances and diameters."""
-    tri_pts = mesh.nodes[mesh.triangles]
-    vert_d = np.linalg.norm(tri_pts - q[None, None, :], axis=2)
-    corner = np.any(vert_d < 1e-12, axis=1)
-    dist = _dist_to_corner(tri_pts, q)
-    r_max = vert_d.max(axis=1)
-    keep = (dist < r_hi) & (r_max > r_lo)
-    diam = np.zeros(len(tri_pts))
-    for i in range(3):
-        diam = np.maximum(
-            diam, np.linalg.norm(tri_pts[:, i] - tri_pts[:, (i + 1) % 3], axis=1)
-        )
-    return tri_pts, corner & keep, (~corner) & keep, dist, diam, r_max
-
-
-def _cell_bary(pts, tri_a, e1, e2, det):
-    """Barycentric coordinates of points w.r.t. per-point triangles."""
-    d = pts - tri_a
-    l2 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-    l3 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-    return np.column_stack([1.0 - l2 - l3, l2, l3])
+    wj = wj * 2.0 ** (gamma - 2.0) * tj**gamma   # [-1, 1] weight -> u*u**(-gamma)
+    us, ws = [], []
+    for r0, r1 in zip(radii[:-1], radii[1:]):
+        u0, u1 = (np.minimum(r / rho, 1.0)[..., None] for r in (r0, r1))
+        jacobi = r0 == 0.0          # the segment starts at the corner
+        u = u1 * tj if jacobi else u0 + (u1 - u0) * tl
+        us.append(u)
+        ws.append(u1**2 * wj if jacobi else (u1 - u0) * wl * u)
+    u = np.concatenate(us, axis=-1)                            # (P, A, K)
+    w = np.concatenate(ws, axis=-1) \
+        * (two_area[fan, None] * 0.5 * dv[:, None] * wa)[..., None]
+    ip, ia, ik = np.nonzero(w)
+    pts = q + u[ip, ia, ik][:, None] * p[ip, ia]
+    return pts, w[ip, ia, ik], fan[ip]
 
 
 def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
-                      r_lo, r_hi, nodal: bool,
-                      opts: GradedQuadratureOptions, depth_bump: int = 0,
-                      kink_radii: tuple = ()):
-    """Integrate gfun (singularity r**(-gamma) at the corner, supported in
-    the band [r_lo, r_hi]) against all P1 hats (nodal=True) or 1.
-
-    ``kink_radii`` marks circles about the corner where the integrand has
-    reduced smoothness; cells straddling them are subdivided down to the
-    ``kink_resolve`` size.
-    """
+                      radii, nodal: bool, opts: GradedQuadratureOptions,
+                      depth_bump: int = 0, kinks: tuple = ()):
+    """Integrate gfun (singular like r**(-gamma) at the corner, supported
+    in radii[0] <= r <= radii[-1], smooth between consecutive radii)
+    against all P1 hats (nodal=True) or 1.  Triangles at the corner or
+    straddling a circle r = c, c in ``kinks``, go through the fan rule."""
     q = basis.origin
     spec = basis.cutoff
-    tri_pts, corner_sel, other_sel, dist, diam, _ = _select_support(mesh, q, r_hi, r_lo)
+    tri_pts = mesh.nodes[mesh.triangles]
+    vert_d = np.linalg.norm(tri_pts - q, axis=2)
+    dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
+                   for i in range(3)], axis=0)
+    r_max = vert_d.max(axis=1)
+    support = (dist < radii[-1]) & (r_max > radii[0])
+    at_corner = vert_d < 1e-12
+    fan = support & at_corner.any(axis=1)
+    for c in kinks:
+        fan |= support & (dist < c) & (r_max > c)
+    e1 = tri_pts[:, 1] - tri_pts[:, 0]
+    e2 = tri_pts[:, 2] - tri_pts[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+
+    def scatter(contrib, tri):      # per-triangle (T, 3) -> nodes
+        return np.bincount(mesh.triangles[tri].ravel(), weights=contrib.ravel(),
+                           minlength=mesh.n_nodes)
+
     out = np.zeros(mesh.n_nodes) if nodal else 0.0
-    breakpoints = (spec.inner, spec.R)
+
+    # fan rule over each edge (a, b) of the triangle, skipping edges at q
+    idx = np.flatnonzero(fan)
+    nxt = [1, 2, 0]
+    keep = ~(at_corner[idx] | at_corner[idx][:, nxt]).ravel()
+    a = tri_pts[idx].reshape(-1, 2)[keep]
+    b = tri_pts[idx][:, nxt].reshape(-1, 2)[keep]
+    owner = np.repeat(idx, 3)[keep]
+    for s in range(0, len(owner), _FAN_CHUNK):
+        sl = slice(s, s + _FAN_CHUNK)
+        pts, wts, k = _fan_rule(q, a[sl], b[sl], gamma, radii, opts)
+        tri = owner[sl][k]
+        vals = wts * np.sign(det[tri]) * gfun(pts)
+        if not nodal:
+            out += float(vals.sum())
+            continue
+        # barycentric coordinates of the fan points in their triangle
+        rel = pts - tri_pts[tri, 0]
+        l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
+        l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
+        out += scatter(vals[:, None] * np.column_stack([1.0 - l2 - l3, l2, l3]),
+                       tri)
+
+    # collapsed rule on graded children: depth set by corner distance and
+    # by the cutoff band
+    idx = np.flatnonzero(support & ~fan)
+    d = dist[idx]
+    h = np.max([np.linalg.norm(e1[idx], axis=1), np.linalg.norm(e2[idx], axis=1),
+                np.linalg.norm(e2[idx] - e1[idx], axis=1)], axis=0)
     feat = (spec.R - spec.inner) / opts.n_feature
-
-    # corner triangles: radially exact rule
-    for ti in np.flatnonzero(corner_sel):
-        nodes = mesh.triangles[ti]
-        order = np.argsort(np.linalg.norm(mesh.nodes[nodes] - q, axis=1))
-        nq, n1, n2 = nodes[order]
-        pts, wts = _corner_rule(q, mesh.nodes[n1], mesh.nodes[n2], gamma,
-                                breakpoints, opts)
-        wts = np.abs(wts)  # vertex order may flip orientation
-        if nodal:
-            bary = _barycentric(pts, mesh.nodes[nodes[order]])
-            vals = wts * gfun(pts)
-            np.add.at(out, nodes[order], (vals[:, None] * bary).sum(axis=0))
-        else:
-            out += float(np.sum(wts * gfun(pts)))
-
-    # remaining triangles: base depth chosen from corner distance and cutoff
-    # band, then a worklist keeps splitting cells that straddle kink circles
-    idx = np.flatnonzero(other_sel)
-    if not len(idx):
-        return out
-    d, h = dist[idx], diam[idx]
-    depth = np.zeros(len(idx), dtype=int)
-    if gamma > 0:
-        with np.errstate(divide="ignore"):
-            depth = np.maximum(
-                depth, np.ceil(np.log2(opts.near_ratio * h / d)).astype(int)
-            )
     in_band = (d < spec.R + h) & (d + h > spec.inner - h)
-    depth = np.maximum(depth, np.where(in_band & (h > feat),
-                                       np.ceil(np.log2(h / feat)).astype(int), 0))
-    depth = np.clip(depth + depth_bump, 0, opts.max_depth)
-
+    depth = np.where(in_band & (h > feat), np.ceil(np.log2(h / feat)), 0)
+    if gamma > 0:
+        depth = np.maximum(depth, np.ceil(np.log2(opts.near_ratio * h / d)))
+    depth = np.clip(depth.astype(int) + depth_bump, 0, opts.max_depth)
     lam, w = _collapsed_rule(opts.n_gauss)
-    cells_list, orig_list = [], []
-    for k in np.unique(depth):
-        sel = idx[depth == k]
-        sub = _subdivision_templates(int(k))                # (S, 3, 3)
-        cells = np.einsum("sij,tjd->tsid", sub, tri_pts[sel])
-        cells_list.append(cells.reshape(-1, 3, 2))
-        orig_list.append(np.repeat(sel, len(sub)))
-    cells = np.vstack(cells_list)
-    orig = np.concatenate(orig_list)
-    tri_a = tri_pts[:, 0]
-    tri_e1 = tri_pts[:, 1] - tri_pts[:, 0]
-    tri_e2 = tri_pts[:, 2] - tri_pts[:, 0]
-    tri_det = tri_e1[:, 0] * tri_e2[:, 1] - tri_e1[:, 1] * tri_e2[:, 0]
-
-    for _ in range(40):
-        if not len(cells):
-            break
-        if kink_radii:
-            vr = np.linalg.norm(cells - q[None, None, :], axis=2)
-            r_min = _dist_to_corner(cells, q)
-            r_max = vr.max(axis=1)
-            size = np.max(
-                [np.linalg.norm(cells[:, i] - cells[:, (i + 1) % 3], axis=1)
-                 for i in range(3)], axis=0)
-            straddle = np.zeros(len(cells), dtype=bool)
-            for kr in kink_radii:
-                straddle |= (r_min < kr) & (r_max > kr)
-            split = straddle & (size > opts.kink_resolve)
-        else:
-            split = np.zeros(len(cells), dtype=bool)
-
-        ready, ready_orig = cells[~split], orig[~split]
-        if len(ready):
-            pts = np.einsum("qi,cid->cqd", lam, ready)       # (C, Q, 2)
-            d1 = ready[:, 1] - ready[:, 0]
-            d2 = ready[:, 2] - ready[:, 0]
-            areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-            vals = gfun(pts.reshape(-1, 2)).reshape(len(ready), -1)
-            vals = vals * w[None, :] * areas[:, None]
-            if nodal:
-                flat = pts.reshape(-1, 2)
-                rep = np.repeat(ready_orig, len(lam))
-                bary = _cell_bary(flat, tri_a[rep], tri_e1[rep], tri_e2[rep],
-                                  tri_det[rep])
-                contrib = vals.reshape(-1)[:, None] * bary
-                out += np.bincount(mesh.triangles[rep].ravel(),
-                                   weights=contrib.ravel(),
-                                   minlength=mesh.n_nodes)
-            else:
-                out += float(vals.sum())
-
-        if not np.any(split):
-            break
-        parents, porig = cells[split], orig[split]
-        c0, c1, c2 = parents[:, 0], parents[:, 1], parents[:, 2]
-        m01, m12, m20 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c0)
-        cells = np.concatenate([
-            np.stack([c0, m01, m20], axis=1),
-            np.stack([m01, c1, m12], axis=1),
-            np.stack([m20, m12, c2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ], axis=0)
-        orig = np.tile(porig, 4)
+    for level in np.unique(depth):
+        sub = _subdivision_templates(int(level))
+        bary = np.einsum("qi,sij->sqj", lam, sub).reshape(-1, 3)   # (S*Q, 3)
+        wts = np.tile(w, len(sub)) / len(sub)
+        sel = idx[depth == level]
+        step = max(1, _CELL_CHUNK // len(sub))
+        for s in range(0, len(sel), step):
+            tri = sel[s:s + step]
+            pts = np.einsum("pj,tjd->tpd", bary, tri_pts[tri]).reshape(-1, 2)
+            vals = gfun(pts).reshape(len(tri), -1) * wts \
+                * (0.5 * np.abs(det[tri]))[:, None]
+            out += scatter(vals @ bary, tri) if nodal else float(vals.sum())
     return out
-
-
-def _barycentric(pts, tri):
-    T = np.array([tri[1] - tri[0], tri[2] - tri[0]]).T
-    lam12 = np.linalg.solve(T, (pts - tri[0]).T).T
-    return np.column_stack([1.0 - lam12.sum(axis=1), lam12])
 
 
 def load_singular(mesh: TriMesh, basis: SingularBasis,
                   opts: GradedQuadratureOptions | None = None) -> np.ndarray:
     """Load vector of lap(chi*s) against the P1 hats (annulus-supported)."""
     opts = opts or GradedQuadratureOptions()
-    # the cutoff is C^2, so its second derivative has kinks on the two
-    # transition circles; resolve cells straddling them
+    spec = basis.cutoff
+    # the cutoff is C^2, so lap(chi*s) has radial kinks on both circles
     return _graded_integrate(mesh, basis, basis.eval_laplacian_chi_s, 0.0,
-                             basis.cutoff.inner, basis.cutoff.R, True, opts,
-                             kink_radii=(basis.cutoff.inner, basis.cutoff.R))
+                             (spec.inner, spec.R), True, opts,
+                             kinks=(spec.inner, spec.R))
 
 
 def load_chi_s(mesh: TriMesh, basis: SingularBasis,
                opts: GradedQuadratureOptions | None = None) -> np.ndarray:
     """Load vector of chi*s against the P1 hats (graded at the corner)."""
     opts = opts or GradedQuadratureOptions()
+    spec = basis.cutoff
     return _graded_integrate(mesh, basis, basis.eval_chi_s, basis.beta,
-                             0.0, basis.cutoff.R, True, opts)
+                             (0.0, spec.inner, spec.R), True, opts)
 
 
-def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
-                     opts: GradedQuadratureOptions | None = None,
-                     target: float = 1e-8) -> float:
-    """Integral of (chi*s_a)(chi*s_b) over the mesh, with an internal
-    refinement check against the accuracy target."""
-    opts = opts or GradedQuadratureOptions()
+def cutoff_disk_in_sector(domain: PolygonDomain, basis: SingularBasis) -> bool:
+    """True when the disk B(q, R) meets the domain only inside the corner
+    sector: both edges at q are at least R long and every other edge is at
+    least R from q.  The pair integral then separates in polar coordinates."""
+    q, R = basis.origin, basis.cutoff.R
+    a = domain.vertices
+    b = np.roll(a, -1, axis=0)                  # edge i runs a[i] -> b[i]
+    at_q = (np.linalg.norm(a - q, axis=1) < 1e-12) \
+        | (np.linalg.norm(b - q, axis=1) < 1e-12)
+    return bool(at_q.sum() == 2
+                and np.all(np.linalg.norm(b - a, axis=1)[at_q] >= R)
+                and np.all(_segment_dist(q, a[~at_q], b[~at_q]) >= R))
+
+
+def _angular_product(basis_a: SingularBasis, basis_b: SingularBasis) -> float:
+    """Closed form of the integral of Phi_a * Phi_b over (0, omega), with
+    Phi = cos(beta*theta - phase), phase pi/2 for sin."""
+    omega = basis_a.omega
+
+    def int_cos(k, phase):      # integral of cos(k*theta - phase)
+        return (math.cos(phase) * omega * np.sinc(k * omega / math.pi)
+                + math.sin(phase) * 0.5 * k * omega**2
+                * np.sinc(k * omega / (2.0 * math.pi))**2)
+
+    pa, pb = (0.5 * math.pi * (b.trig == "sin") for b in (basis_a, basis_b))
+    ba, bb = basis_a.beta, basis_b.beta
+    return float(0.5 * (int_cos(ba - bb, pa - pb) + int_cos(ba + bb, pa + pb)))
+
+
+def _pair_separable(basis_a: SingularBasis, basis_b: SingularBasis,
+                    n: int, target: float) -> float:
+    """Radial times angular factor: chi = 1 gives a closed form on
+    [0, tau*R]; on [tau*R, R] Gauss rules of n and 2n points must agree."""
+    spec = basis_a.cutoff
+    gamma = basis_a.beta + basis_b.beta
+    half = 0.5 * (spec.R - spec.inner)
+
+    def band(m):
+        x, w = roots_legendre(m)
+        r = spec.inner + half * (x + 1.0)
+        return half * float(np.sum(w * chi(r, spec) ** 2 * r ** (1.0 - gamma)))
+
+    coarse, fine = band(n), band(2 * n)
+    radial = spec.inner ** (2.0 - gamma) / (2.0 - gamma) + fine
+    if abs(fine - coarse) > target * radial:
+        raise QuadratureError(
+            f"pair radial rule disagreement {abs(fine - coarse) / radial:.3e} "
+            f"exceeds target {target:.1e}", radial)
+    return radial * _angular_product(basis_a, basis_b)
+
+
+def _pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
+                 opts: GradedQuadratureOptions, target: float) -> float:
+    """The pair integral by the graded 2-D rule, computed at two depths
+    that must agree to the target."""
     gamma = basis_a.beta + basis_b.beta
 
     def gfun(pts):
         return basis_a.eval_chi_s(pts) * basis_b.eval_chi_s(pts)
 
     r_hi = min(basis_a.cutoff.R, basis_b.cutoff.R)
-    coarse = _graded_integrate(mesh, basis_a, gfun, gamma, 0.0, r_hi, False, opts)
-    fine = _graded_integrate(mesh, basis_a, gfun, gamma, 0.0, r_hi, False, opts,
-                             depth_bump=1)
+    radii = (0.0, min(basis_a.cutoff.inner, r_hi), r_hi)
+    coarse, fine = (_graded_integrate(mesh, basis_a, gfun, gamma, radii, False,
+                                      opts, depth_bump=bump) for bump in (0, 1))
     # absolute floor of 1: distinct angular modes are orthogonal over the
     # sector, so entries can vanish identically while the natural scale of
     # the quadrature stays O(1)
@@ -458,6 +448,19 @@ def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBas
             f"pair quadrature disagreement {abs(fine - coarse) / scale:.3e} "
             f"exceeds target {target:.1e}", fine)
     return float(fine)
+
+
+def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
+                     opts: GradedQuadratureOptions | None = None,
+                     target: float = 1e-8) -> float:
+    """Integral of (chi*s_a)(chi*s_b) over the domain: separable when both
+    functions share a corner sector that holds the cutoff disk's part of
+    the domain, else the graded 2-D rule."""
+    opts = opts or GradedQuadratureOptions()
+    same_sector = basis_a.key[2:] == basis_b.key[2:]
+    if same_sector and cutoff_disk_in_sector(mesh.domain, basis_a):
+        return _pair_separable(basis_a, basis_b, opts.n_radial, target)
+    return _pair_graded(mesh, basis_a, basis_b, opts, target)
 
 
 def inner_singular(nodal_or_field, basis: SingularBasis, mesh: TriMesh,

@@ -43,7 +43,8 @@ class CompatibilityError(ValueError):
 
 @dataclass
 class LevelContext:
-    """Per-mesh assembly and factorization cache shared between solves."""
+    """Per-mesh assembly, factorization and singular-quadrature cache
+    shared between solves."""
 
     mesh: TriMesh
     options: LinearSolveOptions = field(default_factory=LinearSolveOptions)
@@ -85,6 +86,18 @@ class LevelContext:
             )
         return fem.solve_mean_zero(self.stiffness, self.mass, rhs, self.options,
                                    precond=self._cache["neumann_precond"])
+
+    def quadrature(self, fn, *bases: SingularBasis,
+                   opts: GradedQuadratureOptions | None = None):
+        """fn(mesh, *bases, opts), computed once per level for each set of
+        basis values; arrays come back read-only."""
+        key = (fn, opts) + tuple(b.key for b in bases)
+        if key not in self._cache:
+            value = fn(self.mesh, *bases, opts)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._cache[key] = value
+        return self._cache[key]
 
 
 @dataclass
@@ -172,52 +185,52 @@ def solve_modified(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
     # Step 2
     zetas, xis, chi_s_loads = [], [], []
     for basis in bases:
-        zeta = ctx.solve_dirichlet(load_singular(mesh, basis, quad_opts))
+        zeta = ctx.solve_dirichlet(
+            ctx.quadrature(load_singular, basis, opts=quad_opts))
         zetas.append(zeta)
         xis.append(HybridField(zeta, [(basis, 1.0)]))
-        chi_s_loads.append(load_chi_s(mesh, basis, quad_opts))
+        chi_s_loads.append(ctx.quadrature(load_chi_s, basis, opts=quad_opts))
 
     # Step 3: Gram system for the projection coefficients
-    coeffs, gram, rhs_w = _gram_solve(mesh, ctx.mass, w, bases, zetas,
-                                      chi_s_loads, quad_opts)
+    coeffs, gram_info = _gram_solve(ctx, w, bases, zetas, chi_s_loads,
+                                    quad_opts)
 
     # Step 4
     rhs = ctx.mass @ (w - sum(c * z for c, z in zip(coeffs, zetas)))
     rhs -= sum(c * bs for c, bs in zip(coeffs, chi_s_loads))
     u = ctx.solve_dirichlet(rhs)
-
-    residual = np.linalg.norm(gram @ coeffs - rhs_w)
     return ModifiedSolveResult(
         w_h=w, zeta_h=zetas, xi_h=xis, coefficients=coeffs, u_h=u,
-        diagnostics={
-            "d_perp": d_perp,
-            "gram": gram,
-            "gram_det": float(np.linalg.det(gram)),
-            "gram_rhs": rhs_w,
-            "gram_residual": residual / max(np.linalg.norm(rhs_w), 1e-300),
-        },
+        diagnostics={"d_perp": d_perp, **gram_info},
     )
 
 
-def _gram_solve(mesh, mass, w, bases, zetas, chi_s_loads, quad_opts):
+def _gram_solve(ctx, w, bases, zetas, chi_s_loads, quad_opts):
+    """Projection coefficients, and the Gram matrix, right-hand side,
+    determinant and relative residual as diagnostics."""
     k = len(bases)
     gram = np.empty((k, k))
     for a in range(k):
         for b in range(a, k):
-            val = float(zetas[a] @ (mass @ zetas[b]))
+            val = float(zetas[a] @ (ctx.mass @ zetas[b]))
             val += float(zetas[a] @ chi_s_loads[b])
             val += float(zetas[b] @ chi_s_loads[a])
-            val += inner_chi_s_pair(mesh, bases[a], bases[b], quad_opts)
+            val += ctx.quadrature(inner_chi_s_pair, bases[a], bases[b],
+                                  opts=quad_opts)
             gram[a, b] = gram[b, a] = val
     rhs = np.array([
-        float(w @ (mass @ z)) + float(w @ bs)
+        float(w @ (ctx.mass @ z)) + float(w @ bs)
         for z, bs in zip(zetas, chi_s_loads)
     ])
-    det = np.linalg.det(gram)
+    det = float(np.linalg.det(gram))
     scale = float(np.prod(np.diag(gram)))
     if abs(det) < GRAM_DET_RTOL * max(scale, 1e-300):
         raise SolveError(f"Gram matrix numerically singular (det = {det:.3e})")
-    return np.linalg.solve(gram, rhs), gram, rhs
+    coeffs = np.linalg.solve(gram, rhs)
+    residual = float(np.linalg.norm(gram @ coeffs - rhs)
+                     / max(np.linalg.norm(rhs), 1e-300))
+    return coeffs, {"gram": gram, "gram_det": det, "gram_rhs": rhs,
+                    "gram_residual": residual}
 
 
 def solve_modified_neumann(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
@@ -250,13 +263,13 @@ def solve_modified_neumann(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
             f"pure-Neumann correction expects d_perp = 1, got {d_perp}"
         )
     basis = bases[0]
-    b_lap = load_singular(mesh, basis, quad_opts)
-    b_lap -= b_lap.sum() / len(b_lap)   # analytically compatible; clean roundoff
+    b_lap = ctx.quadrature(load_singular, basis, opts=quad_opts)
+    # analytically compatible; clean roundoff (out of place: b_lap is cached)
+    b_lap = b_lap - b_lap.sum() / len(b_lap)
     zeta = ctx.solve_neumann(b_lap)
-    bs = load_chi_s(mesh, basis, quad_opts)
+    bs = ctx.quadrature(load_chi_s, basis, opts=quad_opts)
     xi = HybridField(zeta, [(basis, 1.0)])
-    coeffs, gram, rhs_w = _gram_solve(mesh, ctx.mass, w, [basis], [zeta], [bs],
-                                      quad_opts)
+    coeffs, gram_info = _gram_solve(ctx, w, [basis], [zeta], [bs], quad_opts)
     rhs = ctx.mass @ (w - coeffs[0] * zeta) - coeffs[0] * bs
     xi_mean = float((ctx.mass @ zeta).sum() + bs.sum())
     if abs(float(rhs.sum())) > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
@@ -268,14 +281,5 @@ def solve_modified_neumann(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
     u = ctx.solve_neumann(rhs)
     return ModifiedSolveResult(
         w_h=w, zeta_h=[zeta], xi_h=[xi], coefficients=coeffs, u_h=u,
-        diagnostics={
-            "d_perp": d_perp,
-            "gram": gram,
-            "gram_det": float(np.linalg.det(gram)),
-            "gram_rhs": rhs_w,
-            "gram_residual": float(
-                np.linalg.norm(gram @ coeffs - rhs_w)
-                / max(np.linalg.norm(rhs_w), 1e-300)),
-            "xi_mean": xi_mean,
-        },
+        diagnostics={"d_perp": d_perp, **gram_info, "xi_mean": xi_mean},
     )

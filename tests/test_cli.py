@@ -46,6 +46,11 @@ class TestMeshInfoCommand:
     def test_bad_domain_is_config_error(self, capsys):
         assert main(["mesh-info", "--domain", "VII"]) == 1
 
+    @pytest.mark.parametrize("cmd", ["mesh-info", "solve"])
+    def test_negative_level_is_config_error(self, cmd, capsys):
+        assert main([cmd, "--domain", "III", "--level", "-1"]) == 1
+        assert "level must be >= 0" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_single_solve_prints_coefficients(self, capsys):

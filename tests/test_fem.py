@@ -224,8 +224,7 @@ class TestNorms:
         assert fem.linf_diff(a, a) == 0.0
         assert fem.linf_diff(a, b) == 0.5
 
-    def test_linf_diff_on_shared_prefix(self):
+    def test_linf_diff_rejects_length_mismatch(self):
         rng = np.random.default_rng(9)
-        a = rng.standard_normal(50)
-        b = rng.standard_normal(80)
-        assert fem.linf_diff(a, b) == pytest.approx(np.abs(a - b[:50]).max())
+        with pytest.raises(ValueError):
+            fem.linf_diff(rng.standard_normal(50), rng.standard_normal(80))

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biharmfem import fem
-from biharmfem.geometry import builtin_domain, singular_spec
+from biharmfem import fem, singular
+from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, DomainError,
+                                builtin_domain, perp_dimension, singular_spec)
 from biharmfem.mesh import initial_mesh, prolongate, refine_uniform
-from biharmfem.singular import (CutoffSpec, HybridField, SingularBasis,
-                                bases_from_spec, chi, chi_derivs,
+from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
+                                HybridField, SingularBasis, bases_from_spec,
+                                chi, chi_derivs, cutoff_disk_in_sector,
                                 inner_chi_s_pair, inner_singular, load_chi_s,
                                 load_singular)
 from conftest import mesh_hierarchy
+from worklist_oracle import load_singular_worklist
 
 
 def lshape_basis(cutoff=None):
@@ -54,6 +57,33 @@ class TestCutoff:
         for r in (0.05, 0.5 * spec.inner, 1.5 * spec.R):
             c, c1, c2 = chi_derivs(np.array([r]), spec)
             assert c1[0] == 0.0 and c2[0] == 0.0
+
+    def test_matches_power_form_on_random_points(self):
+        # the quintic and its derivatives as first written: evaluated on
+        # every point in power form, then masked to the band
+        rng = np.random.default_rng(5)
+        for spec in (CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)):
+            r = rng.uniform(0.0, 1.2 * spec.R, 2000)
+            scale = 2.0 / (spec.R * (1.0 - spec.tau))
+            t = scale * r - (1.0 + spec.tau) / (1.0 - spec.tau)
+            below, above = r <= spec.inner, r >= spec.R
+            off = below | above
+            ref = (
+                np.where(below, 1.0, np.where(
+                    above, 0.0, -3 / 16 * t**5 + 5 / 8 * t**3 - 15 / 16 * t + 0.5)),
+                np.where(off, 0.0, (-15 / 16 * t**4 + 15 / 8 * t**2 - 15 / 16) * scale),
+                np.where(off, 0.0, (-15 / 4 * t**3 + 15 / 4 * t) * scale**2),
+            )
+            for orders in ((0, 1, 2), (0,), (1, 2)):
+                got = chi_derivs(r, spec, orders=orders)
+                assert len(got) == len(orders)
+                for k, g in zip(orders, got):
+                    scale_k = np.max(np.abs(ref[k]))
+                    assert np.max(np.abs(g - ref[k])) <= 1e-15 * scale_k
+
+    def test_scalar_input_gives_floats(self):
+        c, c1, c2 = chi_derivs(0.5 * (1.0 + 0.125) * 1.8, CutoffSpec())
+        assert isinstance(c, float) and c == pytest.approx(0.5, abs=1e-14)
 
     def test_continuity_at_band_edges(self):
         spec = CutoffSpec()
@@ -175,7 +205,7 @@ class TestSingularLoads:
     def test_neumann_load_integrates_to_zero(self):
         m = mesh_hierarchy(builtin_domain("III", "B5"), 3)[-1]
         b = load_singular(m, neumann_basis())
-        assert abs(b.sum()) < 1e-8
+        assert abs(b.sum()) < 1e-12
 
     def test_load_supported_in_annulus(self):
         m = mesh_hierarchy(builtin_domain("III", "B1"), 3)[-1]
@@ -195,6 +225,99 @@ class TestSingularLoads:
         assert errs[1] < errs[0] and errs[2] < errs[1]
 
 
+class TestFanRule:
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5")])
+    def test_matches_kink_worklist(self, name, bc):
+        dom = builtin_domain(name, bc)
+        for m in mesh_hierarchy(dom, 1):
+            for basis in bases_from_spec(singular_spec(dom, 0), None):
+                ref = load_singular_worklist(m, basis)
+                got = load_singular(m, basis)
+                assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_corner_triangles_crossing_cutoff_circles(self):
+        # at tau*R = 0.3, R = 1.2 the far edges of the corner triangles at
+        # levels 0 and 2 cross a cutoff circle, so the angular split matters
+        dom = builtin_domain("III", "B1")
+        basis = lshape_basis(CutoffSpec(tau=0.25, R=1.2))
+        fine = GradedQuadratureOptions(n_gauss=10, n_feature=20, n_radial=48,
+                                       n_angular=48)
+        for m in mesh_hierarchy(dom, 2):
+            ref = load_singular(m, basis, fine)
+            got = load_singular(m, basis)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def singular_builtins():
+    """(domain, basis list) of every built-in with a singular corner."""
+    out = []
+    for name in BUILTIN_NAMES:
+        for bc in BC_TYPES:
+            try:
+                dom = builtin_domain(name, bc)
+            except DomainError:
+                continue
+            d_perp, contributing = perp_dimension(dom)
+            if d_perp:
+                out.append((dom, singular_spec(dom, contributing[0])))
+    return out
+
+
+class TestSeparablePair:
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)])
+    def test_predicate_holds_for_builtins(self, cutoff):
+        cases = singular_builtins()
+        assert len(cases) >= 15
+        for dom, spec in cases:
+            basis = bases_from_spec(spec, cutoff)[0]
+            assert cutoff_disk_in_sector(dom, basis), dom.name
+
+    def test_predicate_fails_when_disk_reaches_far_edges(self):
+        dom = builtin_domain("III", "B1")
+        assert not cutoff_disk_in_sector(dom, lshape_basis(CutoffSpec(R=2.5)))
+
+    @pytest.mark.parametrize("name,bc", [("III", "B1"), ("I", "B3"), ("IV", "B3")])
+    def test_matches_graded_rule(self, name, bc):
+        dom = builtin_domain(name, bc)
+        bases = bases_from_spec(singular_spec(dom, 0), None)
+        m = mesh_hierarchy(dom, 1)[-1]
+        opts = GradedQuadratureOptions()
+        for i, a in enumerate(bases):
+            for b in bases[i:]:
+                graded = singular._pair_graded(m, a, b, opts, 1e-8)
+                separable = inner_chi_s_pair(m, a, b)
+                assert abs(separable - graded) <= 1e-12 * max(abs(graded), 1.0)
+
+    def test_fallback_runs_when_predicate_fails(self, monkeypatch):
+        calls = []
+        graded = singular._pair_graded
+        monkeypatch.setattr(singular, "_pair_graded",
+                            lambda *args: calls.append(1) or graded(*args))
+        m = mesh_hierarchy(builtin_domain("III", "B1"), 1)[-1]
+        inner_chi_s_pair(m, lshape_basis(), lshape_basis())
+        assert calls == []
+        wide = lshape_basis(CutoffSpec(R=2.5))
+        val = inner_chi_s_pair(m, wide, wide)
+        assert calls == [1] and val > 0
+
+    @pytest.mark.parametrize("trig_a,trig_b", [("sin", "sin"), ("sin", "cos"),
+                                               ("cos", "sin"), ("cos", "cos")])
+    def test_angular_factor_matches_quadrature(self, trig_a, trig_b):
+        for omega in (1.2 * math.pi, 1.75 * math.pi):
+            for beta_a, beta_b in ((0.3, 0.7), (0.55, 0.55)):
+                a = SingularBasis(beta_a, trig_a, np.zeros(2), 0.0, omega)
+                b = SingularBasis(beta_b, trig_b, np.zeros(2), 0.0, omega)
+                ref = quad(lambda t: a.angular(t) * b.angular(t), 0.0, omega,
+                           epsabs=1e-15, limit=200)[0]
+                assert singular._angular_product(a, b) == pytest.approx(
+                    ref, rel=1e-13, abs=1e-14)
+
+    def test_radial_self_check_raises(self):
+        basis = lshape_basis()
+        with pytest.raises(singular.QuadratureError):
+            singular._pair_separable(basis, basis, 2, 1e-8)
+
+
 class TestInnerProducts:
     def test_self_product_matches_polar_oracle(self):
         m = mesh_hierarchy(builtin_domain("III", "B1"), 2)[-1]
@@ -205,7 +328,7 @@ class TestInnerProducts:
         rad = quad(lambda r: chi(np.array([r]), basis.cutoff)[0] ** 2
                    * r ** (1 - 2 * basis.beta), 0, basis.cutoff.R,
                    points=[basis.cutoff.inner], limit=200)[0]
-        assert val == pytest.approx(ang * rad, rel=1e-6)
+        assert val == pytest.approx(ang * rad, rel=1e-10)
 
     def test_symmetry(self):
         dom = builtin_domain("IV", "B3")

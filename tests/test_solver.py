@@ -1,16 +1,19 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from biharmfem import fem
+from biharmfem import fem, solver
 from biharmfem.geometry import BCType, PolygonDomain, builtin_domain
-from biharmfem.singular import CutoffSpec
+from biharmfem.geometry import singular_spec
+from biharmfem.singular import CutoffSpec, bases_from_spec
 from biharmfem.solver import (CompatibilityError, LevelContext,
                               SingularVertexError, check_compatibility,
                               solve_modified, solve_modified_neumann,
                               solve_naive)
 from biharmfem.sources import const1, quadrant_step, square_eigen, zero
+from biharmfem.study import StudyConfig, run_study
 from conftest import mesh_hierarchy, unit_square
 
 
@@ -161,3 +164,46 @@ class TestNeumannVariant:
         cor = solve_modified_neumann(m, quadrant_step, ctx=ctx)
         raw = solve_modified_neumann(m, quadrant_step, ctx=ctx, corrected=False)
         assert np.max(np.abs(cor.u_h - raw.u_h)) > 1e-2
+
+
+class TestQuadratureCache:
+    def test_compare_study_computes_each_quadrature_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("load_singular", "load_chi_s", "inner_chi_s_pair"):
+            def counted(mesh, *args, fn=getattr(solver, name), name=name):
+                bases = tuple(a.key for a in args[:-1])
+                calls[(name, mesh.level, bases)] += 1
+                return fn(mesh, *args)
+            monkeypatch.setattr(solver, name, counted)
+        run_study(StudyConfig(domain="IV", bc_type="B3", source="quadrant-step",
+                              formulation="modified",
+                              compare_formulation="modified-truncated",
+                              max_level=2))
+        assert set(calls.values()) == {1}
+        per_function = Counter(name for name, _, _ in calls)
+        assert per_function == {"load_singular": 6, "load_chi_s": 6,
+                                "inner_chi_s_pair": 9}
+
+    def test_key_is_basis_values_and_arrays_are_read_only(self):
+        dom = builtin_domain("III", "B5")
+        m = mesh_hierarchy(dom, 1)[-1]
+        ctx = LevelContext(m)
+        first = bases_from_spec(singular_spec(dom, 0))[0]
+        again = bases_from_spec(singular_spec(dom, 0))[0]
+        load = ctx.quadrature(solver.load_singular, first)
+        assert ctx.quadrature(solver.load_singular, again) is load
+        assert ctx.quadrature(solver.load_singular, bases_from_spec(
+            singular_spec(dom, 0), CutoffSpec(R=1.2))[0]) is not load
+        with pytest.raises(ValueError):
+            load[0] = 1.0
+
+    def test_neumann_solve_leaves_cached_load_unchanged(self):
+        dom = builtin_domain("III", "B5")
+        m = mesh_hierarchy(dom, 2)[-1]
+        ctx = LevelContext(m)
+        first = solve_modified_neumann(m, quadrant_step, ctx=ctx)
+        second = solve_modified_neumann(m, quadrant_step, ctx=ctx)
+        basis = bases_from_spec(singular_spec(dom, 0))[0]
+        assert np.array_equal(ctx.quadrature(solver.load_singular, basis),
+                              solver.load_singular(m, basis))
+        assert np.array_equal(first.u_h, second.u_h)
