@@ -7,11 +7,10 @@ from .geometry import (BCType, DomainError, PolygonDomain, VertexClass,
                        read_domain_file, singular_exponents, singular_spec)
 from .mesh import (MeshError, TriMesh, initial_mesh, prolongate,
                    refine_uniform)
-from .singular import (CutoffSpec, GradedQuadratureOptions, HybridField,
-                       QuadratureError, SingularBasis, bases_from_spec)
+from .singular import (CutoffSpec, GradedQuadratureOptions, QuadratureError,
+                       SingularBasis, bases_from_spec)
 from .solver import (CompatibilityError, LevelContext, ModifiedSolveResult,
-                     NaiveSolveResult, SingularVertexError,
-                     check_compatibility, solve_modified,
+                     SingularVertexError, check_compatibility, solve_modified,
                      solve_modified_neumann, solve_naive)
 from .sources import SOURCES, get_source
 from .study import (RateTable, StudyConfig, StudyReport, cauchy_rate,

@@ -41,10 +41,8 @@ def _add_solver_flags(p):
     p.add_argument("--cutoff-radius", type=float, default=1.8,
                    help="outer cutoff radius (default 1.8)")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="linear solver relative residual (default 1e-10)")
-    p.add_argument("--max-iterations", type=int, default=20000)
-    p.add_argument("--preconditioner", default="incomplete-factorization",
-                   choices=("none", "incomplete-factorization"))
+                   help="relative residual every linear solve must reach "
+                        "(default 1e-10)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,9 +108,7 @@ def _config_from_args(args) -> StudyConfig:
         source=args.f,
         max_level=args.levels,
         cutoff=CutoffSpec(tau=args.cutoff_tau, R=args.cutoff_radius),
-        solver_options=LinearSolveOptions(
-            tolerance=args.tol, max_iterations=args.max_iterations,
-            preconditioner=args.preconditioner),
+        solver_options=LinearSolveOptions(tolerance=args.tol),
         compare_formulation=args.compare,
         csv_path=out_csv,
         field_levels=tuple(args.field_levels),
@@ -154,9 +150,8 @@ def _cmd_solve(args) -> int:
     print(f"domain {args.domain_file or args.domain} bc {args.bc} "
           f"level {args.level}: {mesh.n_nodes} nodes")
     print(f"d_perp = {d_perp}, contributing vertices = {contributing}")
-    coeffs = np.asarray(getattr(res, "coefficients", np.zeros(0)))
-    if len(coeffs):
-        print("coefficients:", " ".join(f"{c:.8g}" for c in coeffs))
+    if len(res.coefficients):
+        print("coefficients:", " ".join(f"{c:.8g}" for c in res.coefficients))
     print(f"max|u_h| = {np.max(np.abs(u)):.8g}, "
           f"max|w_h| = {np.max(np.abs(w)):.8g}")
     print(f"|u_h|_1 = {math.sqrt(max(u @ (ctx.stiffness @ u), 0.0)):.8g}")

@@ -1,4 +1,5 @@
-"""P1 assembly, boundary conditions, Krylov solves, and discrete norms."""
+"""P1 assembly, boundary conditions, direct Poisson solves, and discrete
+norms."""
 
 from __future__ import annotations
 
@@ -12,20 +13,16 @@ from .mesh import TriMesh
 
 
 class SolveError(RuntimeError):
-    """Iterative solve failed to reach the requested tolerance."""
+    """A linear solve failed its residual or compatibility check."""
 
 
 @dataclass(frozen=True)
 class LinearSolveOptions:
-    tolerance: float = 1e-10
-    max_iterations: int = 20000
-    preconditioner: str = "incomplete-factorization"  # or "none"
+    tolerance: float = 1e-10  # relative residual every solve must reach
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.preconditioner not in ("none", "incomplete-factorization"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 def _tri_geometry(mesh: TriMesh):
@@ -107,119 +104,58 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dirichlet_mask: np.ndarray)
     return A_red, np.asarray(b, dtype=float)[free], free
 
 
-def _incomplete_cholesky(A: sp.csr_matrix) -> sp.csc_matrix:
-    """Zero-fill incomplete Cholesky factor L (lower triangular, sparsity
-    pattern of tril(A)) with A ~ L L^T.  Raises on pivot breakdown."""
-    L = sp.tril(A.tocsc(), format="csc")
-    indptr, indices, data = L.indptr, L.indices, L.data
-    n = A.shape[0]
-    for k in range(n):
-        lo, hi = indptr[k], indptr[k + 1]
-        if indices[lo] != k or data[lo] <= 0:
-            raise SolveError(f"incomplete factorization broke down at row {k}")
-        d = np.sqrt(data[lo])
-        data[lo] = d
-        data[lo + 1:hi] /= d
-        col_rows = indices[lo + 1:hi]
-        col_vals = data[lo + 1:hi]
-        for t, i in enumerate(col_rows):
-            ilo, ihi = indptr[i], indptr[i + 1]
-            # subtract the rank-one update on the retained pattern of column i
-            pos = ilo + np.searchsorted(indices[ilo:ihi], col_rows[t:])
-            ok = (pos < ihi) & (indices[np.minimum(pos, ihi - 1)] == col_rows[t:])
-            data[pos[ok]] -= col_vals[t] * col_vals[t:][ok]
-    return sp.csc_matrix((data, indices, indptr), shape=A.shape)
-
-
-def _ic_operator(A: sp.csr_matrix) -> spla.LinearOperator:
-    L = _incomplete_cholesky(A)
-    Lt = L.T.tocsc()
-    lsolve = spla.splu(L, permc_spec="NATURAL",
-                       options={"SymmetricMode": False}).solve
-    usolve = spla.splu(Lt, permc_spec="NATURAL").solve
-
-    def apply(v):
-        return usolve(lsolve(v))
-
-    return spla.LinearOperator(A.shape, apply)
-
-
-def _make_preconditioner(A: sp.csr_matrix, options: LinearSolveOptions):
-    if options.preconditioner == "none":
-        return None
-    return _ic_operator(A)
-
-
-def solve_spd(A: sp.csr_matrix, b: np.ndarray, options: LinearSolveOptions | None = None,
-              precond=None) -> np.ndarray:
-    """Preconditioned CG for an SPD system to relative residual tolerance."""
-    options = options or LinearSolveOptions()
-    b = np.asarray(b, dtype=float)
-    if not np.any(b):
-        return np.zeros_like(b)
-    if A.shape[0] == 1:
-        return b / A[0, 0]
-    M = precond if precond is not None else _make_preconditioner(A, options)
-    x, info = spla.cg(A, b, rtol=options.tolerance, atol=0.0,
-                      maxiter=options.max_iterations, M=M)
-    res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-    if info != 0 and res > options.tolerance * 10:
-        raise SolveError(
-            f"CG did not converge in {options.max_iterations} iterations "
-            f"(relative residual {res:.3e})"
-        )
-    return x
-
-
-def make_mean_zero_preconditioner(A: sp.csr_matrix, M_mass: sp.csr_matrix,
-                                  options: LinearSolveOptions):
-    """Preconditioner for the singular (pure-Neumann) stiffness: incomplete
-    factorization of the mass-shifted operator, which is SPD."""
-    if options.preconditioner == "none":
-        return None
-    shift = A.diagonal().mean() / M_mass.diagonal().mean() * 1e-3
-    return _ic_operator((A + shift * M_mass).tocsr())
-
-
-def solve_mean_zero(A: sp.csr_matrix, M_mass: sp.csr_matrix, b: np.ndarray,
-                    options: LinearSolveOptions | None = None, precond=None) -> np.ndarray:
-    """CG on the pure-Neumann stiffness (kernel = constants).
-
-    Requires a compatible right-hand side (components sum to zero); the
-    result is normalized to zero discrete mean against the mass matrix.
-    """
-    options = options or LinearSolveOptions()
-    b = np.asarray(b, dtype=float)
-    total = abs(b.sum())
+def _check_residual(A, x: np.ndarray, b: np.ndarray, tolerance: float,
+                    what: str) -> np.ndarray:
+    res = np.linalg.norm(b - A @ x)
     norm_b = np.linalg.norm(b)
-    if norm_b == 0:
-        return np.zeros_like(b)
-    if total > 1e-10 * norm_b:
-        raise SolveError(
-            f"incompatible right-hand side: |sum| = {total:.3e} vs 1e-10*|b| "
-            f"= {1e-10 * norm_b:.3e}"
-        )
-    n = A.shape[0]
-    b = b - b.sum() / n  # clean the roundoff component along the kernel
-    M = precond if precond is not None else make_mean_zero_preconditioner(A, M_mass, options)
-
-    def project(v):
-        return v - v.sum() / n
-
-    if M is not None:
-        inner = M
-        M = spla.LinearOperator(A.shape, lambda v: project(inner @ v))
-    x, info = spla.cg(A, b, rtol=options.tolerance, atol=0.0,
-                      maxiter=options.max_iterations, M=M)
-    res = np.linalg.norm(b - A @ x) / norm_b
-    if info != 0 and res > options.tolerance * 10:
-        raise SolveError(
-            f"mean-zero CG did not converge (relative residual {res:.3e})"
-        )
-    ones = np.ones(n)
-    m1 = M_mass @ ones
-    x = x - (m1 @ x) / (m1 @ ones)
+    if not res <= tolerance * norm_b:
+        raise SolveError(f"{what} relative residual {res / norm_b:.3e} "
+                         f"exceeds the tolerance {tolerance:.3e}")
     return x
+
+
+def spd_solver(A: sp.csr_matrix, options: LinearSolveOptions | None = None):
+    """Factor the SPD matrix A once (sparse LU, COLAMD ordering) and return
+    b -> x; every solve is checked against the relative residual
+    tolerance."""
+    tolerance = (options or LinearSolveOptions()).tolerance
+    lu = spla.splu(A.tocsc())
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        return _check_residual(A, lu.solve(b), b, tolerance, "direct solve")
+
+    return solve
+
+
+def mean_zero_solver(A: sp.csr_matrix, M_mass: sp.csr_matrix,
+                     options: LinearSolveOptions | None = None):
+    """Solver for the pure-Neumann stiffness (kernel = constants).
+
+    Factors the bordered matrix [[A, M 1], [(M 1)^T, 0]] once.  A
+    compatible right-hand side (components sum to zero) gives multiplier 0
+    and the solution with zero discrete mean against the mass matrix; an
+    incompatible one is rejected.
+    """
+    tolerance = (options or LinearSolveOptions()).tolerance
+    n = A.shape[0]
+    m1 = (M_mass @ np.ones(n))[:, None]
+    lu = spla.splu(sp.bmat([[A, m1], [m1.T, None]], format="csc"))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        total = abs(b.sum())
+        norm_b = np.linalg.norm(b)
+        if total > 1e-10 * norm_b:
+            raise SolveError(
+                f"incompatible right-hand side: |sum| = {total:.3e} vs "
+                f"1e-10*|b| = {1e-10 * norm_b:.3e}"
+            )
+        b = b - b.sum() / n  # clean the roundoff component along the kernel
+        x = lu.solve(np.append(b, 0.0))[:n]
+        return _check_residual(A, x, b, tolerance, "mean-zero solve")
+
+    return solve
 
 
 def h1_seminorm_diff(v1: np.ndarray, v2: np.ndarray, stiffness: sp.csr_matrix) -> float:

@@ -167,19 +167,6 @@ def bases_from_spec(spec: SingularSpec, cutoff: CutoffSpec | None = None) -> lis
     ]
 
 
-@dataclass
-class HybridField:
-    """P1 nodal part plus scaled analytic singular parts.
-
-    The analytic parts are never sampled into nodal values (they are
-    unbounded at the corner); inner products against them go through the
-    graded quadrature loads.
-    """
-
-    nodal: np.ndarray
-    analytic_parts: list[tuple[SingularBasis, float]] = field(default_factory=list)
-
-
 # -- quadrature ----------------------------------------------------------------
 
 
@@ -461,21 +448,3 @@ def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBas
     if same_sector and cutoff_disk_in_sector(mesh.domain, basis_a):
         return _pair_separable(basis_a, basis_b, opts.n_radial, target)
     return _pair_graded(mesh, basis_a, basis_b, opts, target)
-
-
-def inner_singular(nodal_or_field, basis: SingularBasis, mesh: TriMesh,
-                   mass=None, chi_s_load=None,
-                   opts: GradedQuadratureOptions | None = None) -> float:
-    """L2 inner product of a P1 field (or HybridField) with chi*s.
-
-    P1-vs-P1 parts go through the mass matrix; any term with an analytic
-    factor goes through the graded quadrature loads.
-    """
-    if chi_s_load is None:
-        chi_s_load = load_chi_s(mesh, basis, opts)
-    if isinstance(nodal_or_field, HybridField):
-        total = float(nodal_or_field.nodal @ chi_s_load)
-        for other, coeff in nodal_or_field.analytic_parts:
-            total += coeff * inner_chi_s_pair(mesh, other, basis, opts)
-        return total
-    return float(np.asarray(nodal_or_field, dtype=float) @ chi_s_load)

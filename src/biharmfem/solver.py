@@ -26,9 +26,9 @@ from . import fem
 from .fem import LinearSolveOptions, SolveError
 from .geometry import PolygonDomain, perp_dimension, singular_spec
 from .mesh import TriMesh
-from .singular import (CutoffSpec, GradedQuadratureOptions, HybridField,
-                       SingularBasis, bases_from_spec, inner_chi_s_pair,
-                       load_chi_s, load_singular)
+from .singular import (CutoffSpec, GradedQuadratureOptions, SingularBasis,
+                       bases_from_spec, inner_chi_s_pair, load_chi_s,
+                       load_singular)
 
 GRAM_DET_RTOL = 1e-14
 
@@ -62,30 +62,26 @@ class LevelContext:
             self._cache["M"] = fem.assemble_mass(self.mesh)
         return self._cache["M"]
 
-    def _dirichlet_system(self):
-        if "reduced" not in self._cache:
+    def solve_dirichlet(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the Dirichlet-reduced Poisson system with the level's cached
+        factor; full-length result with zeros at constrained nodes."""
+        if "dirichlet" not in self._cache:
             A_red, _, free = fem.apply_dirichlet(
                 self.stiffness, np.zeros(self.mesh.n_nodes), self.mesh.dirichlet_nodes
             )
-            precond = fem._make_preconditioner(A_red, self.options)
-            self._cache["reduced"] = (A_red, free, precond)
-        return self._cache["reduced"]
-
-    def solve_dirichlet(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the Dirichlet-reduced Poisson system; full-length result
-        with zeros at constrained nodes."""
-        A_red, free, precond = self._dirichlet_system()
+            self._cache["dirichlet"] = (fem.spd_solver(A_red, self.options), free)
+        solve, free = self._cache["dirichlet"]
         x = np.zeros(self.mesh.n_nodes)
-        x[free] = fem.solve_spd(A_red, rhs[free], self.options, precond=precond)
+        x[free] = solve(rhs[free])
         return x
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
-        if "neumann_precond" not in self._cache:
-            self._cache["neumann_precond"] = fem.make_mean_zero_preconditioner(
-                self.stiffness, self.mass, self.options
-            )
-        return fem.solve_mean_zero(self.stiffness, self.mass, rhs, self.options,
-                                   precond=self._cache["neumann_precond"])
+        """Mass-mean-zero solution of the pure-Neumann Poisson system with a
+        compatible right-hand side, with the level's cached factor."""
+        if "neumann" not in self._cache:
+            self._cache["neumann"] = fem.mean_zero_solver(
+                self.stiffness, self.mass, self.options)
+        return self._cache["neumann"](rhs)
 
     def quadrature(self, fn, *bases: SingularBasis,
                    opts: GradedQuadratureOptions | None = None):
@@ -101,18 +97,14 @@ class LevelContext:
 
 
 @dataclass
-class NaiveSolveResult:
-    w_h: np.ndarray
-    u_h: np.ndarray
-
-
-@dataclass
 class ModifiedSolveResult:
+    """Result of every formulation; the naive and uncorrected solves leave
+    ``zeta_h`` and ``coefficients`` empty."""
+
     w_h: np.ndarray
-    zeta_h: list[np.ndarray]
-    xi_h: list[HybridField]
-    coefficients: np.ndarray
     u_h: np.ndarray
+    zeta_h: list[np.ndarray]
+    coefficients: np.ndarray
     diagnostics: dict
 
 
@@ -144,65 +136,39 @@ def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None):
     return d_perp, bases
 
 
-def solve_naive(mesh: TriMesh, f, options: LinearSolveOptions | None = None,
-                ctx: LevelContext | None = None) -> NaiveSolveResult:
-    """Two chained Dirichlet-reduced Poisson solves (no correction)."""
-    if not mesh.domain.has_dirichlet():
-        raise ValueError("naive mixed solve requires a Dirichlet part; "
-                         "use the pure-Neumann variant")
-    ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
-    w = ctx.solve_dirichlet(fem.assemble_load(mesh, f))
-    u = ctx.solve_dirichlet(ctx.mass @ w)
-    return NaiveSolveResult(w_h=w, u_h=u)
-
-
-def solve_modified(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
-                   options: LinearSolveOptions | None = None,
-                   quad_opts: GradedQuadratureOptions | None = None,
-                   ctx: LevelContext | None = None,
-                   truncate_basis: int | None = None) -> ModifiedSolveResult:
-    """Corrected mixed solve (mixed boundary conditions, Dirichlet part
-    nonempty).
-
-    ``truncate_basis`` artificially limits the number of singular functions
-    used (reproducing the under-corrected variant); default uses all.
-    """
-    domain = mesh.domain
-    if not domain.has_dirichlet():
-        raise ValueError("use solve_modified_neumann for the pure-Neumann problem")
-    ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
-    d_perp, bases = _singular_setup(domain, cutoff)
-    if truncate_basis is not None:
-        bases = bases[:truncate_basis]
-
+def _mixed_solve(ctx: LevelContext, load: np.ndarray,
+                 bases: list[SingularBasis], quad_opts, neumann: bool = False
+                 ) -> ModifiedSolveResult:
+    """The four steps every formulation shares, with the level's Dirichlet
+    or mean-zero Poisson solve; an empty ``bases`` gives the naive solve."""
+    poisson = ctx.solve_neumann if neumann else ctx.solve_dirichlet
     # Step 1
-    w = ctx.solve_dirichlet(fem.assemble_load(mesh, f))
-    if not bases:
-        u = ctx.solve_dirichlet(ctx.mass @ w)
-        return ModifiedSolveResult(w, [], [], np.zeros(0), u,
-                                   diagnostics={"d_perp": d_perp})
-
+    w = poisson(load)
     # Step 2
-    zetas, xis, chi_s_loads = [], [], []
-    for basis in bases:
-        zeta = ctx.solve_dirichlet(
-            ctx.quadrature(load_singular, basis, opts=quad_opts))
-        zetas.append(zeta)
-        xis.append(HybridField(zeta, [(basis, 1.0)]))
-        chi_s_loads.append(ctx.quadrature(load_chi_s, basis, opts=quad_opts))
-
+    zetas = [poisson(ctx.quadrature(load_singular, basis, opts=quad_opts))
+             for basis in bases]
+    chi_s_loads = [ctx.quadrature(load_chi_s, basis, opts=quad_opts)
+                   for basis in bases]
     # Step 3: Gram system for the projection coefficients
-    coeffs, gram_info = _gram_solve(ctx, w, bases, zetas, chi_s_loads,
-                                    quad_opts)
-
+    coeffs, diagnostics = np.zeros(0), {}
+    if bases:
+        coeffs, diagnostics = _gram_solve(ctx, w, bases, zetas, chi_s_loads,
+                                          quad_opts)
     # Step 4
     rhs = ctx.mass @ (w - sum(c * z for c, z in zip(coeffs, zetas)))
     rhs -= sum(c * bs for c, bs in zip(coeffs, chi_s_loads))
-    u = ctx.solve_dirichlet(rhs)
-    return ModifiedSolveResult(
-        w_h=w, zeta_h=zetas, xi_h=xis, coefficients=coeffs, u_h=u,
-        diagnostics={"d_perp": d_perp, **gram_info},
-    )
+    if neumann:
+        if bases:
+            diagnostics["xi_mean"] = float((ctx.mass @ zetas[0]).sum()
+                                           + chi_s_loads[0].sum())
+        if abs(float(rhs.sum())) > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
+            raise SolveError(
+                f"corrected right-hand side violates compatibility "
+                f"(sum = {rhs.sum():.3e}); singular quadrature failure"
+            )
+        rhs -= rhs.sum() / len(rhs)
+    u = poisson(rhs)
+    return ModifiedSolveResult(w, u, zetas, coeffs, diagnostics)
 
 
 def _gram_solve(ctx, w, bases, zetas, chi_s_loads, quad_opts):
@@ -233,6 +199,38 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads, quad_opts):
                     "gram_residual": residual}
 
 
+def solve_naive(mesh: TriMesh, f, options: LinearSolveOptions | None = None,
+                ctx: LevelContext | None = None) -> ModifiedSolveResult:
+    """Two chained Dirichlet-reduced Poisson solves (no correction)."""
+    if not mesh.domain.has_dirichlet():
+        raise ValueError("naive mixed solve requires a Dirichlet part; "
+                         "use the pure-Neumann variant")
+    ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
+    return _mixed_solve(ctx, fem.assemble_load(mesh, f), [], None)
+
+
+def solve_modified(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
+                   options: LinearSolveOptions | None = None,
+                   quad_opts: GradedQuadratureOptions | None = None,
+                   ctx: LevelContext | None = None,
+                   truncate_basis: int | None = None) -> ModifiedSolveResult:
+    """Corrected mixed solve (mixed boundary conditions, Dirichlet part
+    nonempty).
+
+    ``truncate_basis`` artificially limits the number of singular functions
+    used (reproducing the under-corrected variant); default uses all.
+    """
+    if not mesh.domain.has_dirichlet():
+        raise ValueError("use solve_modified_neumann for the pure-Neumann problem")
+    ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
+    d_perp, bases = _singular_setup(mesh.domain, cutoff)
+    if truncate_basis is not None:
+        bases = bases[:truncate_basis]
+    res = _mixed_solve(ctx, fem.assemble_load(mesh, f), bases, quad_opts)
+    res.diagnostics["d_perp"] = d_perp
+    return res
+
+
 def solve_modified_neumann(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
                            options: LinearSolveOptions | None = None,
                            quad_opts: GradedQuadratureOptions | None = None,
@@ -240,46 +238,24 @@ def solve_modified_neumann(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
                            corrected: bool = True) -> ModifiedSolveResult:
     """Corrected mixed solve for the pure-Neumann problem in mean-zero
     spaces; ``corrected=False`` gives the naive variant on the same path."""
-    domain = mesh.domain
-    if not domain.all_neumann():
+    if not mesh.domain.all_neumann():
         raise ValueError("pure-Neumann solver requires all edges Neumann")
     ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
-    b_f = fem.assemble_load(mesh, f)
-    total = float(b_f.sum())
-    if abs(total) > 1e-10 * max(np.linalg.norm(b_f), 1e-300):
+    load = fem.assemble_load(mesh, f)
+    total = float(load.sum())
+    if abs(total) > 1e-10 * max(np.linalg.norm(load), 1e-300):
         raise CompatibilityError(
             f"source integral over the domain is {total:.6g}; the "
             "pure-Neumann problem requires a mean-zero source "
             "(compatibility condition)"
         )
-    d_perp, bases = _singular_setup(domain, cutoff)
-    w = ctx.solve_neumann(b_f)
-    if not corrected or not bases:
-        u = ctx.solve_neumann(ctx.mass @ w)
-        return ModifiedSolveResult(w, [], [], np.zeros(0), u,
-                                   diagnostics={"d_perp": d_perp})
-    if d_perp != 1:
+    d_perp, bases = _singular_setup(mesh.domain, cutoff)
+    if not corrected:
+        bases = []
+    elif d_perp > 1:
         raise SingularVertexError(
             f"pure-Neumann correction expects d_perp = 1, got {d_perp}"
         )
-    basis = bases[0]
-    b_lap = ctx.quadrature(load_singular, basis, opts=quad_opts)
-    # analytically compatible; clean roundoff (out of place: b_lap is cached)
-    b_lap = b_lap - b_lap.sum() / len(b_lap)
-    zeta = ctx.solve_neumann(b_lap)
-    bs = ctx.quadrature(load_chi_s, basis, opts=quad_opts)
-    xi = HybridField(zeta, [(basis, 1.0)])
-    coeffs, gram_info = _gram_solve(ctx, w, [basis], [zeta], [bs], quad_opts)
-    rhs = ctx.mass @ (w - coeffs[0] * zeta) - coeffs[0] * bs
-    xi_mean = float((ctx.mass @ zeta).sum() + bs.sum())
-    if abs(float(rhs.sum())) > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-        raise SolveError(
-            f"corrected right-hand side violates compatibility "
-            f"(sum = {rhs.sum():.3e}); singular quadrature failure"
-        )
-    rhs -= rhs.sum() / len(rhs)
-    u = ctx.solve_neumann(rhs)
-    return ModifiedSolveResult(
-        w_h=w, zeta_h=[zeta], xi_h=[xi], coefficients=coeffs, u_h=u,
-        diagnostics={"d_perp": d_perp, **gram_info, "xi_mean": xi_mean},
-    )
+    res = _mixed_solve(ctx, load, bases, quad_opts, neumann=True)
+    res.diagnostics["d_perp"] = d_perp
+    return res

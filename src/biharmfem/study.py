@@ -25,7 +25,8 @@ import numpy as np
 
 from . import fem
 from .fem import LinearSolveOptions
-from .geometry import PolygonDomain, builtin_domain, read_domain_file
+from .geometry import (BUILTIN_NAMES, PolygonDomain, builtin_domain,
+                       read_domain_file)
 from .mesh import TriMesh, initial_mesh, prolongate, refine_uniform
 from .singular import CutoffSpec, GradedQuadratureOptions
 from .solver import (LevelContext, solve_modified, solve_modified_neumann,
@@ -65,7 +66,9 @@ class StudyConfig:
                 f"unknown formulation {self.compare_formulation!r}")
 
     def resolve_domain(self) -> PolygonDomain:
-        if os.path.exists(self.domain):
+        """A built-in domain by name, else a domain file; built-in names
+        win over files of the same name."""
+        if self.domain not in BUILTIN_NAMES and os.path.exists(self.domain):
             return read_domain_file(self.domain)
         return builtin_domain(self.domain, self.bc_type)
 
@@ -135,7 +138,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         res = _run_formulation(config.formulation, m, f, config, ctx)
         solutions.append(res)
         nodes.append(m.n_nodes)
-        coeffs.append(np.asarray(getattr(res, "coefficients", np.zeros(0))))
+        coeffs.append(res.coefficients)
         if j == 0:
             diff_u.append(math.nan)
             diff_w.append(math.nan)
@@ -153,8 +156,9 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     def rates(diffs):
         out = [math.nan] * len(diffs)
-        r = cauchy_rate(diffs[1:])
-        out[1:len(r) + 1] = r
+        if any(diffs[1:]):  # all differences exactly 0 (zero source): no rate
+            r = cauchy_rate(diffs[1:])
+            out[1:len(r) + 1] = r
         return out
 
     table = RateTable(nodes, diff_u, rates(diff_u), diff_w, rates(diff_w),

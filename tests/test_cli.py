@@ -86,6 +86,34 @@ class TestStudyCommand:
         assert rows[0]["nodes"] == "21"
         assert not any(name.endswith(".tmp") for name in os.listdir(out))
 
+    @pytest.mark.parametrize("bc, formulation, source", [
+        ("B1", "naive", "const1"),
+        ("B5", "neumann-modified", "quadrant-step")])
+    def test_failed_residual_check_is_solver_error(self, bc, formulation,
+                                                   source, capsys):
+        code = main(["study", "--domain", "III", "--bc", bc, "--f", source,
+                     "--formulation", formulation, "--levels", "2",
+                     "--tol", "1e-300"])
+        assert code == 2
+        assert "solver error:" in capsys.readouterr().err
+
+    def test_zero_source_gives_empty_rates(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["study", "--domain", "III", "--bc", "B1", "--f", "zero",
+                     "--levels", "2", "--out", str(out)])
+        assert code == 0
+        with open(out / "study.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["diff_h1_u"] for r in rows] == ["", "0.0", "0.0"]
+        assert all(r["rate_u"] == r["rate_w"] == "" for r in rows)
+
+    def test_builtin_name_wins_over_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "III").write_text("not a domain file\n")
+        assert main(["study", "--domain", "III", "--bc", "B1",
+                     "--formulation", "naive", "--levels", "2"]) == 0
+        assert "21" in capsys.readouterr().out
+
     def test_field_dump(self, tmp_path):
         out = tmp_path / "out"
         code = main(["study", "--domain", "III", "--bc", "B1",

@@ -129,22 +129,26 @@ class TestDirichlet:
         rng = np.random.default_rng(4)
         b = rng.standard_normal(m.n_nodes)
         K2, b2, _ = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
-        x = fem.solve_spd(K2, b2)
+        x = fem.spd_solver(K2)(b2)
         assert np.linalg.norm(b2 - K2 @ x) <= 1e-9 * np.linalg.norm(b2)
 
 
 class TestSolveSpd:
     def test_one_by_one(self):
         A = sp.csr_matrix(np.array([[4.0]]))
-        assert fem.solve_spd(A, np.array([2.0]))[0] == pytest.approx(0.5)
+        assert fem.spd_solver(A)(np.array([2.0]))[0] == pytest.approx(0.5)
 
     def test_matches_dense_factorization(self):
         rng = np.random.default_rng(5)
         B = rng.standard_normal((10, 10))
         A = B @ B.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        x = fem.solve_spd(sp.csr_matrix(A), b)
+        x = fem.spd_solver(sp.csr_matrix(A))(b)
         assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-9
+
+    def test_zero_rhs(self):
+        A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        assert np.all(fem.spd_solver(A)(np.zeros(3)) == 0)
 
     def test_poisson_manufactured_first_order_h1(self):
         # -lap u = 2 pi^2 sin(pi x) sin(pi y), u = sin(pi x) sin(pi y)
@@ -156,20 +160,13 @@ class TestSolveSpd:
             b = fem.assemble_load(m, f)
             K2, b2, free = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
             u = np.zeros(m.n_nodes)
-            u[free] = fem.solve_spd(K2, b2)
+            u[free] = fem.spd_solver(K2)(b2)
             d = u - exact(m.nodes)
             # true H1 seminorm error vs the smooth solution, via interpolant
             # plus the known O(h) interpolation bound; the discrete energy
             # difference to the interpolant superconverges, so test decay
             errs.append(math.sqrt(d @ (K @ d)))
         assert errs[1] < 0.6 * errs[0] and errs[2] < 0.6 * errs[1]
-
-    def test_incomplete_factor_exact_on_full_pattern(self):
-        rng = np.random.default_rng(6)
-        B = rng.standard_normal((25, 25))
-        A = sp.csr_matrix(B @ B.T + 25 * np.eye(25))
-        L = fem._incomplete_cholesky(A)
-        assert abs((L @ L.T - A).toarray()).max() < 1e-10
 
 
 class TestMeanZeroSolve:
@@ -179,12 +176,12 @@ class TestMeanZeroSolve:
 
     def test_zero_rhs(self):
         _, A, M = self._system(1)
-        assert np.all(fem.solve_mean_zero(A, M, np.zeros(A.shape[0])) == 0)
+        assert np.all(fem.mean_zero_solver(A, M)(np.zeros(A.shape[0])) == 0)
 
     def test_compatible_rhs_solved_with_zero_mean(self):
         m, A, M = self._system()
         b = fem.assemble_load(m, quadrant_step)
-        v = fem.solve_mean_zero(A, M, b)
+        v = fem.mean_zero_solver(A, M)(b)
         b0 = b - b.sum() / len(b)
         assert np.linalg.norm(b0 - A @ v) <= 1e-9 * np.linalg.norm(b0)
         vm = math.sqrt(v @ (M @ v))
@@ -194,7 +191,41 @@ class TestMeanZeroSolve:
         m, A, M = self._system(1)
         b = fem.assemble_load(m, lambda p: np.ones(len(p)))  # integral 12
         with pytest.raises(fem.SolveError):
-            fem.solve_mean_zero(A, M, b)
+            fem.mean_zero_solver(A, M)(b)
+
+
+def _dense_reduced(m):
+    K2, _, free = fem.apply_dirichlet(fem.assemble_stiffness(m),
+                                      np.zeros(m.n_nodes), m.dirichlet_nodes)
+    return K2, free
+
+
+class TestDirectSolveAgainstDense:
+    """The sparse LU solves against dense LAPACK solves of the same
+    systems."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_dirichlet_matches_dense(self, level):
+        m = mesh_hierarchy(builtin_domain("III", "B1"), level)[-1]
+        K2, free = _dense_reduced(m)
+        b = fem.assemble_load(m, quadrant_step)[free]
+        x = fem.spd_solver(K2)(b)
+        ref = np.linalg.solve(K2.toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_mean_zero_matches_dense_bordered(self, level):
+        m = mesh_hierarchy(builtin_domain("III", "B5"), level)[-1]
+        A, M = fem.assemble_stiffness(m), fem.assemble_mass(m)
+        b = fem.assemble_load(m, quadrant_step)
+        n = m.n_nodes
+        m1 = M @ np.ones(n)
+        bordered = np.block([[A.toarray(), m1[:, None]],
+                             [m1[None, :], np.zeros((1, 1))]])
+        ref = np.linalg.solve(bordered, np.append(b - b.sum() / n, 0.0))
+        assert abs(ref[n]) <= 1e-12 * np.linalg.norm(ref[:n])
+        x = fem.mean_zero_solver(A, M)(b)
+        assert np.linalg.norm(x - ref[:n]) <= 1e-12 * np.linalg.norm(ref[:n])
 
 
 class TestNorms:

@@ -9,10 +9,9 @@ from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, DomainError,
                                 builtin_domain, perp_dimension, singular_spec)
 from biharmfem.mesh import initial_mesh, prolongate, refine_uniform
 from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
-                                HybridField, SingularBasis, bases_from_spec,
-                                chi, chi_derivs, cutoff_disk_in_sector,
-                                inner_chi_s_pair, inner_singular, load_chi_s,
-                                load_singular)
+                                SingularBasis, bases_from_spec, chi,
+                                chi_derivs, cutoff_disk_in_sector,
+                                inner_chi_s_pair, load_chi_s, load_singular)
 from conftest import mesh_hierarchy
 from worklist_oracle import load_singular_worklist
 
@@ -337,15 +336,3 @@ class TestInnerProducts:
         v12 = inner_chi_s_pair(m, b1, b2)
         v21 = inner_chi_s_pair(m, b2, b1)
         assert v12 == pytest.approx(v21, abs=1e-12)
-
-    def test_zero_nodal_field(self):
-        m = mesh_hierarchy(builtin_domain("III", "B1"), 1)[-1]
-        basis = lshape_basis()
-        assert inner_singular(np.zeros(m.n_nodes), basis, m) == 0.0
-
-    def test_hybrid_field_inner_product(self):
-        m = mesh_hierarchy(builtin_domain("III", "B1"), 2)[-1]
-        basis = lshape_basis()
-        field = HybridField(np.zeros(m.n_nodes), [(basis, 2.0)])
-        direct = 2.0 * inner_chi_s_pair(m, basis, basis)
-        assert inner_singular(field, basis, m) == pytest.approx(direct, rel=1e-10)

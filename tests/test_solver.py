@@ -44,7 +44,7 @@ class TestModified:
         naive = solve_naive(m, square_eigen, ctx=ctx)
         mod = solve_modified(m, square_eigen, ctx=ctx)
         assert mod.diagnostics["d_perp"] == 0
-        assert len(mod.xi_h) == 0
+        assert len(mod.zeta_h) == len(mod.coefficients) == 0
         assert np.max(np.abs(mod.u_h - naive.u_h)) < 1e-12
 
     def test_coefficient_matches_projection_formula(self, lshape_b1_meshes):
@@ -60,7 +60,7 @@ class TestModified:
     def test_result_shapes(self, lshape_b1_meshes):
         res = solve_modified(lshape_b1_meshes[2], const1)
         assert res.diagnostics["d_perp"] == 1
-        assert len(res.zeta_h) == len(res.xi_h) == len(res.coefficients) == 1
+        assert len(res.zeta_h) == len(res.coefficients) == 1
 
     def test_linearity_in_source(self, lshape_b1_meshes):
         m = lshape_b1_meshes[2]
@@ -151,8 +151,12 @@ class TestNeumannVariant:
     def test_basis_is_cosine(self, meshes):
         res = solve_modified_neumann(meshes[2], quadrant_step)
         assert res.diagnostics["d_perp"] == 1
-        (basis, coeff), = res.xi_h[0].analytic_parts
+        basis, = bases_from_spec(singular_spec(meshes[2].domain, 0))
         assert basis.trig == "cos"
+        # zeta solves for lap(chi*s) of this cosine basis function
+        ctx = LevelContext(meshes[2])
+        zeta = ctx.solve_neumann(solver.load_singular(meshes[2], basis))
+        assert np.allclose(res.zeta_h[0], zeta, rtol=0, atol=1e-12)
 
     def test_correction_function_mean_zero(self, meshes):
         res = solve_modified_neumann(meshes[-1], quadrant_step)
