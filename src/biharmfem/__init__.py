@@ -10,8 +10,8 @@ from .mesh import (MeshError, TriMesh, initial_mesh, prolongate,
 from .singular import (CutoffSpec, GradedQuadratureOptions, QuadratureError,
                        SingularBasis, bases_from_spec)
 from .solver import (CompatibilityError, LevelContext, ModifiedSolveResult,
-                     SingularVertexError, check_compatibility, solve_modified,
-                     solve_modified_neumann, solve_naive)
+                     SingularVertexError, solve_modified, solve_modified_neumann,
+                     solve_naive)
 from .sources import SOURCES, get_source
 from .study import (RateTable, StudyConfig, StudyReport, cauchy_rate,
                     export_csv, export_field, run_study)

@@ -5,13 +5,15 @@ A corner q with interior angle omega contributes harmonic functions
 corner.  They are localized by a radial quintic cutoff ``chi`` equal to 1
 inside r = tau*R and 0 beyond r = R.  Quadrature:
 
-- Loads of lap(chi*s) and chi*s against the P1 hats.  Triangles at q, and
-  for lap(chi*s) the triangles straddling its radial kinks r = tau*R and
-  r = R, use the fan rule: a triangle is the signed sum of the triangles
-  (q, a, b) over its edges, each Duffy-mapped with its radial variable
-  split at the cutoff circles (Gauss-Jacobi absorbs r**(-gamma) at q) and
-  its angular variable split where the edge a->b crosses a circle, so
-  each piece is smooth.  Other triangles use a collapsed Gauss rule on
+- Loads of lap(chi*s) and chi*s against the P1 hats.  Triangles at q and
+  triangles straddling the radial kinks r = tau*R and r = R (chi is only
+  C^2 there) use the fan rule: a triangle is the signed sum of the
+  triangles (q, a, b) over its edges, each Duffy-mapped with its radial
+  variable split at the cutoff circles (Gauss-Jacobi absorbs r**(-gamma)
+  at q) and its angular variable split where the edge a->b crosses a
+  circle, so each piece is smooth.  A straddling triangle's fans are
+  clipped to its own radial range, so they are short and thin and take
+  fewer nodes.  Other triangles use a collapsed Gauss rule on
   red-refinement children graded toward q and across the cutoff band.
 - The Gram pair integral of (chi*s_a)*(chi*s_b).  When the disk B(q, R)
   meets the domain only inside the corner sector it separates: a radial
@@ -213,48 +215,53 @@ class GradedQuadratureOptions:
     near_ratio: float = 6.0   # subdivide until child diameter <= dist/near_ratio
     n_feature: int = 10       # resolve the cutoff band to (R - tau*R)/n_feature
     max_depth: int = 8
-    n_radial: int = 24        # fan-rule nodes per radial segment; pair radial rule
-    n_angular: int = 24       # fan-rule angular nodes per piece
+    # fan-rule nodes of the corner fans per radial segment and angular piece;
+    # the thin fans of triangles away from q take 1/2 or 1/3 of them (or
+    # all while h_T > dist_T/2).  n_radial also sets the pair radial rule.
+    n_radial: int = 24
+    n_angular: int = 24
 
 
-def _fan_rule(q, a, b, gamma, radii, opts: GradedQuadratureOptions):
+def _fan_rule(q, a, b, gamma, radii, n_radial, n_angular):
     """Points, weights (signed like det(a-q, b-q)) and fan index for
     r**(-gamma)*smooth over the triangles (q, a[k], b[k]) within
-    radii[0] <= r <= radii[-1], by the Duffy map x = q + u*p(v),
-    p(v) = (1-v)*(a-q) + v*(b-q).  u is split at each circle r = radii[i],
-    with Gauss-Jacobi absorbing u**(1-gamma) on a segment from the corner;
-    v is split where |p(v)| crosses a circle (a quadratic in v)."""
+    radii[k, 0] <= r <= radii[k, -1] (radii: one ascending row per fan), by
+    the Duffy map x = q + u*p(v), p(v) = (1-v)*(a-q) + v*(b-q).  u is split
+    at each circle r = radii[k, i], with Gauss-Jacobi absorbing u**(1-gamma)
+    on a segment from the corner; v is split where |p(v)| crosses a circle
+    (a quadratic in v).  n_radial x n_angular nodes per piece."""
     d, e = a - q, b - a
     two_area = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
     ee, de, dd = (e * e).sum(axis=1), (d * e).sum(axis=1), (d * d).sum(axis=1)
     cuts = [np.zeros(len(d)), np.ones(len(d))]
-    for c in radii:
-        if c > 0.0:
-            disc = de**2 - ee * (dd - c * c)
-            for sgn in (-1.0, 1.0):
-                v = (-de + sgn * np.sqrt(np.maximum(disc, 0.0))) / ee
-                cuts.append(np.where((disc > 0) & (v > 0) & (v < 1), v, np.nan))
+    for c in radii.T:
+        disc = de**2 - ee * (dd - c * c)
+        for sgn in (-1.0, 1.0):
+            v = (-de + sgn * np.sqrt(np.maximum(disc, 0.0))) / ee
+            cuts.append(np.where((c > 0) & (disc > 0) & (v > 0) & (v < 1),
+                                 v, np.nan))
     cuts = np.sort(np.column_stack(cuts), axis=1)      # nan sorts last
     fan, piece = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
     v0 = cuts[fan, piece]
     dv = cuts[fan, piece + 1] - v0
 
-    xa, wa = roots_legendre(opts.n_angular)
+    xa, wa = roots_legendre(n_angular)
     v = v0[:, None] + dv[:, None] * (0.5 * (xa + 1.0))          # (P, A)
     p = d[fan, None, :] + v[..., None] * e[fan, None, :]       # (P, A, 2)
     rho = np.linalg.norm(p, axis=-1)
-    xl, wl = roots_legendre(opts.n_radial)
+    xl, wl = roots_legendre(n_radial)
     tl, wl = 0.5 * (xl + 1.0), 0.5 * wl
-    xj, wj = roots_jacobi(opts.n_radial, 0.0, 1.0 - gamma)
+    xj, wj = roots_jacobi(n_radial, 0.0, 1.0 - gamma)
     tj = 0.5 * (xj + 1.0)
     wj = wj * 2.0 ** (gamma - 2.0) * tj**gamma   # [-1, 1] weight -> u*u**(-gamma)
     us, ws = [], []
-    for r0, r1 in zip(radii[:-1], radii[1:]):
+    for r0, r1 in zip(radii.T[:-1], radii.T[1:]):
+        r0, r1 = r0[fan, None], r1[fan, None]
         u0, u1 = (np.minimum(r / rho, 1.0)[..., None] for r in (r0, r1))
-        jacobi = r0 == 0.0          # the segment starts at the corner
-        u = u1 * tj if jacobi else u0 + (u1 - u0) * tl
+        jacobi = (r0 == 0.0)[..., None]     # the segment starts at the corner
+        u = np.where(jacobi, u1 * tj, u0 + (u1 - u0) * tl)
         us.append(u)
-        ws.append(u1**2 * wj if jacobi else (u1 - u0) * wl * u)
+        ws.append(np.where(jacobi, u1**2 * wj, (u1 - u0) * wl * u))
     u = np.concatenate(us, axis=-1)                            # (P, A, K)
     w = np.concatenate(ws, axis=-1) \
         * (two_area[fan, None] * 0.5 * dv[:, None] * wa)[..., None]
@@ -279,12 +286,15 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
     r_max = vert_d.max(axis=1)
     support = (dist < radii[-1]) & (r_max > radii[0])
     at_corner = vert_d < 1e-12
-    fan = support & at_corner.any(axis=1)
+    corner = support & at_corner.any(axis=1)
+    fan = corner.copy()
     for c in kinks:
         fan |= support & (dist < c) & (r_max > c)
     e1 = tri_pts[:, 1] - tri_pts[:, 0]
     e2 = tri_pts[:, 2] - tri_pts[:, 0]
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    h = np.max([np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1),
+                np.linalg.norm(e2 - e1, axis=1)], axis=0)
 
     def scatter(contrib, tri):      # per-triangle (T, 3) -> nodes
         return np.bincount(mesh.triangles[tri].ravel(), weights=contrib.ravel(),
@@ -292,34 +302,45 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
 
     out = np.zeros(mesh.n_nodes) if nodal else 0.0
 
-    # fan rule over each edge (a, b) of the triangle, skipping edges at q
-    idx = np.flatnonzero(fan)
+    # fan rule over each edge (a, b) of the triangle, skipping edges at q.
+    # T lies in dist_T <= r <= r_max_T, so its fans' radii are clipped to
+    # that range, padded by a relative 1e-9 so that a clipped end adds no
+    # v-split.  A straddling triangle's radial segments are then O(h_T) long,
+    # and its fans span an angle of about h_T/dist_T seen from q; that ratio
+    # bounds the strip where the integrand is analytic in u and v, so they
+    # take 1/k of the corner fans' nodes, k = dist_T // h_T clipped to 1..3.
+    lo = np.maximum(radii[0], (1.0 - 1e-9) * dist)
+    hi = np.minimum(radii[-1], (1.0 + 1e-9) * r_max)
+    div = np.where(corner, 1, np.clip(dist // h, 1, 3)).astype(int)
     nxt = [1, 2, 0]
-    keep = ~(at_corner[idx] | at_corner[idx][:, nxt]).ravel()
-    a = tri_pts[idx].reshape(-1, 2)[keep]
-    b = tri_pts[idx][:, nxt].reshape(-1, 2)[keep]
-    owner = np.repeat(idx, 3)[keep]
-    for s in range(0, len(owner), _FAN_CHUNK):
-        sl = slice(s, s + _FAN_CHUNK)
-        pts, wts, k = _fan_rule(q, a[sl], b[sl], gamma, radii, opts)
-        tri = owner[sl][k]
-        vals = wts * np.sign(det[tri]) * gfun(pts)
-        if not nodal:
-            out += float(vals.sum())
-            continue
-        # barycentric coordinates of the fan points in their triangle
-        rel = pts - tri_pts[tri, 0]
-        l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
-        l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
-        out += scatter(vals[:, None] * np.column_stack([1.0 - l2 - l3, l2, l3]),
-                       tri)
+    for k in (1, 2, 3):
+        idx = np.flatnonzero(fan & (div == k))
+        keep = ~(at_corner[idx] | at_corner[idx][:, nxt]).ravel()
+        a = tri_pts[idx].reshape(-1, 2)[keep]
+        b = tri_pts[idx][:, nxt].reshape(-1, 2)[keep]
+        owner = np.repeat(idx, 3)[keep]
+        for s in range(0, len(owner), _FAN_CHUNK):
+            sl = slice(s, s + _FAN_CHUNK)
+            fan_radii = np.clip(np.asarray(radii, dtype=float),
+                                lo[owner[sl], None], hi[owner[sl], None])
+            pts, wts, j = _fan_rule(q, a[sl], b[sl], gamma, fan_radii,
+                                    opts.n_radial // k, opts.n_angular // k)
+            tri = owner[sl][j]
+            vals = wts * np.sign(det[tri]) * gfun(pts)
+            if not nodal:
+                out += float(vals.sum())
+                continue
+            # barycentric coordinates of the fan points in their triangle
+            rel = pts - tri_pts[tri, 0]
+            l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
+            l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
+            out += scatter(vals[:, None]
+                           * np.column_stack([1.0 - l2 - l3, l2, l3]), tri)
 
     # collapsed rule on graded children: depth set by corner distance and
     # by the cutoff band
     idx = np.flatnonzero(support & ~fan)
-    d = dist[idx]
-    h = np.max([np.linalg.norm(e1[idx], axis=1), np.linalg.norm(e2[idx], axis=1),
-                np.linalg.norm(e2[idx] - e1[idx], axis=1)], axis=0)
+    d, h = dist[idx], h[idx]
     feat = (spec.R - spec.inner) / opts.n_feature
     in_band = (d < spec.R + h) & (d + h > spec.inner - h)
     depth = np.where(in_band & (h > feat), np.ceil(np.log2(h / feat)), 0)
@@ -335,7 +356,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
         step = max(1, _CELL_CHUNK // len(sub))
         for s in range(0, len(sel), step):
             tri = sel[s:s + step]
-            pts = np.einsum("pj,tjd->tpd", bary, tri_pts[tri]).reshape(-1, 2)
+            pts = (bary @ tri_pts[tri]).reshape(-1, 2)
             vals = gfun(pts).reshape(len(tri), -1) * wts \
                 * (0.5 * np.abs(det[tri]))[:, None]
             out += scatter(vals @ bary, tri) if nodal else float(vals.sum())
@@ -358,8 +379,10 @@ def load_chi_s(mesh: TriMesh, basis: SingularBasis,
     """Load vector of chi*s against the P1 hats (graded at the corner)."""
     opts = opts or GradedQuadratureOptions()
     spec = basis.cutoff
+    # chi is C^2 across both circles, so chi*s has radial kinks there too
     return _graded_integrate(mesh, basis, basis.eval_chi_s, basis.beta,
-                             (0.0, spec.inner, spec.R), True, opts)
+                             (0.0, spec.inner, spec.R), True, opts,
+                             kinks=(spec.inner, spec.R))
 
 
 def cutoff_disk_in_sector(domain: PolygonDomain, basis: SingularBasis) -> bool:

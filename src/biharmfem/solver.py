@@ -64,7 +64,11 @@ class LevelContext:
 
     def solve_dirichlet(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the Dirichlet-reduced Poisson system with the level's cached
-        factor; full-length result with zeros at constrained nodes."""
+        factor; full-length result with zeros at constrained nodes, so the
+        zero vector on a level with no free node (a coarse mesh whose every
+        node lies on the Dirichlet boundary)."""
+        if self.mesh.dirichlet_nodes.all():
+            return np.zeros(self.mesh.n_nodes)
         if "dirichlet" not in self._cache:
             A_red, _, free = fem.apply_dirichlet(
                 self.stiffness, np.zeros(self.mesh.n_nodes), self.mesh.dirichlet_nodes
@@ -106,12 +110,6 @@ class ModifiedSolveResult:
     zeta_h: list[np.ndarray]
     coefficients: np.ndarray
     diagnostics: dict
-
-
-def check_compatibility(mesh: TriMesh, f) -> float:
-    """Integral of the source over the domain (zero required for the
-    pure-Neumann problem)."""
-    return float(fem.assemble_load(mesh, f).sum())
 
 
 def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None):

@@ -114,6 +114,19 @@ class TestStudyCommand:
                      "--formulation", "naive", "--levels", "2"]) == 0
         assert "21" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("formulation", ["naive", "modified"])
+    def test_all_dirichlet_unit_square(self, tmp_path, formulation, capsys):
+        # level 0 has no free node: its fields are zero, not an error
+        domain = tmp_path / "square.txt"
+        domain.write_text("0 0\n1 0\n1 1\n0 1\nD\nD\nD\nD\n")
+        out = tmp_path / "out"
+        assert main(["study", "--domain-file", str(domain), "--f", "const1",
+                     "--formulation", formulation, "--levels", "3",
+                     "--out", str(out)]) == 0
+        with open(out / "study.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["nodes"] for r in rows] == ["4", "9", "25", "81"]
+
     def test_field_dump(self, tmp_path):
         out = tmp_path / "out"
         code = main(["study", "--domain", "III", "--bc", "B1",

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from biharmfem import fem, singular
 from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, DomainError,
                                 builtin_domain, perp_dimension, singular_spec)
-from biharmfem.mesh import initial_mesh, prolongate, refine_uniform
+from biharmfem.mesh import TriMesh, initial_mesh, prolongate, refine_uniform
 from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
                                 SingularBasis, bases_from_spec, chi,
                                 chi_derivs, cutoff_disk_in_sector,
@@ -242,9 +242,86 @@ class TestFanRule:
         fine = GradedQuadratureOptions(n_gauss=10, n_feature=20, n_radial=48,
                                        n_angular=48)
         for m in mesh_hierarchy(dom, 2):
-            ref = load_singular(m, basis, fine)
-            got = load_singular(m, basis)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            for load in (load_singular, load_chi_s):
+                ref = load(m, basis, fine)
+                got = load(m, basis)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("corners", [
+        [(0.20, 0.05), (0.45, 0.10), (0.25, 0.40)],      # crosses r = tau*R
+        [(0.3007, -0.1), (0.3007, 0.2), (0.10, 0.15)],   # one edge 7e-4 off it
+        [(1.00, 0.30), (1.45, 0.20), (1.10, 0.75)],      # crosses r = R ...
+        [(1.00, 0.20), (1.40, 0.20), (1.10, 0.55)],      # ... at dist_T/h_T
+        [(1.15, 0.10), (1.25, 0.10), (1.20, 0.20)],      # 1.6, 2.2 and 10
+    ])
+    def test_clipped_fans_weigh_triangle_in_annulus(self, corners):
+        # with gfun = 1 the fan rule over one triangle away from q gives
+        # the area of T within the annulus, against the closed form; the
+        # indicator jumps on both circles, the worst case for a clipped
+        # fan with fewer nodes
+        spec = CutoffSpec(tau=0.25, R=1.2)
+        basis = SingularBasis(0.5, "sin", np.zeros(2), 0.0, 1.5 * math.pi, spec)
+        mesh = TriMesh(builtin_domain("III", "B1"), np.array(corners),
+                       np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=int))
+        calls = []
+        fan_rule = singular._fan_rule
+
+        def spy(*args):
+            calls.append(1)
+            return fan_rule(*args)
+
+        one = lambda pts: np.ones(len(pts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(singular, "_fan_rule", spy)
+            area = singular._graded_integrate(
+                mesh, basis, one, 0.0, (spec.inner, spec.R), False,
+                GradedQuadratureOptions(), kinks=(spec.inner, spec.R))
+        assert calls
+        exact = sum(_fan_disk_area(np.array(corners[i]),
+                                   np.array(corners[(i + 1) % 3]), r) * sgn
+                    for i in range(3) for r, sgn in ((spec.R, 1), (spec.inner, -1)))
+        assert area == pytest.approx(exact, rel=1e-13)
+
+
+def _fan_disk_area(a, b, r):
+    """Closed-form signed area of the triangle (0, a, b) inside the disk
+    |x| <= r: straight pieces of a -> b inside, circular sectors outside."""
+    d = b - a
+    A, B, C = d @ d, a @ d, a @ a - r * r
+    ts = [0.0, 1.0]
+    disc = B * B - A * C
+    if disc > 0:
+        ts += [t for t in ((-B - math.sqrt(disc)) / A, (-B + math.sqrt(disc)) / A)
+               if 0.0 < t < 1.0]
+    ts.sort()
+    area = 0.0
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        p0, p1 = a + t0 * d, a + t1 * d
+        cross = p0[0] * p1[1] - p0[1] * p1[0]
+        if np.linalg.norm(a + 0.5 * (t0 + t1) * d) <= r:
+            area += 0.5 * cross
+        else:
+            area += 0.5 * r * r * math.atan2(cross, p0 @ p1)
+    return area
+
+
+class TestLoadAccuracy:
+    # at tau*R = 0.3, R = 1.2 the cutoff circles cut through many triangles
+    # at every level; the reference runs every rule at far higher order
+    REF = GradedQuadratureOptions(n_gauss=10, n_feature=40, n_radial=48,
+                                  n_angular=48, max_depth=10)
+
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"), ("III", "B1")])
+    def test_loads_match_high_order_reference(self, name, bc):
+        dom = builtin_domain(name, bc)
+        bases = bases_from_spec(singular_spec(dom, 0), CutoffSpec(tau=0.25, R=1.2))
+        for m in mesh_hierarchy(dom, 4):
+            for basis in bases:
+                for load in (load_singular, load_chi_s):
+                    ref = load(m, basis, self.REF)
+                    got = load(m, basis)
+                    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                    assert err <= 1e-12, (m.level, load.__name__, err)
 
 
 def singular_builtins():
