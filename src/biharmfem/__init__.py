@@ -1,14 +1,14 @@
 """Mixed C0 P1 finite elements for the biharmonic equation on polygons,
 with singular-function correction at a re-entrant corner."""
 
-from .fem import LinearSolveOptions, SolveError
+from .fem import SolveError
 from .geometry import (BCType, DomainError, PolygonDomain, VertexClass,
                        builtin_domain, classify_vertex, perp_dimension,
-                       read_domain_file, singular_exponents, singular_spec)
+                       read_domain_file, singular_exponents)
 from .mesh import (MeshError, TriMesh, initial_mesh, prolongate,
                    refine_uniform)
 from .singular import (CutoffSpec, GradedQuadratureOptions, QuadratureError,
-                       SingularBasis, bases_from_spec)
+                       SingularBasis, corner_bases)
 from .solver import (CompatibilityError, LevelContext, ModifiedSolveResult,
                      SingularVertexError, solve_modified, solve_modified_neumann,
                      solve_naive)

@@ -13,19 +13,20 @@ import sys
 
 import numpy as np
 
-from .fem import LinearSolveOptions, SolveError
+from .fem import SolveError
 from .geometry import (BC_TYPES, BUILTIN_NAMES, DomainError, builtin_domain,
-                       perp_dimension, read_domain_file)
+                       perp_dimension, resolve_domain)
 from .mesh import MeshError, initial_mesh, refine_uniform
 from .singular import CutoffSpec, QuadratureError
 from .solver import CompatibilityError, LevelContext, SingularVertexError
 from .sources import SOURCES, get_source
-from .study import FORMULATIONS, StudyConfig, _run_formulation, run_study
+from .study import (FORMULATIONS, StudyConfig, _run_formulation, format_row,
+                    run_study)
 
 
 def _add_domain_flags(p):
     p.add_argument("--domain", default="III",
-                   help="built-in domain name (I..IV)")
+                   help="built-in domain name (I..IV), else a domain file")
     p.add_argument("--domain-file", default=None,
                    help="path to a domain file (overrides --domain/--bc)")
     p.add_argument("--bc", default="B1", choices=BC_TYPES,
@@ -79,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_domain(args):
-    if args.domain_file:
-        return read_domain_file(args.domain_file)
-    return builtin_domain(args.domain, args.bc)
-
-
 def _mesh_at_level(domain, level):
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -102,13 +97,14 @@ def _config_from_args(args) -> StudyConfig:
         out_csv = os.path.join(args.out, "study.csv")
         field_dir = args.out
     return StudyConfig(
-        domain=args.domain_file or args.domain,
+        domain=args.domain,
+        domain_file=args.domain_file,
         bc_type=args.bc,
         formulation=args.formulation,
         source=args.f,
         max_level=args.levels,
         cutoff=CutoffSpec(tau=args.cutoff_tau, R=args.cutoff_radius),
-        solver_options=LinearSolveOptions(tolerance=args.tol),
+        tol=args.tol,
         compare_formulation=args.compare,
         csv_path=out_csv,
         field_levels=tuple(args.field_levels),
@@ -116,23 +112,20 @@ def _config_from_args(args) -> StudyConfig:
     )
 
 
-def _fmt(x):
-    return "" if (isinstance(x, float) and math.isnan(x)) else f"{x:.6g}"
+_HEADER = ("level", "nodes", "diff_u", "rate_u", "diff_w", "rate_w", "c1",
+           "c2", "linf")
+_WIDTHS = (5, 8, 12, 7, 12, 7, 12, 12, 12)
+
+
+def _print_row(cells) -> None:
+    print(" ".join(f"{c:>{w}}" for c, w in zip(cells, _WIDTHS)))
 
 
 def _cmd_study(args) -> int:
     report = run_study(_config_from_args(args))
-    t = report.table
-    print(f"{'level':>5} {'nodes':>8} {'diff_u':>12} {'rate_u':>7} "
-          f"{'diff_w':>12} {'rate_w':>7} {'c1':>12} {'c2':>12} {'linf':>12}")
-    for j in range(len(t.nodes)):
-        c = t.coefficients[j]
-        print(f"{j:>5} {t.nodes[j]:>8} {_fmt(t.diff_u[j]):>12} "
-              f"{_fmt(t.rate_u[j]):>7} {_fmt(t.diff_w[j]):>12} "
-              f"{_fmt(t.rate_w[j]):>7} "
-              f"{_fmt(float(c[0])) if len(c) > 0 else '':>12} "
-              f"{_fmt(float(c[1])) if len(c) > 1 else '':>12} "
-              f"{_fmt(t.linf_vs_other[j]):>12}")
+    _print_row(_HEADER)
+    for row in report.table.rows():
+        _print_row(format_row(row, lambda v: f"{v:.6g}"))
     if report.config.csv_path:
         print(f"wrote {report.config.csv_path}")
     return 0
@@ -140,11 +133,11 @@ def _cmd_study(args) -> int:
 
 def _cmd_solve(args) -> int:
     config = _config_from_args(args)
-    domain = _resolve_domain(args)
+    domain = resolve_domain(args.domain, args.bc, args.domain_file)
     mesh = _mesh_at_level(domain, args.level)
-    ctx = LevelContext(mesh, config.solver_options)
-    res = _run_formulation(config.formulation, mesh, get_source(args.f),
-                           config, ctx)
+    ctx = LevelContext(mesh, config.tol)
+    res = _run_formulation(config.formulation, ctx, get_source(args.f),
+                           config.cutoff)
     d_perp, contributing = perp_dimension(domain)
     u, w = res.u_h, res.w_h
     print(f"domain {args.domain_file or args.domain} bc {args.bc} "
@@ -159,7 +152,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_mesh_info(args) -> int:
-    domain = _resolve_domain(args)
+    domain = resolve_domain(args.domain, args.bc, args.domain_file)
     mesh = _mesh_at_level(domain, args.level)
     mesh.check_conforming()
     print(f"level {mesh.level}: {mesh.n_nodes} nodes, "

@@ -3,8 +3,6 @@ norms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -14,15 +12,6 @@ from .mesh import TriMesh
 
 class SolveError(RuntimeError):
     """A linear solve failed its residual or compatibility check."""
-
-
-@dataclass(frozen=True)
-class LinearSolveOptions:
-    tolerance: float = 1e-10  # relative residual every solve must reach
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 def _tri_geometry(mesh: TriMesh):
@@ -104,32 +93,29 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dirichlet_mask: np.ndarray)
     return A_red, np.asarray(b, dtype=float)[free], free
 
 
-def _check_residual(A, x: np.ndarray, b: np.ndarray, tolerance: float,
+def _check_residual(A, x: np.ndarray, b: np.ndarray, tol: float,
                     what: str) -> np.ndarray:
     res = np.linalg.norm(b - A @ x)
     norm_b = np.linalg.norm(b)
-    if not res <= tolerance * norm_b:
+    if not res <= tol * norm_b:
         raise SolveError(f"{what} relative residual {res / norm_b:.3e} "
-                         f"exceeds the tolerance {tolerance:.3e}")
+                         f"exceeds the tolerance {tol:.3e}")
     return x
 
 
-def spd_solver(A: sp.csr_matrix, options: LinearSolveOptions | None = None):
+def spd_solver(A: sp.csr_matrix, tol: float):
     """Factor the SPD matrix A once (sparse LU, COLAMD ordering) and return
-    b -> x; every solve is checked against the relative residual
-    tolerance."""
-    tolerance = (options or LinearSolveOptions()).tolerance
+    b -> x; every solve must reach the relative residual ``tol``."""
     lu = spla.splu(A.tocsc())
 
     def solve(b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        return _check_residual(A, lu.solve(b), b, tolerance, "direct solve")
+        return _check_residual(A, lu.solve(b), b, tol, "direct solve")
 
     return solve
 
 
-def mean_zero_solver(A: sp.csr_matrix, M_mass: sp.csr_matrix,
-                     options: LinearSolveOptions | None = None):
+def mean_zero_solver(A: sp.csr_matrix, M_mass: sp.csr_matrix, tol: float):
     """Solver for the pure-Neumann stiffness (kernel = constants).
 
     Factors the bordered matrix [[A, M 1], [(M 1)^T, 0]] once.  A
@@ -137,7 +123,6 @@ def mean_zero_solver(A: sp.csr_matrix, M_mass: sp.csr_matrix,
     and the solution with zero discrete mean against the mass matrix; an
     incompatible one is rejected.
     """
-    tolerance = (options or LinearSolveOptions()).tolerance
     n = A.shape[0]
     m1 = (M_mass @ np.ones(n))[:, None]
     lu = spla.splu(sp.bmat([[A, m1], [m1.T, None]], format="csc"))
@@ -153,7 +138,7 @@ def mean_zero_solver(A: sp.csr_matrix, M_mass: sp.csr_matrix,
             )
         b = b - b.sum() / n  # clean the roundoff component along the kernel
         x = lu.solve(np.append(b, 0.0))[:n]
-        return _check_residual(A, x, b, tolerance, "mean-zero solve")
+        return _check_residual(A, x, b, tol, "mean-zero solve")
 
     return solve
 

@@ -11,6 +11,7 @@ the corner contributes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -201,42 +202,6 @@ def singular_exponents(vclass: VertexClass, omega: float) -> list[tuple[float, s
     return []
 
 
-@dataclass(frozen=True)
-class SingularSpec:
-    """Singular functions contributed by one corner, in its local polar frame.
-
-    The frame places the corner at the origin with the leaving edge along
-    the positive horizontal axis, so theta in (0, omega) is the interior.
-    """
-
-    vertex_index: int
-    omega: float
-    exponents: tuple[tuple[float, str], ...]
-    origin: np.ndarray        # corner coordinates
-    frame_angle: float        # angle of the leaving edge direction
-
-    def __post_init__(self):
-        for beta, _ in self.exponents:
-            if not 0.0 < beta < 1.0:
-                raise ValueError("exponents must lie in (0, 1)")
-        if len(self.exponents) > 2:
-            raise ValueError("at most two exponents per corner")
-
-
-def singular_spec(domain: PolygonDomain, j: int) -> SingularSpec:
-    """Build the singular-function spec for vertex ``j`` (may be empty)."""
-    omega = float(domain.angles[j])
-    exps = singular_exponents(classify_vertex(domain, j), omega)
-    d_out = domain.vertices[(j + 1) % domain.n_vertices] - domain.vertices[j]
-    return SingularSpec(
-        vertex_index=j,
-        omega=omega,
-        exponents=tuple(exps),
-        origin=domain.vertices[j].copy(),
-        frame_angle=math.atan2(d_out[1], d_out[0]),
-    )
-
-
 def perp_dimension(domain: PolygonDomain) -> tuple[int, list[int]]:
     """Dimension of the corrective space and the contributing vertex indices.
 
@@ -326,3 +291,15 @@ def read_domain_file(path) -> PolygonDomain:
             f"got {len(verts)} vertices but {len(tags)} edge tags; need one tag per edge"
         )
     return PolygonDomain(np.array(verts), tuple(tags), name="file")
+
+
+def resolve_domain(domain: str, bc_type: str,
+                   domain_file: str | None = None) -> PolygonDomain:
+    """The domain a command names: ``domain_file`` is always read as a
+    file; otherwise ``domain`` is a built-in name (with ``bc_type``), else
+    the path of a domain file.  Built-in names win over files."""
+    if domain_file is not None:
+        return read_domain_file(domain_file)
+    if domain not in BUILTIN_NAMES and os.path.exists(domain):
+        return read_domain_file(domain)
+    return builtin_domain(domain, bc_type)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .geometry import PolygonDomain, SingularSpec
+from .geometry import PolygonDomain, classify_vertex, singular_exponents
 from .mesh import TriMesh
 
 _FAN_CHUNK = 512      # fan triangles per batch of quadrature points
@@ -56,9 +56,9 @@ class CutoffSpec:
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be finite and positive, got {self.R}")
 
     @property
     def inner(self) -> float:
@@ -94,11 +94,14 @@ def chi_derivs(r, spec: CutoffSpec, orders=(0, 1, 2)):
 
 @dataclass(frozen=True)
 class SingularBasis:
-    """One localized singular function chi(r) * r**(-beta) * trig(beta*theta)."""
+    """One localized singular function chi(r) * r**(-beta) * trig(beta*theta).
+
+    Hashable: equal bases are equal functions, so a basis is its own cache
+    key."""
 
     beta: float
     trig: str                  # "sin" or "cos"
-    origin: np.ndarray
+    origin: tuple[float, float]
     frame_angle: float         # rotation aligning the corner's leaving edge with +x
     omega: float
     cutoff: CutoffSpec = field(default_factory=CutoffSpec)
@@ -108,14 +111,7 @@ class SingularBasis:
             raise ValueError("beta must lie in (0, 1)")
         if self.trig not in ("sin", "cos"):
             raise ValueError("trig must be 'sin' or 'cos'")
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-
-    @property
-    def key(self):
-        """Hashable defining values (beta, trig, then the corner, frame and
-        cutoff): equal keys mean equal functions."""
-        return (self.beta, self.trig, tuple(self.origin.tolist()),
-                self.frame_angle, self.omega, self.cutoff)
+        object.__setattr__(self, "origin", tuple(map(float, self.origin)))
 
     def local_polar(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -161,12 +157,18 @@ class SingularBasis:
         return out
 
 
-def bases_from_spec(spec: SingularSpec, cutoff: CutoffSpec | None = None) -> list[SingularBasis]:
-    cutoff = cutoff or CutoffSpec()
-    return [
-        SingularBasis(beta, trig, spec.origin, spec.frame_angle, spec.omega, cutoff)
-        for beta, trig in spec.exponents
-    ]
+def corner_bases(domain: PolygonDomain, j: int,
+                 cutoff: CutoffSpec | None = None) -> list[SingularBasis]:
+    """The singular functions of vertex ``j`` (none when it contributes
+    none), in the corner's polar frame: origin at the vertex, leaving edge
+    along theta = 0, so theta in (0, omega) is the interior."""
+    omega = float(domain.angles[j])
+    d_out = domain.vertices[(j + 1) % domain.n_vertices] - domain.vertices[j]
+    frame_angle = math.atan2(d_out[1], d_out[0])
+    return [SingularBasis(beta, trig, domain.vertices[j], frame_angle, omega,
+                          cutoff or CutoffSpec())
+            for beta, trig in singular_exponents(classify_vertex(domain, j),
+                                                 omega)]
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -277,7 +279,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
     in radii[0] <= r <= radii[-1], smooth between consecutive radii)
     against all P1 hats (nodal=True) or 1.  Triangles at the corner or
     straddling a circle r = c, c in ``kinks``, go through the fan rule."""
-    q = basis.origin
+    q = np.array(basis.origin)
     spec = basis.cutoff
     tri_pts = mesh.nodes[mesh.triangles]
     vert_d = np.linalg.norm(tri_pts - q, axis=2)
@@ -389,7 +391,7 @@ def cutoff_disk_in_sector(domain: PolygonDomain, basis: SingularBasis) -> bool:
     """True when the disk B(q, R) meets the domain only inside the corner
     sector: both edges at q are at least R long and every other edge is at
     least R from q.  The pair integral then separates in polar coordinates."""
-    q, R = basis.origin, basis.cutoff.R
+    q, R = np.array(basis.origin), basis.cutoff.R
     a = domain.vertices
     b = np.roll(a, -1, axis=0)                  # edge i runs a[i] -> b[i]
     at_q = (np.linalg.norm(a - q, axis=1) < 1e-12) \
@@ -467,7 +469,8 @@ def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBas
     functions share a corner sector that holds the cutoff disk's part of
     the domain, else the graded 2-D rule."""
     opts = opts or GradedQuadratureOptions()
-    same_sector = basis_a.key[2:] == basis_b.key[2:]
+    same_sector = all(getattr(basis_a, name) == getattr(basis_b, name)
+                      for name in ("origin", "frame_angle", "omega", "cutoff"))
     if same_sector and cutoff_disk_in_sector(mesh.domain, basis_a):
         return _pair_separable(basis_a, basis_b, opts.n_radial, target)
     return _pair_graded(mesh, basis_a, basis_b, opts, target)

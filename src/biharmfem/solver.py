@@ -17,18 +17,18 @@ The pure-Neumann variant runs the same steps in mean-zero spaces.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fem
-from .fem import LinearSolveOptions, SolveError
-from .geometry import PolygonDomain, perp_dimension, singular_spec
+from .fem import SolveError
+from .geometry import PolygonDomain, perp_dimension
 from .mesh import TriMesh
-from .singular import (CutoffSpec, GradedQuadratureOptions, SingularBasis,
-                       bases_from_spec, inner_chi_s_pair, load_chi_s,
-                       load_singular)
+from .singular import (CutoffSpec, SingularBasis, corner_bases,
+                       inner_chi_s_pair, load_chi_s, load_singular)
 
 GRAM_DET_RTOL = 1e-14
 
@@ -43,12 +43,17 @@ class CompatibilityError(ValueError):
 
 @dataclass
 class LevelContext:
-    """Per-mesh assembly, factorization and singular-quadrature cache
-    shared between solves."""
+    """One mesh level: the mesh, the relative residual ``tol`` every
+    Poisson solve must reach, and the assembly, factorization and
+    singular-quadrature caches shared between solves."""
 
     mesh: TriMesh
-    options: LinearSolveOptions = field(default_factory=LinearSolveOptions)
+    tol: float = 1e-10
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     @property
     def stiffness(self):
@@ -73,7 +78,7 @@ class LevelContext:
             A_red, _, free = fem.apply_dirichlet(
                 self.stiffness, np.zeros(self.mesh.n_nodes), self.mesh.dirichlet_nodes
             )
-            self._cache["dirichlet"] = (fem.spd_solver(A_red, self.options), free)
+            self._cache["dirichlet"] = (fem.spd_solver(A_red, self.tol), free)
         solve, free = self._cache["dirichlet"]
         x = np.zeros(self.mesh.n_nodes)
         x[free] = solve(rhs[free])
@@ -84,16 +89,15 @@ class LevelContext:
         compatible right-hand side, with the level's cached factor."""
         if "neumann" not in self._cache:
             self._cache["neumann"] = fem.mean_zero_solver(
-                self.stiffness, self.mass, self.options)
+                self.stiffness, self.mass, self.tol)
         return self._cache["neumann"](rhs)
 
-    def quadrature(self, fn, *bases: SingularBasis,
-                   opts: GradedQuadratureOptions | None = None):
-        """fn(mesh, *bases, opts), computed once per level for each set of
-        basis values; arrays come back read-only."""
-        key = (fn, opts) + tuple(b.key for b in bases)
+    def quadrature(self, fn, *bases: SingularBasis):
+        """fn(mesh, *bases), computed once per level for each set of equal
+        bases; arrays come back read-only."""
+        key = (fn, *bases)
         if key not in self._cache:
-            value = fn(self.mesh, *bases, opts)
+            value = fn(self.mesh, *bases)
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             self._cache[key] = value
@@ -112,12 +116,13 @@ class ModifiedSolveResult:
     diagnostics: dict
 
 
-def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None):
-    """Resolve the corrective basis of the domain; errors on multiple
-    singular vertices, warns when the contributor is not the largest angle."""
+def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None
+                    ) -> list[SingularBasis]:
+    """The corrective basis of the domain; errors on multiple singular
+    vertices, warns when the contributor is not the largest angle."""
     d_perp, contributing = perp_dimension(domain)
-    if d_perp == 0:
-        return 0, []
+    if not contributing:
+        return []
     if len(contributing) > 1:
         raise SingularVertexError(
             f"domain has {len(contributing)} singular vertices "
@@ -130,12 +135,11 @@ def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None):
             f"singular contribution at vertex {j}, which is not the largest "
             "interior angle", stacklevel=3
         )
-    bases = bases_from_spec(singular_spec(domain, j), cutoff)
-    return d_perp, bases
+    return corner_bases(domain, j, cutoff)
 
 
 def _mixed_solve(ctx: LevelContext, load: np.ndarray,
-                 bases: list[SingularBasis], quad_opts, neumann: bool = False
+                 bases: list[SingularBasis], neumann: bool = False
                  ) -> ModifiedSolveResult:
     """The four steps every formulation shares, with the level's Dirichlet
     or mean-zero Poisson solve; an empty ``bases`` gives the naive solve."""
@@ -143,15 +147,12 @@ def _mixed_solve(ctx: LevelContext, load: np.ndarray,
     # Step 1
     w = poisson(load)
     # Step 2
-    zetas = [poisson(ctx.quadrature(load_singular, basis, opts=quad_opts))
-             for basis in bases]
-    chi_s_loads = [ctx.quadrature(load_chi_s, basis, opts=quad_opts)
-                   for basis in bases]
+    zetas = [poisson(ctx.quadrature(load_singular, basis)) for basis in bases]
+    chi_s_loads = [ctx.quadrature(load_chi_s, basis) for basis in bases]
     # Step 3: Gram system for the projection coefficients
     coeffs, diagnostics = np.zeros(0), {}
     if bases:
-        coeffs, diagnostics = _gram_solve(ctx, w, bases, zetas, chi_s_loads,
-                                          quad_opts)
+        coeffs, diagnostics = _gram_solve(ctx, w, bases, zetas, chi_s_loads)
     # Step 4
     rhs = ctx.mass @ (w - sum(c * z for c, z in zip(coeffs, zetas)))
     rhs -= sum(c * bs for c, bs in zip(coeffs, chi_s_loads))
@@ -169,7 +170,7 @@ def _mixed_solve(ctx: LevelContext, load: np.ndarray,
     return ModifiedSolveResult(w, u, zetas, coeffs, diagnostics)
 
 
-def _gram_solve(ctx, w, bases, zetas, chi_s_loads, quad_opts):
+def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
     """Projection coefficients, and the Gram matrix, right-hand side,
     determinant and relative residual as diagnostics."""
     k = len(bases)
@@ -179,8 +180,7 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads, quad_opts):
             val = float(zetas[a] @ (ctx.mass @ zetas[b]))
             val += float(zetas[a] @ chi_s_loads[b])
             val += float(zetas[b] @ chi_s_loads[a])
-            val += ctx.quadrature(inner_chi_s_pair, bases[a], bases[b],
-                                  opts=quad_opts)
+            val += ctx.quadrature(inner_chi_s_pair, bases[a], bases[b])
             gram[a, b] = gram[b, a] = val
     rhs = np.array([
         float(w @ (ctx.mass @ z)) + float(w @ bs)
@@ -197,20 +197,15 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads, quad_opts):
                     "gram_residual": residual}
 
 
-def solve_naive(mesh: TriMesh, f, options: LinearSolveOptions | None = None,
-                ctx: LevelContext | None = None) -> ModifiedSolveResult:
+def solve_naive(ctx: LevelContext, f) -> ModifiedSolveResult:
     """Two chained Dirichlet-reduced Poisson solves (no correction)."""
-    if not mesh.domain.has_dirichlet():
+    if not ctx.mesh.domain.has_dirichlet():
         raise ValueError("naive mixed solve requires a Dirichlet part; "
                          "use the pure-Neumann variant")
-    ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
-    return _mixed_solve(ctx, fem.assemble_load(mesh, f), [], None)
+    return _mixed_solve(ctx, fem.assemble_load(ctx.mesh, f), [])
 
 
-def solve_modified(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
-                   options: LinearSolveOptions | None = None,
-                   quad_opts: GradedQuadratureOptions | None = None,
-                   ctx: LevelContext | None = None,
+def solve_modified(ctx: LevelContext, f, cutoff: CutoffSpec | None = None,
                    truncate_basis: int | None = None) -> ModifiedSolveResult:
     """Corrected mixed solve (mixed boundary conditions, Dirichlet part
     nonempty).
@@ -218,28 +213,23 @@ def solve_modified(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
     ``truncate_basis`` artificially limits the number of singular functions
     used (reproducing the under-corrected variant); default uses all.
     """
-    if not mesh.domain.has_dirichlet():
+    if not ctx.mesh.domain.has_dirichlet():
         raise ValueError("use solve_modified_neumann for the pure-Neumann problem")
-    ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
-    d_perp, bases = _singular_setup(mesh.domain, cutoff)
-    if truncate_basis is not None:
-        bases = bases[:truncate_basis]
-    res = _mixed_solve(ctx, fem.assemble_load(mesh, f), bases, quad_opts)
-    res.diagnostics["d_perp"] = d_perp
+    bases = _singular_setup(ctx.mesh.domain, cutoff)
+    res = _mixed_solve(ctx, fem.assemble_load(ctx.mesh, f),
+                       bases[:truncate_basis])
+    res.diagnostics["d_perp"] = len(bases)
     return res
 
 
-def solve_modified_neumann(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
-                           options: LinearSolveOptions | None = None,
-                           quad_opts: GradedQuadratureOptions | None = None,
-                           ctx: LevelContext | None = None,
+def solve_modified_neumann(ctx: LevelContext, f,
+                           cutoff: CutoffSpec | None = None,
                            corrected: bool = True) -> ModifiedSolveResult:
     """Corrected mixed solve for the pure-Neumann problem in mean-zero
     spaces; ``corrected=False`` gives the naive variant on the same path."""
-    if not mesh.domain.all_neumann():
+    if not ctx.mesh.domain.all_neumann():
         raise ValueError("pure-Neumann solver requires all edges Neumann")
-    ctx = ctx or LevelContext(mesh, options or LinearSolveOptions())
-    load = fem.assemble_load(mesh, f)
+    load = fem.assemble_load(ctx.mesh, f)
     total = float(load.sum())
     if abs(total) > 1e-10 * max(np.linalg.norm(load), 1e-300):
         raise CompatibilityError(
@@ -247,13 +237,11 @@ def solve_modified_neumann(mesh: TriMesh, f, cutoff: CutoffSpec | None = None,
             "pure-Neumann problem requires a mean-zero source "
             "(compatibility condition)"
         )
-    d_perp, bases = _singular_setup(mesh.domain, cutoff)
-    if not corrected:
-        bases = []
-    elif d_perp > 1:
+    bases = _singular_setup(ctx.mesh.domain, cutoff)
+    if corrected and len(bases) > 1:
         raise SingularVertexError(
-            f"pure-Neumann correction expects d_perp = 1, got {d_perp}"
+            f"pure-Neumann correction expects d_perp = 1, got {len(bases)}"
         )
-    res = _mixed_solve(ctx, load, bases, quad_opts, neumann=True)
-    res.diagnostics["d_perp"] = d_perp
+    res = _mixed_solve(ctx, load, bases if corrected else [], neumann=True)
+    res.diagnostics["d_perp"] = len(bases)
     return res

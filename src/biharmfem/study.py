@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .fem import LinearSolveOptions
-from .geometry import (BUILTIN_NAMES, PolygonDomain, builtin_domain,
-                       read_domain_file)
+from .geometry import resolve_domain
 from .mesh import TriMesh, initial_mesh, prolongate, refine_uniform
-from .singular import CutoffSpec, GradedQuadratureOptions
+from .singular import CutoffSpec
 from .solver import (LevelContext, solve_modified, solve_modified_neumann,
                      solve_naive)
 from .sources import get_source
@@ -41,18 +39,18 @@ CSV_COLUMNS = ("level", "nodes", "diff_h1_u", "rate_u", "diff_h1_w", "rate_w",
 
 @dataclass(frozen=True)
 class StudyConfig:
-    domain: str = "III"                 # built-in name or path to a domain file
+    domain: str = "III"                 # built-in name, else a domain file path
     bc_type: str = "B1"
     formulation: str = "modified"
     source: str = "const1"
     max_level: int = 6
     cutoff: CutoffSpec = field(default_factory=CutoffSpec)
-    solver_options: LinearSolveOptions = field(default_factory=LinearSolveOptions)
-    quad_options: GradedQuadratureOptions | None = None
+    tol: float = 1e-10                  # relative residual of every solve
     compare_formulation: str | None = None
     csv_path: str | None = None
     field_levels: tuple[int, ...] = ()
     field_dir: str | None = None
+    domain_file: str | None = None      # always read as a file; overrides domain
 
     def __post_init__(self):
         if self.max_level < 2:
@@ -64,13 +62,6 @@ class StudyConfig:
                 and self.compare_formulation not in FORMULATIONS:
             raise ValueError(
                 f"unknown formulation {self.compare_formulation!r}")
-
-    def resolve_domain(self) -> PolygonDomain:
-        """A built-in domain by name, else a domain file; built-in names
-        win over files of the same name."""
-        if self.domain not in BUILTIN_NAMES and os.path.exists(self.domain):
-            return read_domain_file(self.domain)
-        return builtin_domain(self.domain, self.bc_type)
 
 
 @dataclass
@@ -86,6 +77,17 @@ class RateTable:
     rate_w: list[float]
     coefficients: list[np.ndarray]
     linf_vs_other: list[float]
+
+    def rows(self):
+        """Each level's cells in CSV_COLUMNS order: the level, the node
+        count, then floats, with None for an empty cell (no value, or no
+        second coefficient)."""
+        for j, c in enumerate(self.coefficients):
+            values = (self.diff_u[j], self.rate_u[j], self.diff_w[j],
+                      self.rate_w[j], *c[:2], *[math.nan] * (2 - len(c)),
+                      self.linf_vs_other[j])
+            yield (j, self.nodes[j],
+                   *(None if math.isnan(v) else float(v) for v in values))
 
 
 @dataclass
@@ -105,25 +107,20 @@ def cauchy_rate(seminorms) -> list[float]:
     return [math.log2(d[j] / d[j + 1]) for j in range(len(d) - 1)]
 
 
-def _run_formulation(name: str, mesh: TriMesh, f, config: StudyConfig,
-                     ctx: LevelContext):
+def _run_formulation(name: str, ctx: LevelContext, f, cutoff: CutoffSpec):
     if name == "naive":
-        return solve_naive(mesh, f, ctx=ctx)
+        return solve_naive(ctx, f)
     if name == "modified":
-        return solve_modified(mesh, f, cutoff=config.cutoff,
-                              quad_opts=config.quad_options, ctx=ctx)
+        return solve_modified(ctx, f, cutoff)
     if name == "modified-truncated":
-        return solve_modified(mesh, f, cutoff=config.cutoff,
-                              quad_opts=config.quad_options, ctx=ctx,
-                              truncate_basis=1)
+        return solve_modified(ctx, f, cutoff, truncate_basis=1)
     if name == "neumann-modified":
-        return solve_modified_neumann(mesh, f, cutoff=config.cutoff,
-                                      quad_opts=config.quad_options, ctx=ctx)
+        return solve_modified_neumann(ctx, f, cutoff)
     raise ValueError(f"unknown formulation {name!r}")
 
 
 def run_study(config: StudyConfig) -> StudyReport:
-    domain = config.resolve_domain()
+    domain = resolve_domain(config.domain, config.bc_type, config.domain_file)
     f = get_source(config.source)
     mesh = initial_mesh(domain)
     meshes = [mesh]
@@ -134,8 +131,8 @@ def run_study(config: StudyConfig) -> StudyReport:
     solutions, others = [], []
     nodes, diff_u, diff_w, coeffs, linfs = [], [], [], [], []
     for j, m in enumerate(meshes):
-        ctx = LevelContext(m, config.solver_options)
-        res = _run_formulation(config.formulation, m, f, config, ctx)
+        ctx = LevelContext(m, config.tol)
+        res = _run_formulation(config.formulation, ctx, f, config.cutoff)
         solutions.append(res)
         nodes.append(m.n_nodes)
         coeffs.append(res.coefficients)
@@ -148,7 +145,8 @@ def run_study(config: StudyConfig) -> StudyReport:
             diff_u.append(fem.h1_seminorm_diff(res.u_h, prolongate(m, prev.u_h), A))
             diff_w.append(fem.h1_seminorm_diff(res.w_h, prolongate(m, prev.w_h), A))
         if config.compare_formulation is not None:
-            other = _run_formulation(config.compare_formulation, m, f, config, ctx)
+            other = _run_formulation(config.compare_formulation, ctx, f,
+                                     config.cutoff)
             others.append(other)
             linfs.append(fem.linf_diff(res.u_h, other.u_h))
         else:
@@ -174,10 +172,11 @@ def run_study(config: StudyConfig) -> StudyReport:
     return report
 
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return repr(float(x))
+def format_row(row, fmt=repr) -> list[str]:
+    """A ``RateTable.rows()`` row as text: level and node count as they
+    are, an empty cell as "", every other value by ``fmt``."""
+    j, nodes, *values = row
+    return [str(j), str(nodes), *("" if v is None else fmt(v) for v in values)]
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -195,21 +194,10 @@ def _atomic_write(path: str, writer) -> None:
 
 def export_csv(report: StudyReport, path: str) -> None:
     """Write the rate table; one row per level, atomic replace on success."""
-    t = report.table
-
     def write(fh):
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
-        for j in range(len(t.nodes)):
-            c = t.coefficients[j]
-            w.writerow([
-                j, t.nodes[j],
-                _fmt(t.diff_u[j]), _fmt(t.rate_u[j]),
-                _fmt(t.diff_w[j]), _fmt(t.rate_w[j]),
-                _fmt(c[0]) if len(c) > 0 else "",
-                _fmt(c[1]) if len(c) > 1 else "",
-                _fmt(t.linf_vs_other[j]),
-            ])
+        w.writerows(format_row(row) for row in report.table.rows())
 
     _atomic_write(path, write)
 

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from biharmfem import fem
-from biharmfem.geometry import builtin_domain, singular_spec
+from biharmfem.geometry import builtin_domain
 from biharmfem.mesh import initial_mesh, prolongate, refine_uniform
-from biharmfem.singular import CutoffSpec, bases_from_spec, load_singular
+from biharmfem.singular import CutoffSpec, corner_bases, load_singular
 from biharmfem.solver import LevelContext, solve_modified, solve_naive
 from biharmfem.sources import const1, quadrant_step, square_eigen
 from biharmfem.study import StudyConfig, run_study
@@ -168,18 +168,18 @@ def test_criterion_6_property_suite():
     one = np.ones(m.n_nodes)
     checks["mass total"] = abs(one @ (M @ one) - 12.0) <= 1e-12 * 12.0
 
-    res4 = solve_modified(meshes[3], const1, ctx=LevelContext(meshes[3]))
+    res4 = solve_modified(LevelContext(meshes[3]), const1)
     checks["orthogonality residual"] = \
         res4.diagnostics["gram_residual"] <= 1e-10
 
     m_iv = initial_mesh(builtin_domain("IV", "B3"))
     for _ in range(3):
         m_iv = refine_uniform(m_iv)
-    res_iv = solve_modified(m_iv, quadrant_step)
+    res_iv = solve_modified(LevelContext(m_iv), quadrant_step)
     checks["two-function Gram determinant positive"] = \
         res_iv.diagnostics["gram_det"] > 0
 
-    basis = bases_from_spec(singular_spec(dom, 0), None)[0]
+    basis = corner_bases(dom, 0)[0]
     rng = np.random.default_rng(0)
     r = rng.uniform(basis.cutoff.inner + 0.02, basis.cutoff.R - 0.02, 100)
     th = rng.uniform(0.05, basis.omega - 0.05, 100)
@@ -193,8 +193,7 @@ def test_criterion_6_property_suite():
     checks["analytic corner-load Laplacian vs finite differences"] = \
         np.max(np.abs(exact - fd)) / np.max(np.abs(exact)) <= 1e-5
 
-    nbasis = bases_from_spec(
-        singular_spec(builtin_domain("III", "B5"), 0), None)[0]
+    nbasis = corner_bases(builtin_domain("III", "B5"), 0)[0]
     mn = initial_mesh(builtin_domain("III", "B5"))
     for _ in range(3):
         mn = refine_uniform(mn)
@@ -210,9 +209,8 @@ def test_criterion_6_property_suite():
     alt = CutoffSpec(tau=0.25, R=1.2)
     for j in range(2, 7):
         ctx = LevelContext(meshes[j])
-        c1 = solve_modified(meshes[j], const1, ctx=ctx).coefficients[0]
-        c2 = solve_modified(meshes[j], const1, cutoff=alt,
-                            ctx=ctx).coefficients[0]
+        c1 = solve_modified(ctx, const1).coefficients[0]
+        c2 = solve_modified(ctx, const1, cutoff=alt).coefficients[0]
         diffs.append(abs(c1 - c2))
     increases = sum(b > a for a, b in zip(diffs, diffs[1:]))
     checks["cutoff-parameter independence"] = increases <= 1
@@ -227,8 +225,8 @@ def test_criterion_7_convex_square_manufactured_solution():
     errs, gap = [], 0.0
     for m in meshes[3:]:
         ctx = LevelContext(m)
-        naive = solve_naive(m, square_eigen, ctx=ctx)
-        mod = solve_modified(m, square_eigen, ctx=ctx)
+        naive = solve_naive(ctx, square_eigen)
+        mod = solve_modified(ctx, square_eigen)
         gap = max(gap, float(np.max(np.abs(naive.u_h - mod.u_h))))
         exact = np.sin(math.pi * m.nodes[:, 0]) * np.sin(math.pi * m.nodes[:, 1])
         errs.append(fem.h1_seminorm_diff(mod.u_h, exact, ctx.stiffness))

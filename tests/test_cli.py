@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 
 import pytest
 
@@ -134,3 +135,59 @@ class TestStudyCommand:
                      "--out", str(out)])
         assert code == 0
         assert (out / "u_level1.vtk").exists()
+
+
+# a unit square: 9 nodes at level 1, against 65 for the built-in III
+SQUARE = "0 0\n1 0\n1 1\n0 1\nD\nD\nD\nD\n"
+LEVEL_1 = {"mesh-info": ["--level", "1"],
+           "solve": ["--level", "1", "--formulation", "naive"],
+           "study": ["--levels", "2", "--formulation", "naive"]}
+
+
+def _level_1_nodes(out):
+    found = re.search(r"level 1: (\d+) nodes", out)
+    if found:
+        return int(found.group(1))
+    # the study table: level, nodes, ...
+    return int(next(line.split()[1] for line in out.splitlines()
+                    if line.split()[:1] == ["1"]))
+
+
+@pytest.mark.parametrize("cmd", sorted(LEVEL_1))
+class TestDomainResolution:
+    """Every command resolves --domain and --domain-file the same way."""
+
+    def _nodes(self, cmd, flags, capsys):
+        assert main([cmd, *flags, *LEVEL_1[cmd]]) == 0
+        return _level_1_nodes(capsys.readouterr().out)
+
+    def test_domain_path_is_read(self, cmd, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sq.txt").write_text(SQUARE)
+        assert self._nodes(cmd, ["--domain", "sq.txt"], capsys) == 9
+
+    def test_domain_file_is_read_even_with_builtin_name(
+            self, cmd, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "III").write_text(SQUARE)
+        assert self._nodes(cmd, ["--domain-file", "III"], capsys) == 9
+
+    def test_builtin_name_wins_over_file(self, cmd, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "III").write_text(SQUARE)
+        assert self._nodes(cmd, ["--domain", "III"], capsys) == 65
+
+    def test_unknown_name_is_config_error(self, cmd, capsys):
+        assert main([cmd, "--domain", "VII"]) == 1
+        assert "unknown domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["study", "solve"])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "inf"),
+    ("--cutoff-radius", "nan"), ("--cutoff-radius", "inf"),
+    ("--cutoff-tau", "nan")])
+def test_non_finite_setting_is_config_error(cmd, flag, value, capsys):
+    assert main([cmd, "--domain", "III", *LEVEL_1[cmd], flag, value]) == 1
+    assert capsys.readouterr().err.startswith("error:")

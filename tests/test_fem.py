@@ -12,6 +12,8 @@ from biharmfem.singular import _collapsed_rule
 from biharmfem.sources import quadrant_step, square_eigen
 from conftest import mesh_hierarchy, unit_square
 
+TOL = 1e-10     # relative residual every direct solve must reach
+
 
 def single_triangle_mesh(p0=(0.0, 0.0), p1=(1.0, 0.0), p2=(0.0, 1.0)):
     dom = PolygonDomain(np.array([p0, p1, p2], dtype=float),
@@ -129,26 +131,26 @@ class TestDirichlet:
         rng = np.random.default_rng(4)
         b = rng.standard_normal(m.n_nodes)
         K2, b2, _ = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
-        x = fem.spd_solver(K2)(b2)
+        x = fem.spd_solver(K2, TOL)(b2)
         assert np.linalg.norm(b2 - K2 @ x) <= 1e-9 * np.linalg.norm(b2)
 
 
 class TestSolveSpd:
     def test_one_by_one(self):
         A = sp.csr_matrix(np.array([[4.0]]))
-        assert fem.spd_solver(A)(np.array([2.0]))[0] == pytest.approx(0.5)
+        assert fem.spd_solver(A, TOL)(np.array([2.0]))[0] == pytest.approx(0.5)
 
     def test_matches_dense_factorization(self):
         rng = np.random.default_rng(5)
         B = rng.standard_normal((10, 10))
         A = B @ B.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        x = fem.spd_solver(sp.csr_matrix(A))(b)
+        x = fem.spd_solver(sp.csr_matrix(A), TOL)(b)
         assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-9
 
     def test_zero_rhs(self):
         A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-        assert np.all(fem.spd_solver(A)(np.zeros(3)) == 0)
+        assert np.all(fem.spd_solver(A, TOL)(np.zeros(3)) == 0)
 
     def test_poisson_manufactured_first_order_h1(self):
         # -lap u = 2 pi^2 sin(pi x) sin(pi y), u = sin(pi x) sin(pi y)
@@ -160,7 +162,7 @@ class TestSolveSpd:
             b = fem.assemble_load(m, f)
             K2, b2, free = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
             u = np.zeros(m.n_nodes)
-            u[free] = fem.spd_solver(K2)(b2)
+            u[free] = fem.spd_solver(K2, TOL)(b2)
             d = u - exact(m.nodes)
             # true H1 seminorm error vs the smooth solution, via interpolant
             # plus the known O(h) interpolation bound; the discrete energy
@@ -176,12 +178,12 @@ class TestMeanZeroSolve:
 
     def test_zero_rhs(self):
         _, A, M = self._system(1)
-        assert np.all(fem.mean_zero_solver(A, M)(np.zeros(A.shape[0])) == 0)
+        assert np.all(fem.mean_zero_solver(A, M, TOL)(np.zeros(A.shape[0])) == 0)
 
     def test_compatible_rhs_solved_with_zero_mean(self):
         m, A, M = self._system()
         b = fem.assemble_load(m, quadrant_step)
-        v = fem.mean_zero_solver(A, M)(b)
+        v = fem.mean_zero_solver(A, M, TOL)(b)
         b0 = b - b.sum() / len(b)
         assert np.linalg.norm(b0 - A @ v) <= 1e-9 * np.linalg.norm(b0)
         vm = math.sqrt(v @ (M @ v))
@@ -191,7 +193,7 @@ class TestMeanZeroSolve:
         m, A, M = self._system(1)
         b = fem.assemble_load(m, lambda p: np.ones(len(p)))  # integral 12
         with pytest.raises(fem.SolveError):
-            fem.mean_zero_solver(A, M)(b)
+            fem.mean_zero_solver(A, M, TOL)(b)
 
 
 def _dense_reduced(m):
@@ -209,7 +211,7 @@ class TestDirectSolveAgainstDense:
         m = mesh_hierarchy(builtin_domain("III", "B1"), level)[-1]
         K2, free = _dense_reduced(m)
         b = fem.assemble_load(m, quadrant_step)[free]
-        x = fem.spd_solver(K2)(b)
+        x = fem.spd_solver(K2, TOL)(b)
         ref = np.linalg.solve(K2.toarray(), b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -224,7 +226,7 @@ class TestDirectSolveAgainstDense:
                              [m1[None, :], np.zeros((1, 1))]])
         ref = np.linalg.solve(bordered, np.append(b - b.sum() / n, 0.0))
         assert abs(ref[n]) <= 1e-12 * np.linalg.norm(ref[:n])
-        x = fem.mean_zero_solver(A, M)(b)
+        x = fem.mean_zero_solver(A, M, TOL)(b)
         assert np.linalg.norm(x - ref[:n]) <= 1e-12 * np.linalg.norm(ref[:n])
 
 

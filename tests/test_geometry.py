@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from biharmfem.geometry import (BCType, DomainError, PolygonDomain,
                                 VertexClass, builtin_domain, classify_vertex,
                                 perp_dimension, read_domain_file,
-                                singular_exponents, singular_spec)
+                                singular_exponents)
+from biharmfem.singular import corner_bases
 from conftest import unit_square
 
 D, N = BCType.DIRICHLET, BCType.NEUMANN
@@ -161,17 +162,17 @@ class TestDomainValidation:
 
 class TestSingularSpecFrame:
     def test_frame_aligns_leaving_edge_with_x_axis(self):
-        spec = singular_spec(builtin_domain("III", "B1"), 0)
-        assert spec.frame_angle == pytest.approx(0.0, abs=1e-14)
-        assert np.allclose(spec.origin, [0.0, 0.0])
-        assert spec.omega == pytest.approx(1.5 * math.pi)
+        basis = corner_bases(builtin_domain("III", "B1"), 0)[0]
+        assert basis.frame_angle == pytest.approx(0.0, abs=1e-14)
+        assert basis.origin == (0.0, 0.0)
+        assert basis.omega == pytest.approx(1.5 * math.pi)
 
     def test_rotated_domain_frame_follows_edge(self):
         dom = builtin_domain("III", "B1")
         c, s = math.cos(0.3), math.sin(0.3)
         rot = np.array([[c, -s], [s, c]])
-        spec = singular_spec(PolygonDomain(dom.vertices @ rot.T, dom.tags), 0)
-        assert spec.frame_angle == pytest.approx(0.3)
+        basis = corner_bases(PolygonDomain(dom.vertices @ rot.T, dom.tags), 0)[0]
+        assert basis.frame_angle == pytest.approx(0.3)
 
 
 class TestDomainFile:

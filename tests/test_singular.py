@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from biharmfem import fem, singular
 from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, DomainError,
-                                builtin_domain, perp_dimension, singular_spec)
+                                builtin_domain, perp_dimension)
 from biharmfem.mesh import TriMesh, initial_mesh, prolongate, refine_uniform
 from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
-                                SingularBasis, bases_from_spec, chi,
+                                SingularBasis, chi, corner_bases,
                                 chi_derivs, cutoff_disk_in_sector,
                                 inner_chi_s_pair, load_chi_s, load_singular)
 from conftest import mesh_hierarchy
@@ -18,15 +18,21 @@ from worklist_oracle import load_singular_worklist
 
 def lshape_basis(cutoff=None):
     dom = builtin_domain("III", "B1")
-    return bases_from_spec(singular_spec(dom, 0), cutoff)[0]
+    return corner_bases(dom, 0, cutoff)[0]
 
 
 def neumann_basis():
     dom = builtin_domain("III", "B5")
-    return bases_from_spec(singular_spec(dom, 0), None)[0]
+    return corner_bases(dom, 0)[0]
 
 
 class TestCutoff:
+    @pytest.mark.parametrize("kw", [dict(R=math.inf), dict(R=math.nan),
+                                    dict(R=0.0), dict(tau=math.nan)])
+    def test_non_finite_or_empty_cutoff_rejected(self, kw):
+        with pytest.raises(ValueError):
+            CutoffSpec(**kw)
+
     def test_one_inside_inner_radius(self):
         spec = CutoffSpec()
         assert chi(np.array([0.1 * spec.R]), spec)[0] == 1.0
@@ -103,16 +109,15 @@ class TestSingularFunction:
 
     def test_sin_branch_vanishes_on_leaving_edge(self):
         dom = builtin_domain("III", "B4")
-        basis = bases_from_spec(singular_spec(dom, 0), None)[0]
+        basis = corner_bases(dom, 0)[0]
         assert basis.trig == "cos"
         dom = builtin_domain("III", "B3")
-        basis = bases_from_spec(singular_spec(dom, 0), None)[0]
+        basis = corner_bases(dom, 0)[0]
         p = np.array([[0.7, 0.0]])  # on the leaving (Dirichlet) edge
         assert basis.eval_s(p)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_cos_branch_has_zero_angular_slope_at_leaving_edge(self):
-        basis = bases_from_spec(
-            singular_spec(builtin_domain("III", "B4"), 0), None)[0]
+        basis = corner_bases(builtin_domain("III", "B4"), 0)[0]
         r, eps = 0.7, 1e-6
         v0 = basis.eval_s(np.array([[r * math.cos(eps), r * math.sin(eps)]]))[0]
         v1 = basis.eval_s(np.array([[r * math.cos(2 * eps), r * math.sin(2 * eps)]]))[0]
@@ -229,7 +234,7 @@ class TestFanRule:
     def test_matches_kink_worklist(self, name, bc):
         dom = builtin_domain(name, bc)
         for m in mesh_hierarchy(dom, 1):
-            for basis in bases_from_spec(singular_spec(dom, 0), None):
+            for basis in corner_bases(dom, 0):
                 ref = load_singular_worklist(m, basis)
                 got = load_singular(m, basis)
                 assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -314,7 +319,7 @@ class TestLoadAccuracy:
     @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"), ("III", "B1")])
     def test_loads_match_high_order_reference(self, name, bc):
         dom = builtin_domain(name, bc)
-        bases = bases_from_spec(singular_spec(dom, 0), CutoffSpec(tau=0.25, R=1.2))
+        bases = corner_bases(dom, 0, CutoffSpec(tau=0.25, R=1.2))
         for m in mesh_hierarchy(dom, 4):
             for basis in bases:
                 for load in (load_singular, load_chi_s):
@@ -325,7 +330,7 @@ class TestLoadAccuracy:
 
 
 def singular_builtins():
-    """(domain, basis list) of every built-in with a singular corner."""
+    """(domain, singular vertex) of every built-in with a singular corner."""
     out = []
     for name in BUILTIN_NAMES:
         for bc in BC_TYPES:
@@ -335,7 +340,7 @@ def singular_builtins():
                 continue
             d_perp, contributing = perp_dimension(dom)
             if d_perp:
-                out.append((dom, singular_spec(dom, contributing[0])))
+                out.append((dom, contributing[0]))
     return out
 
 
@@ -344,8 +349,8 @@ class TestSeparablePair:
     def test_predicate_holds_for_builtins(self, cutoff):
         cases = singular_builtins()
         assert len(cases) >= 15
-        for dom, spec in cases:
-            basis = bases_from_spec(spec, cutoff)[0]
+        for dom, j in cases:
+            basis = corner_bases(dom, j, cutoff)[0]
             assert cutoff_disk_in_sector(dom, basis), dom.name
 
     def test_predicate_fails_when_disk_reaches_far_edges(self):
@@ -355,7 +360,7 @@ class TestSeparablePair:
     @pytest.mark.parametrize("name,bc", [("III", "B1"), ("I", "B3"), ("IV", "B3")])
     def test_matches_graded_rule(self, name, bc):
         dom = builtin_domain(name, bc)
-        bases = bases_from_spec(singular_spec(dom, 0), None)
+        bases = corner_bases(dom, 0)
         m = mesh_hierarchy(dom, 1)[-1]
         opts = GradedQuadratureOptions()
         for i, a in enumerate(bases):
@@ -409,7 +414,7 @@ class TestInnerProducts:
     def test_symmetry(self):
         dom = builtin_domain("IV", "B3")
         m = mesh_hierarchy(dom, 2)[-1]
-        b1, b2 = bases_from_spec(singular_spec(dom, 0), None)
+        b1, b2 = corner_bases(dom, 0)
         v12 = inner_chi_s_pair(m, b1, b2)
         v21 = inner_chi_s_pair(m, b2, b1)
         assert v12 == pytest.approx(v21, abs=1e-12)

@@ -78,7 +78,7 @@ def _bary(pts, tri):
 
 def load_singular_worklist(mesh, basis):
     """Load vector of lap(chi*s) against the P1 hats."""
-    q, spec = basis.origin, basis.cutoff
+    q, spec = np.array(basis.origin), basis.cutoff
     gfun = basis.eval_laplacian_chi_s
     kinks = (spec.inner, spec.R)
     tri_pts = mesh.nodes[mesh.triangles]
