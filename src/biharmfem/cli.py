@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(p)
     _add_solver_flags(p)
     p.add_argument("--level", type=int, default=3)
-    # study-only settings, so that a single solve shares the study config
-    p.set_defaults(levels=2, compare=None, out=None, field_levels=[])
 
     p = sub.add_parser("mesh-info", help="mesh statistics and conformity check")
     _add_domain_flags(p)
@@ -132,12 +130,11 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = _config_from_args(args)
+    cutoff = CutoffSpec(tau=args.cutoff_tau, R=args.cutoff_radius)
     domain = resolve_domain(args.domain, args.bc, args.domain_file)
     mesh = _mesh_at_level(domain, args.level)
-    ctx = LevelContext(mesh, config.tol)
-    res = _run_formulation(config.formulation, ctx, get_source(args.f),
-                           config.cutoff)
+    ctx = LevelContext(mesh, args.tol)
+    res = _run_formulation(args.formulation, ctx, get_source(args.f), cutoff)
     d_perp, contributing = perp_dimension(domain)
     u, w = res.u_h, res.w_h
     print(f"domain {args.domain_file or args.domain} bc {args.bc} "

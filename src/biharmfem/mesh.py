@@ -9,7 +9,6 @@ linear prolongation between levels is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +66,9 @@ class TriMesh:
         """Nodes on the closure of any Dirichlet edge (junction nodes are
         Dirichlet)."""
         mask = np.zeros(self.n_nodes, dtype=bool)
-        for a, b, edge_idx in self.boundary_edges:
-            if self.domain.tags[edge_idx] == BCType.DIRICHLET:
-                mask[a] = True
-                mask[b] = True
+        tagged = np.array([t == BCType.DIRICHLET for t in self.domain.tags])
+        rows = self.boundary_edges
+        mask[rows[tagged[rows[:, 2]], :2]] = True
         return mask
 
     def check_conforming(self) -> None:
@@ -78,18 +76,19 @@ class TriMesh:
         triangles and every boundary edge by one, with positive areas."""
         if np.any(self.areas() <= 0):
             raise MeshError("triangle with non-positive area")
-        counts: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for i in range(3):
-                key = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-                counts[key] = counts.get(key, 0) + 1
-        boundary = {tuple(sorted((a, b))) for a, b, _ in self.boundary_edges}
-        for key, c in counts.items():
-            expected = 1 if key in boundary else 2
-            if c != expected:
-                raise MeshError(f"edge {key} shared by {c} triangles, expected {expected}")
-        if boundary - set(counts):
-            raise MeshError("boundary edge not present in triangulation")
+        edges, tri_edges, boundary = _edges(self.triangles, self.boundary_edges)
+        counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
+        expected = np.full(len(edges), 2)
+        expected[boundary] = 1
+        bad = np.flatnonzero(counts != expected)
+        if len(bad) == 0:
+            return
+        k = bad[0]
+        if counts[k] == 0:
+            raise MeshError(f"boundary edge {edges[k].tolist()} not present in "
+                            "triangulation")
+        raise MeshError(f"edge {edges[k].tolist()} shared by {counts[k]} "
+                        f"triangles, expected {expected[k]}")
 
     def node_index(self, point) -> int:
         """Index of the mesh node at the given coordinates."""
@@ -173,16 +172,29 @@ def initial_mesh(domain: PolygonDomain) -> TriMesh:
     return mesh
 
 
+def _edges(triangles, boundary_edges):
+    """Number the edges of a triangulation and its boundary rows.
+
+    Edges are sorted node pairs, numbered in the order they first appear in
+    the triangles' (ab, bc, ca) edges, then in the boundary rows' (a, b).
+    Returns the (E, 2) edges, the (T, 3) edge numbers of the triangles and
+    the (B,) edge numbers of the boundary rows.
+    """
+    tri_pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pairs = np.sort(np.vstack([tri_pairs, boundary_edges[:, :2]]), axis=1)
+    keys = pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    numbers = rank[inverse]
+    return (pairs[np.sort(first)], numbers[:len(tri_pairs)].reshape(-1, 3),
+            numbers[len(tri_pairs):])
+
+
 def _find_boundary_edges(domain, nodes, triangles) -> np.ndarray:
-    counts: dict[tuple[int, int], int] = {}
-    for tri in triangles:
-        for i in range(3):
-            key = tuple(sorted((int(tri[i]), int(tri[(i + 1) % 3]))))
-            counts[key] = counts.get(key, 0) + 1
+    edges, tri_edges, _ = _edges(triangles, np.zeros((0, 3), dtype=np.int64))
     rows = []
-    for (a, b), c in counts.items():
-        if c != 1:
-            continue
+    for a, b in edges[np.bincount(tri_edges.ravel()) == 1].tolist():
         mid = 0.5 * (nodes[a] + nodes[b])
         for j in range(domain.n_vertices):
             p, q, _ = domain.edge(j)
@@ -196,40 +208,30 @@ def _find_boundary_edges(domain, nodes, triangles) -> np.ndarray:
 
 
 def refine_uniform(mesh: TriMesh) -> TriMesh:
-    """Red refinement: split every triangle into 4 via edge midpoints."""
-    n0 = mesh.n_nodes
-    edge_ids: dict[tuple[int, int], int] = {}
-    new_points = []
+    """Red refinement: split every triangle into 4 via edge midpoints.
 
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in edge_ids:
-            edge_ids[key] = n0 + len(new_points)
-            new_points.append(0.5 * (mesh.nodes[key[0]] + mesh.nodes[key[1]]))
-        return edge_ids[key]
+    The midpoint of coarse edge k (numbered by ``_edges``) is fine node
+    ``mesh.n_nodes + k``.
+    """
+    edges, tri_edges, boundary = _edges(mesh.triangles, mesh.boundary_edges)
+    a, b, c = mesh.triangles.T
+    ab, bc, ca = (mesh.n_nodes + tri_edges).T
+    tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
 
-    tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    p, q, j = mesh.boundary_edges.T
+    m = mesh.n_nodes + boundary
+    bedges = np.vstack([np.column_stack([p, m, j]), np.column_stack([m, q, j])])
+    bedges = bedges[np.lexsort(bedges.T[::-1])]
 
-    bedges = []
-    for a, b, j in mesh.boundary_edges:
-        m = mid(int(a), int(b))
-        bedges.append((int(a), m, int(j)))
-        bedges.append((m, int(b), int(j)))
-    bedges.sort()
-
-    nodes = np.vstack([mesh.nodes, np.array(new_points)])
-    edge_parents = np.array(sorted(edge_ids, key=edge_ids.get), dtype=np.int64)
+    midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     return TriMesh(
         mesh.domain,
-        nodes,
-        np.array(tris, dtype=np.int64),
-        np.array(bedges, dtype=np.int64),
+        np.vstack([mesh.nodes, midpoints]),
+        tris.reshape(-1, 3),
+        bedges,
         level=mesh.level + 1,
         parent=mesh,
-        edge_parents=edge_parents,
+        edge_parents=edges,
     )
 
 
@@ -247,36 +249,3 @@ def prolongate(fine: TriMesh, coarse_values: np.ndarray) -> np.ndarray:
     out[: len(v)] = v
     out[len(v):] = 0.5 * (v[fine.edge_parents[:, 0]] + v[fine.edge_parents[:, 1]])
     return out
-
-
-def write_mesh(mesh: TriMesh, path) -> None:
-    """Plain-text export: header, node lines, triangle lines, boundary-edge
-    lines with the domain tag letter."""
-    with open(path, "w") as fh:
-        fh.write(
-            f"nodes {mesh.n_nodes} triangles {mesh.n_triangles} "
-            f"bedges {len(mesh.boundary_edges)}\n"
-        )
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
-        for a, b, j in mesh.boundary_edges:
-            fh.write(f"{a} {b} {mesh.domain.tags[j].value}\n")
-
-
-def read_mesh(path) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, str]]]:
-    """Parse the plain-text mesh format; returns raw arrays (the domain is
-    not reconstructed)."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        n, t, b = int(header[1]), int(header[3]), int(header[5])
-        nodes = np.array([[float(v) for v in fh.readline().split()] for _ in range(n)])
-        tris = np.array(
-            [[int(v) for v in fh.readline().split()] for _ in range(t)], dtype=np.int64
-        )
-        bedges = []
-        for _ in range(b):
-            parts = fh.readline().split()
-            bedges.append((int(parts[0]), int(parts[1]), parts[2]))
-    return nodes, tris, bedges

@@ -273,12 +273,12 @@ def _fan_rule(q, a, b, gamma, radii, n_radial, n_angular):
 
 
 def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
-                      radii, nodal: bool, opts: GradedQuadratureOptions,
+                      radii, opts: GradedQuadratureOptions,
                       depth_bump: int = 0, kinks: tuple = ()):
     """Integrate gfun (singular like r**(-gamma) at the corner, supported
     in radii[0] <= r <= radii[-1], smooth between consecutive radii)
-    against all P1 hats (nodal=True) or 1.  Triangles at the corner or
-    straddling a circle r = c, c in ``kinks``, go through the fan rule."""
+    against all P1 hats.  Triangles at the corner or straddling a circle
+    r = c, c in ``kinks``, go through the fan rule."""
     q = np.array(basis.origin)
     spec = basis.cutoff
     tri_pts = mesh.nodes[mesh.triangles]
@@ -302,7 +302,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
         return np.bincount(mesh.triangles[tri].ravel(), weights=contrib.ravel(),
                            minlength=mesh.n_nodes)
 
-    out = np.zeros(mesh.n_nodes) if nodal else 0.0
+    out = np.zeros(mesh.n_nodes)
 
     # fan rule over each edge (a, b) of the triangle, skipping edges at q.
     # T lies in dist_T <= r <= r_max_T, so its fans' radii are clipped to
@@ -329,9 +329,6 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
                                     opts.n_radial // k, opts.n_angular // k)
             tri = owner[sl][j]
             vals = wts * np.sign(det[tri]) * gfun(pts)
-            if not nodal:
-                out += float(vals.sum())
-                continue
             # barycentric coordinates of the fan points in their triangle
             rel = pts - tri_pts[tri, 0]
             l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
@@ -361,7 +358,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
             pts = (bary @ tri_pts[tri]).reshape(-1, 2)
             vals = gfun(pts).reshape(len(tri), -1) * wts \
                 * (0.5 * np.abs(det[tri]))[:, None]
-            out += scatter(vals @ bary, tri) if nodal else float(vals.sum())
+            out += scatter(vals @ bary, tri)
     return out
 
 
@@ -372,7 +369,7 @@ def load_singular(mesh: TriMesh, basis: SingularBasis,
     spec = basis.cutoff
     # the cutoff is C^2, so lap(chi*s) has radial kinks on both circles
     return _graded_integrate(mesh, basis, basis.eval_laplacian_chi_s, 0.0,
-                             (spec.inner, spec.R), True, opts,
+                             (spec.inner, spec.R), opts,
                              kinks=(spec.inner, spec.R))
 
 
@@ -383,7 +380,7 @@ def load_chi_s(mesh: TriMesh, basis: SingularBasis,
     spec = basis.cutoff
     # chi is C^2 across both circles, so chi*s has radial kinks there too
     return _graded_integrate(mesh, basis, basis.eval_chi_s, basis.beta,
-                             (0.0, spec.inner, spec.R), True, opts,
+                             (0.0, spec.inner, spec.R), opts,
                              kinks=(spec.inner, spec.R))
 
 
@@ -449,8 +446,9 @@ def _pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
 
     r_hi = min(basis_a.cutoff.R, basis_b.cutoff.R)
     radii = (0.0, min(basis_a.cutoff.inner, r_hi), r_hi)
-    coarse, fine = (_graded_integrate(mesh, basis_a, gfun, gamma, radii, False,
-                                      opts, depth_bump=bump) for bump in (0, 1))
+    # the P1 hats sum to 1, so the nodal integrals sum to the integral
+    coarse, fine = (_graded_integrate(mesh, basis_a, gfun, gamma, radii, opts,
+                                      depth_bump=bump).sum() for bump in (0, 1))
     # absolute floor of 1: distinct angular modes are orthogonal over the
     # sector, so entries can vanish identically while the natural scale of
     # the quadrature stays O(1)

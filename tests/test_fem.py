@@ -7,7 +7,7 @@ from scipy.integrate import dblquad
 
 from biharmfem import fem
 from biharmfem.geometry import BCType, PolygonDomain, builtin_domain
-from biharmfem.mesh import TriMesh, initial_mesh, refine_uniform
+from biharmfem.mesh import TriMesh
 from biharmfem.singular import _collapsed_rule
 from biharmfem.sources import quadrant_step, square_eigen
 from conftest import mesh_hierarchy, unit_square

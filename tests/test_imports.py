@@ -1,0 +1,39 @@
+"""Every name a module imports is used in that module.
+
+Package ``__init__.py`` files are exempt (their imports are re-exports), and
+so are ``from __future__`` imports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted(p for d in ("src/biharmfem", "tests")
+                 for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_scanner_finds_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import math, os.path\nfrom a import b, c as d\nb(os)\n")
+    assert unused_imports(source) == ["d", "math"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from biharmfem import fem
-from biharmfem.geometry import BCType, PolygonDomain, builtin_domain
-from biharmfem.mesh import (MeshError, initial_mesh, prolongate, read_mesh,
-                            refine_uniform, write_mesh)
+from biharmfem.geometry import (BCType, PolygonDomain, builtin_domain,
+                                read_domain_file)
+from biharmfem.mesh import MeshError, TriMesh, initial_mesh, prolongate
 from conftest import mesh_hierarchy, unit_square
+from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
+                           refine_uniform_dict)
 
 
 class TestInitialMesh:
@@ -124,13 +126,82 @@ class TestProlongation:
             prolongate(lshape_b1_meshes[1], np.ones(3))
 
 
-class TestMeshIO:
-    def test_round_trip(self, tmp_path, lshape_b1_meshes):
+MESH_FIELDS = ("nodes", "triangles", "boundary_edges", "edge_parents",
+               "dirichlet_nodes")
+
+
+def _file_domain(tmp_path):
+    # a U shape with mixed tags, read from a domain file
+    path = tmp_path / "u.txt"
+    path.write_text("0 0\n3 0\n3 2\n2 2\n2 1\n1 1\n1 2\n0 2\n"
+                    + "D\nN\nD\nD\nN\nD\nN\nD\n")
+    return read_domain_file(path)
+
+
+class TestRefinementOracle:
+    @pytest.mark.parametrize("builtin", [("I", "B4"), ("II", "B2"),
+                                         ("III", "B5"), ("IV", "B3"), None],
+                             ids=["I-B4", "II-B2", "III-B5", "IV-B3", "file"])
+    def test_matches_dict_refinement(self, builtin, tmp_path):
+        dom = builtin_domain(*builtin) if builtin else _file_domain(tmp_path)
+        meshes = mesh_hierarchy(dom, 5)
+        oracles = [meshes[0]]
+        for _ in range(5):
+            oracles.append(refine_uniform_dict(oracles[-1]))
+        assert np.array_equal(
+            meshes[0].boundary_edges,
+            find_boundary_edges_dict(dom, meshes[0].nodes, meshes[0].triangles))
+        for level, (mesh, oracle) in enumerate(zip(meshes, oracles)):
+            assert np.array_equal(mesh.dirichlet_nodes,
+                                  dirichlet_mask_loop(oracle))
+            for field in MESH_FIELDS:
+                got, want = getattr(mesh, field), getattr(oracle, field)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype, (level, field)
+                    assert np.array_equal(got, want), (level, field)
+
+
+def _interior_triangle(m):
+    # a triangle none of whose nodes is on the boundary
+    on_boundary = np.isin(m.triangles, m.boundary_edges[:, :2]).any(axis=1)
+    return int(np.flatnonzero(~on_boundary)[0])
+
+
+def _duplicate_triangle(m):
+    return np.vstack([m.triangles, m.triangles[_interior_triangle(m)]]), \
+        m.boundary_edges
+
+
+def _remove_interior_triangle(m):
+    return np.delete(m.triangles, _interior_triangle(m), axis=0), \
+        m.boundary_edges
+
+
+def _phantom_boundary_edge(m):
+    # node 0 and a node it shares no triangle with
+    near = np.unique(m.triangles[(m.triangles == 0).any(axis=1)])
+    far = np.setdiff1d(np.arange(m.n_nodes), near)[0]
+    return m.triangles, np.vstack([m.boundary_edges, [0, far, 0]])
+
+
+def _invert_triangle(m):
+    tris = m.triangles.copy()
+    tris[0] = tris[0, ::-1]
+    return tris, m.boundary_edges
+
+
+class TestConformityCheck:
+    @pytest.mark.parametrize("defect,message", [
+        (_duplicate_triangle, "shared by 3 triangles, expected 2"),
+        (_remove_interior_triangle, "shared by 1 triangles, expected 2"),
+        (_phantom_boundary_edge, "not present in triangulation"),
+        (_invert_triangle, "non-positive area")])
+    def test_defect_raises(self, defect, message, lshape_b1_meshes):
         m = lshape_b1_meshes[1]
-        path = tmp_path / "mesh.txt"
-        write_mesh(m, path)
-        nodes, tris, bedges = read_mesh(path)
-        assert np.array_equal(nodes, m.nodes)
-        assert np.array_equal(tris, m.triangles)
-        assert len(bedges) == len(m.boundary_edges)
-        assert all(tag in ("D", "N") for _, _, tag in bedges)
+        m.check_conforming()
+        triangles, boundary_edges = defect(m)
+        broken = TriMesh(m.domain, m.nodes, triangles, boundary_edges)
+        with pytest.raises(MeshError, match=message):
+            broken.check_conforming()
