@@ -5,27 +5,34 @@ A corner q with interior angle omega contributes harmonic functions
 corner.  They are localized by a radial quintic cutoff ``chi`` equal to 1
 inside r = tau*R and 0 beyond r = R.  Quadrature:
 
-- Loads of lap(chi*s) and chi*s against the P1 hats.  Triangles at q and
+- Loads of lap(chi*s) and chi*s against the P1 hats, for every basis of a
+  corner, come from one pass over one point set (``corner_loads``): the
+  geometry and the points are built once, and each batch of points gets
+  one local_polar and one chi_derivs; per basis only r**(-beta) and the
+  angular factor, and one scatter per load.  Triangles at q and
   triangles straddling the radial kinks r = tau*R and r = R (chi is only
   C^2 there) use the fan rule: a triangle is the signed sum of the
   triangles (q, a, b) over its edges, each Duffy-mapped with its radial
-  variable split at the cutoff circles (Gauss-Jacobi absorbs r**(-gamma)
-  at q) and its angular variable split where the edge a->b crosses a
-  circle, so each piece is smooth.  A straddling triangle's fans are
-  clipped to its own radial range, so they are short and thin and take
-  fewer nodes.  Other triangles use a collapsed Gauss rule on
-  red-refinement children graded toward q and across the cutoff band.
+  variable split at 0, tau*R and R and its angular variable split where
+  the edge a->b crosses a circle, so each piece is smooth.  lap(chi*s)
+  vanishes inside r = tau*R, so only the corner fans' segment [0, tau*R]
+  is singular; it takes a Gauss-Jacobi rule absorbing r**(-beta) per
+  distinct beta.  A straddling triangle's fans are clipped to its own
+  radial range, so they are short and thin and take fewer nodes.  Other
+  triangles use a collapsed Gauss rule on red-refinement children graded
+  toward q and across the cutoff band.
 - The Gram pair integral of (chi*s_a)*(chi*s_b).  When the disk B(q, R)
   meets the domain only inside the corner sector it separates: a radial
   factor (closed form on [0, tau*R], self-checked Gauss rule on
-  [tau*R, R]) times a closed-form angular factor.  Otherwise the graded
-  2-D rule runs at two depths that must agree.
+  [tau*R, R]) times a closed-form angular factor.  Otherwise the same
+  graded 2-D rule runs at two depths that must agree.
 
 ``solver.LevelContext`` caches these per mesh level.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,8 +42,8 @@ from scipy.special import roots_jacobi, roots_legendre
 from .geometry import PolygonDomain, classify_vertex, singular_exponents
 from .mesh import TriMesh
 
-_FAN_CHUNK = 512      # fan triangles per batch of quadrature points
-_CELL_CHUNK = 16384   # graded cells per batch
+_FAN_CHUNK = 256      # fan triangles per batch of quadrature points
+_CELL_CHUNK = 2048    # graded cells per batch
 
 
 class QuadratureError(RuntimeError):
@@ -174,11 +181,21 @@ def corner_bases(domain: PolygonDomain, j: int,
 # -- quadrature ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss(n: int, alpha: float | None = None):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], or
+    with ``alpha`` of the Gauss-Jacobi rule for the weight (1 + x)**alpha;
+    computed once per (n, alpha) and shared, so the arrays are read-only."""
+    x, w = roots_legendre(n) if alpha is None else roots_jacobi(n, 0.0, alpha)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _collapsed_rule(n: int):
     """Gauss rule on the reference triangle via the square-collapse map;
     exact for polynomials of total degree 2n-2.  Barycentric points and
     weights normalized to sum to 1."""
-    x, w = roots_legendre(n)
+    x, w = _gauss(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     U, V = np.meshgrid(u, u, indexing="ij")
@@ -224,14 +241,16 @@ class GradedQuadratureOptions:
     n_angular: int = 24
 
 
-def _fan_rule(q, a, b, gamma, radii, n_radial, n_angular):
-    """Points, weights (signed like det(a-q, b-q)) and fan index for
-    r**(-gamma)*smooth over the triangles (q, a[k], b[k]) within
-    radii[k, 0] <= r <= radii[k, -1] (radii: one ascending row per fan), by
-    the Duffy map x = q + u*p(v), p(v) = (1-v)*(a-q) + v*(b-q).  u is split
-    at each circle r = radii[k, i], with Gauss-Jacobi absorbing u**(1-gamma)
-    on a segment from the corner; v is split where |p(v)| crosses a circle
-    (a quadratic in v).  n_radial x n_angular nodes per piece."""
+def _fan_rule(q, a, b, gammas, radii, n_radial, n_angular):
+    """Points, weights (signed like det(a-q, b-q)) and fan index over the
+    triangles (q, a[k], b[k]) within radii[k, 0] <= r <= radii[k, -1]
+    (radii: one ascending row per fan), by the Duffy map x = q + u*p(v),
+    p(v) = (1-v)*(a-q) + v*(b-q).  u is split at each circle
+    r = radii[k, i], v where |p(v)| crosses a circle (a quadratic in v);
+    n_radial x n_angular nodes per piece.  Returns one (pts, w, fan) triple
+    for the Gauss-Legendre segments, then one per gamma in ``gammas`` for
+    the segments from the corner (radii[k, 0] = 0), where Gauss-Jacobi
+    absorbs u**(1-gamma) of an integrand singular like r**(-gamma)."""
     d, e = a - q, b - a
     two_area = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
     ee, de, dd = (e * e).sum(axis=1), (d * e).sum(axis=1), (d * d).sum(axis=1)
@@ -247,40 +266,54 @@ def _fan_rule(q, a, b, gamma, radii, n_radial, n_angular):
     v0 = cuts[fan, piece]
     dv = cuts[fan, piece + 1] - v0
 
-    xa, wa = roots_legendre(n_angular)
+    xa, wa = _gauss(n_angular)
     v = v0[:, None] + dv[:, None] * (0.5 * (xa + 1.0))          # (P, A)
     p = d[fan, None, :] + v[..., None] * e[fan, None, :]       # (P, A, 2)
     rho = np.linalg.norm(p, axis=-1)
-    xl, wl = roots_legendre(n_radial)
+    scale = two_area[fan, None] * 0.5 * dv[:, None] * wa
+
+    def nodes(rows, u, w):      # (len(rows), A, K) nodes of pieces ``rows``
+        w = w * scale[rows, :, None]
+        i, ia, ik = np.nonzero(w)
+        return q + u[i, ia, ik][:, None] * p[rows[i], ia], w[i, ia, ik], \
+            fan[rows[i]]
+
+    u_at = np.minimum(radii[fan][:, None, :] / rho[..., None], 1.0)
+    xl, wl = _gauss(n_radial)
     tl, wl = 0.5 * (xl + 1.0), 0.5 * wl
-    xj, wj = roots_jacobi(n_radial, 0.0, 1.0 - gamma)
-    tj = 0.5 * (xj + 1.0)
-    wj = wj * 2.0 ** (gamma - 2.0) * tj**gamma   # [-1, 1] weight -> u*u**(-gamma)
-    us, ws = [], []
-    for r0, r1 in zip(radii.T[:-1], radii.T[1:]):
-        r0, r1 = r0[fan, None], r1[fan, None]
-        u0, u1 = (np.minimum(r / rho, 1.0)[..., None] for r in (r0, r1))
-        jacobi = (r0 == 0.0)[..., None]     # the segment starts at the corner
-        u = np.where(jacobi, u1 * tj, u0 + (u1 - u0) * tl)
-        us.append(u)
-        ws.append(np.where(jacobi, u1**2 * wj, (u1 - u0) * wl * u))
-    u = np.concatenate(us, axis=-1)                            # (P, A, K)
-    w = np.concatenate(ws, axis=-1) \
-        * (two_area[fan, None] * 0.5 * dv[:, None] * wa)[..., None]
-    ip, ia, ik = np.nonzero(w)
-    pts = q + u[ip, ia, ik][:, None] * p[ip, ia]
-    return pts, w[ip, ia, ik], fan[ip]
+    u0, u1 = u_at[..., :-1, None], u_at[..., 1:, None]       # (P, A, S, 1)
+    u = u0 + (u1 - u0) * tl
+    w = (u1 - u0) * wl * u
+    corner = np.flatnonzero(radii[fan, 0] == 0.0)
+    w[corner, :, 0] = 0.0       # the segment from the corner: Gauss-Jacobi
+    shape = (len(fan), len(wa), -1)
+    out = [nodes(np.arange(len(fan)), u.reshape(shape), w.reshape(shape))]
+    u_end = u_at[corner, :, 1:2]       # where each corner segment ends
+    for gamma in gammas:
+        xj, wj = _gauss(n_radial, 1.0 - gamma)
+        tj = 0.5 * (xj + 1.0)
+        # the [-1, 1] weight (1 + x)**(1 - gamma) -> u * u**(-gamma) on [0, 1]
+        wj = wj * 2.0 ** (gamma - 2.0) * tj**gamma
+        out.append(nodes(corner, u_end * tj, u_end**2 * wj))
+    return out
 
 
-def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
-                      radii, opts: GradedQuadratureOptions,
-                      depth_bump: int = 0, kinks: tuple = ()):
-    """Integrate gfun (singular like r**(-gamma) at the corner, supported
-    in radii[0] <= r <= radii[-1], smooth between consecutive radii)
-    against all P1 hats.  Triangles at the corner or straddling a circle
-    r = c, c in ``kinks``, go through the fan rule."""
-    q = np.array(basis.origin)
-    spec = basis.cutoff
+def _graded_integrate(mesh: TriMesh, q, values, n_rows: int, gammas, radii,
+                      opts: GradedQuadratureOptions, kinks: tuple = (),
+                      depth_bump: int = 0) -> np.ndarray:
+    """Integrate ``n_rows`` integrands, supported in radii[0] <= r <=
+    radii[-1] about the corner q and smooth between consecutive radii,
+    against all P1 hats: an (n_rows, n_nodes) array, one load per row.
+
+    values(pts, gamma) gives the (n_rows, len(pts)) integrand values.
+    gamma is None on points every row shares; on the corner fans' first
+    segment [0, radii[1]] it is the exponent of the Gauss-Jacobi rule that
+    made the points, one of ``gammas``, and a row counts there only if it
+    is singular like r**(-gamma) at q (values 0 otherwise).  Triangles at q
+    or straddling a circle r = c, c in ``kinks``, go through the fan rule;
+    the rest through a collapsed rule on children graded toward q and
+    across the band radii[-2] <= r <= radii[-1]."""
+    q = np.asarray(q, dtype=float)
     tri_pts = mesh.nodes[mesh.triangles]
     vert_d = np.linalg.norm(tri_pts - q, axis=2)
     dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
@@ -298,11 +331,13 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
     h = np.max([np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1),
                 np.linalg.norm(e2 - e1, axis=1)], axis=0)
 
-    def scatter(contrib, tri):      # per-triangle (T, 3) -> nodes
-        return np.bincount(mesh.triangles[tri].ravel(), weights=contrib.ravel(),
-                           minlength=mesh.n_nodes)
+    out = np.zeros((n_rows, mesh.n_nodes))
 
-    out = np.zeros(mesh.n_nodes)
+    def scatter(rows, tri):     # per row of out, per-triangle (T, 3) -> nodes
+        nodes = mesh.triangles[tri].ravel()
+        for load, row in zip(out, rows):
+            load += np.bincount(nodes, weights=row.ravel(),
+                                minlength=mesh.n_nodes)
 
     # fan rule over each edge (a, b) of the triangle, skipping edges at q.
     # T lies in dist_T <= r <= r_max_T, so its fans' radii are clipped to
@@ -325,26 +360,27 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
             sl = slice(s, s + _FAN_CHUNK)
             fan_radii = np.clip(np.asarray(radii, dtype=float),
                                 lo[owner[sl], None], hi[owner[sl], None])
-            pts, wts, j = _fan_rule(q, a[sl], b[sl], gamma, fan_radii,
-                                    opts.n_radial // k, opts.n_angular // k)
-            tri = owner[sl][j]
-            vals = wts * np.sign(det[tri]) * gfun(pts)
-            # barycentric coordinates of the fan points in their triangle
-            rel = pts - tri_pts[tri, 0]
-            l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
-            l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
-            out += scatter(vals[:, None]
-                           * np.column_stack([1.0 - l2 - l3, l2, l3]), tri)
+            groups = _fan_rule(q, a[sl], b[sl], gammas, fan_radii,
+                               opts.n_radial // k, opts.n_angular // k)
+            for gamma, (pts, wts, j) in zip((None, *gammas), groups):
+                tri = owner[sl][j]
+                vals = values(pts, gamma) * (wts * np.sign(det[tri]))
+                # barycentric coordinates of the fan points in their triangle
+                rel = pts - tri_pts[tri, 0]
+                l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
+                l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
+                bary = np.column_stack([1.0 - l2 - l3, l2, l3])
+                scatter((row[:, None] * bary for row in vals), tri)
 
     # collapsed rule on graded children: depth set by corner distance and
     # by the cutoff band
     idx = np.flatnonzero(support & ~fan)
     d, h = dist[idx], h[idx]
-    feat = (spec.R - spec.inner) / opts.n_feature
-    in_band = (d < spec.R + h) & (d + h > spec.inner - h)
+    inner, outer = radii[-2], radii[-1]
+    feat = (outer - inner) / opts.n_feature
+    in_band = (d < outer + h) & (d + h > inner - h)
     depth = np.where(in_band & (h > feat), np.ceil(np.log2(h / feat)), 0)
-    if gamma > 0:
-        depth = np.maximum(depth, np.ceil(np.log2(opts.near_ratio * h / d)))
+    depth = np.maximum(depth, np.ceil(np.log2(opts.near_ratio * h / d)))
     depth = np.clip(depth.astype(int) + depth_bump, 0, opts.max_depth)
     lam, w = _collapsed_rule(opts.n_gauss)
     for level in np.unique(depth):
@@ -356,32 +392,60 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, gfun, gamma,
         for s in range(0, len(sel), step):
             tri = sel[s:s + step]
             pts = (bary @ tri_pts[tri]).reshape(-1, 2)
-            vals = gfun(pts).reshape(len(tri), -1) * wts \
+            vals = values(pts, None).reshape(n_rows, len(tri), -1) * wts \
                 * (0.5 * np.abs(det[tri]))[:, None]
-            out += scatter(vals @ bary, tri)
+            scatter(vals @ bary, tri)
     return out
+
+
+def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
+                 opts: GradedQuadratureOptions | None = None):
+    """The load vectors of lap(chi*s) and of chi*s against the P1 hats for
+    every basis of one corner, from one quadrature pass (see the module
+    docstring): two (k, n_nodes) arrays, row i for bases[i]."""
+    opts = opts or GradedQuadratureOptions()
+    first = bases[0]
+    def frame(b):
+        return b.origin, b.frame_angle, b.omega, b.cutoff
+
+    if any(frame(b) != frame(first) for b in bases):
+        raise ValueError("corner_loads takes the bases of one corner")
+    spec = first.cutoff
+    k = len(bases)
+
+    def values(pts, gamma):
+        # rows 0..k-1: lap(chi*s) = (chi'' + (1 - 2*beta)*chi'/r) * s (s is
+        # harmonic); rows k..2k-1: chi*s
+        r, theta = first.local_polar(pts)
+        c0, c1, c2 = chi_derivs(r, spec)
+        out = np.zeros((2 * k, len(r)))
+        for i, basis in enumerate(bases):
+            if gamma not in (None, basis.beta):
+                continue        # another exponent's rule at the corner
+            r_beta, phi = r ** (-basis.beta), basis.angular(theta)
+            out[i] = (c2 + (1.0 - 2.0 * basis.beta) * c1 / r) * r_beta * phi
+            out[k + i] = c0 * r_beta * phi
+        return out
+
+    loads = _graded_integrate(mesh, first.origin, values, 2 * k,
+                              sorted({b.beta for b in bases}),
+                              (0.0, spec.inner, spec.R), opts,
+                              kinks=(spec.inner, spec.R))
+    return loads[:k], loads[k:]
 
 
 def load_singular(mesh: TriMesh, basis: SingularBasis,
                   opts: GradedQuadratureOptions | None = None) -> np.ndarray:
-    """Load vector of lap(chi*s) against the P1 hats (annulus-supported)."""
-    opts = opts or GradedQuadratureOptions()
-    spec = basis.cutoff
-    # the cutoff is C^2, so lap(chi*s) has radial kinks on both circles
-    return _graded_integrate(mesh, basis, basis.eval_laplacian_chi_s, 0.0,
-                             (spec.inner, spec.R), opts,
-                             kinks=(spec.inner, spec.R))
+    """Load vector of lap(chi*s) against the P1 hats (annulus-supported):
+    the one-basis view of ``corner_loads``."""
+    return corner_loads(mesh, [basis], opts)[0][0]
 
 
 def load_chi_s(mesh: TriMesh, basis: SingularBasis,
                opts: GradedQuadratureOptions | None = None) -> np.ndarray:
-    """Load vector of chi*s against the P1 hats (graded at the corner)."""
-    opts = opts or GradedQuadratureOptions()
-    spec = basis.cutoff
-    # chi is C^2 across both circles, so chi*s has radial kinks there too
-    return _graded_integrate(mesh, basis, basis.eval_chi_s, basis.beta,
-                             (0.0, spec.inner, spec.R), opts,
-                             kinks=(spec.inner, spec.R))
+    """Load vector of chi*s against the P1 hats (graded at the corner): the
+    one-basis view of ``corner_loads``."""
+    return corner_loads(mesh, [basis], opts)[1][0]
 
 
 def cutoff_disk_in_sector(domain: PolygonDomain, basis: SingularBasis) -> bool:
@@ -422,7 +486,7 @@ def _pair_separable(basis_a: SingularBasis, basis_b: SingularBasis,
     half = 0.5 * (spec.R - spec.inner)
 
     def band(m):
-        x, w = roots_legendre(m)
+        x, w = _gauss(m)
         r = spec.inner + half * (x + 1.0)
         return half * float(np.sum(w * chi(r, spec) ** 2 * r ** (1.0 - gamma)))
 
@@ -441,14 +505,15 @@ def _pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
     that must agree to the target."""
     gamma = basis_a.beta + basis_b.beta
 
-    def gfun(pts):
-        return basis_a.eval_chi_s(pts) * basis_b.eval_chi_s(pts)
+    def values(pts, _gamma):    # one integrand, singular like r**(-gamma)
+        return (basis_a.eval_chi_s(pts) * basis_b.eval_chi_s(pts))[None]
 
     r_hi = min(basis_a.cutoff.R, basis_b.cutoff.R)
     radii = (0.0, min(basis_a.cutoff.inner, r_hi), r_hi)
     # the P1 hats sum to 1, so the nodal integrals sum to the integral
-    coarse, fine = (_graded_integrate(mesh, basis_a, gfun, gamma, radii, opts,
-                                      depth_bump=bump).sum() for bump in (0, 1))
+    coarse, fine = (_graded_integrate(mesh, basis_a.origin, values, 1, (gamma,),
+                                      radii, opts, depth_bump=bump).sum()
+                    for bump in (0, 1))
     # absolute floor of 1: distinct angular modes are orthogonal over the
     # sector, so entries can vanish identically while the natural scale of
     # the quadrature stays O(1)

@@ -27,7 +27,7 @@ from . import fem
 from .fem import SolveError
 from .geometry import PolygonDomain, perp_dimension
 from .mesh import TriMesh
-from .singular import (CutoffSpec, SingularBasis, corner_bases,
+from .singular import (CutoffSpec, SingularBasis, corner_bases, corner_loads,
                        inner_chi_s_pair, load_chi_s, load_singular)
 
 GRAM_DET_RTOL = 1e-14
@@ -44,8 +44,8 @@ class CompatibilityError(ValueError):
 @dataclass
 class LevelContext:
     """One mesh level: the mesh, the relative residual ``tol`` every
-    Poisson solve must reach, and the assembly, factorization and
-    singular-quadrature caches shared between solves."""
+    Poisson solve must reach, and the assembly, factorization,
+    singular-quadrature and Poisson-solution caches shared between solves."""
 
     mesh: TriMesh
     tol: float = 1e-10
@@ -92,16 +92,38 @@ class LevelContext:
                 self.stiffness, self.mass, self.tol)
         return self._cache["neumann"](rhs)
 
-    def quadrature(self, fn, *bases: SingularBasis):
-        """fn(mesh, *bases), computed once per level for each set of equal
-        bases; arrays come back read-only."""
-        key = (fn, *bases)
+    def once(self, key, compute):
+        """compute(), computed once per level for each key; arrays come
+        back read-only."""
         if key not in self._cache:
-            value = fn(self.mesh, *bases)
+            value = compute()
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             self._cache[key] = value
         return self._cache[key]
+
+    def load(self, f) -> np.ndarray:
+        """The P1 load vector of the source ``f``, read-only."""
+        return self.once(("load", f), lambda: fem.assemble_load(self.mesh, f))
+
+    def quadrature(self, fn, *bases: SingularBasis):
+        """fn(mesh, *bases), computed once per level for each set of equal
+        bases; arrays come back read-only."""
+        return self.once((fn, *bases), lambda: fn(self.mesh, *bases))
+
+    def singular_loads(self, bases: list[SingularBasis]):
+        """The loads of lap(chi*s) and of chi*s of each of a corner's bases,
+        as two lists: one ``corner_loads`` pass over every basis per level,
+        each load kept as ``quadrature(load_singular, basis)`` and
+        ``quadrature(load_chi_s, basis)`` return it."""
+        if any((load_singular, b) not in self._cache for b in bases):
+            loads = corner_loads(self.mesh, bases)
+            for fn, rows in zip((load_singular, load_chi_s), loads):
+                rows.flags.writeable = False
+                for basis, row in zip(bases, rows):
+                    self._cache.setdefault((fn, basis), row)
+        return ([self.quadrature(load_singular, b) for b in bases],
+                [self.quadrature(load_chi_s, b) for b in bases])
 
 
 @dataclass
@@ -138,17 +160,24 @@ def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None
     return corner_bases(domain, j, cutoff)
 
 
-def _mixed_solve(ctx: LevelContext, load: np.ndarray,
-                 bases: list[SingularBasis], neumann: bool = False
+def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
+                 n_used: int | None = None, neumann: bool = False
                  ) -> ModifiedSolveResult:
     """The four steps every formulation shares, with the level's Dirichlet
-    or mean-zero Poisson solve; an empty ``bases`` gives the naive solve."""
+    or mean-zero Poisson solve, correcting with the first ``n_used`` (all
+    by default) of the corner's ``bases``; an empty ``bases`` gives the
+    naive solve.  The solves for w (keyed on the source ``f``) and for each
+    zeta (keyed on its basis) are kept on the level, so another
+    formulation on it reuses them."""
+    kind = "neumann" if neumann else "dirichlet"
     poisson = ctx.solve_neumann if neumann else ctx.solve_dirichlet
     # Step 1
-    w = poisson(load)
+    w = ctx.once((kind, f), lambda: poisson(ctx.load(f)))
     # Step 2
-    zetas = [poisson(ctx.quadrature(load_singular, basis)) for basis in bases]
-    chi_s_loads = [ctx.quadrature(load_chi_s, basis) for basis in bases]
+    lap_loads, chi_s_loads = ctx.singular_loads(bases)
+    bases, chi_s_loads = bases[:n_used], chi_s_loads[:n_used]
+    zetas = [ctx.once((kind, basis), lambda lap=lap: poisson(lap))
+             for basis, lap in zip(bases, lap_loads)]
     # Step 3: Gram system for the projection coefficients
     coeffs, diagnostics = np.zeros(0), {}
     if bases:
@@ -202,7 +231,7 @@ def solve_naive(ctx: LevelContext, f) -> ModifiedSolveResult:
     if not ctx.mesh.domain.has_dirichlet():
         raise ValueError("naive mixed solve requires a Dirichlet part; "
                          "use the pure-Neumann variant")
-    return _mixed_solve(ctx, fem.assemble_load(ctx.mesh, f), [])
+    return _mixed_solve(ctx, f, [])
 
 
 def solve_modified(ctx: LevelContext, f, cutoff: CutoffSpec | None = None,
@@ -216,8 +245,7 @@ def solve_modified(ctx: LevelContext, f, cutoff: CutoffSpec | None = None,
     if not ctx.mesh.domain.has_dirichlet():
         raise ValueError("use solve_modified_neumann for the pure-Neumann problem")
     bases = _singular_setup(ctx.mesh.domain, cutoff)
-    res = _mixed_solve(ctx, fem.assemble_load(ctx.mesh, f),
-                       bases[:truncate_basis])
+    res = _mixed_solve(ctx, f, bases, truncate_basis)
     res.diagnostics["d_perp"] = len(bases)
     return res
 
@@ -229,7 +257,7 @@ def solve_modified_neumann(ctx: LevelContext, f,
     spaces; ``corrected=False`` gives the naive variant on the same path."""
     if not ctx.mesh.domain.all_neumann():
         raise ValueError("pure-Neumann solver requires all edges Neumann")
-    load = fem.assemble_load(ctx.mesh, f)
+    load = ctx.load(f)
     total = float(load.sum())
     if abs(total) > 1e-10 * max(np.linalg.norm(load), 1e-300):
         raise CompatibilityError(
@@ -242,6 +270,6 @@ def solve_modified_neumann(ctx: LevelContext, f,
         raise SingularVertexError(
             f"pure-Neumann correction expects d_perp = 1, got {len(bases)}"
         )
-    res = _mixed_solve(ctx, load, bases if corrected else [], neumann=True)
+    res = _mixed_solve(ctx, f, bases if corrected else [], neumann=True)
     res.diagnostics["d_perp"] = len(bases)
     return res

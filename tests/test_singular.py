@@ -10,9 +10,10 @@ from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, DomainError,
 from biharmfem.mesh import TriMesh
 from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
                                 SingularBasis, chi, corner_bases,
-                                chi_derivs, cutoff_disk_in_sector,
+                                chi_derivs, corner_loads, cutoff_disk_in_sector,
                                 inner_chi_s_pair, load_chi_s, load_singular)
 from conftest import mesh_hierarchy
+from per_basis_oracle import load_chi_s_per_basis, load_singular_per_basis
 from worklist_oracle import load_singular_worklist
 
 
@@ -275,11 +276,11 @@ class TestFanRule:
             calls.append(1)
             return fan_rule(*args)
 
-        one = lambda pts: np.ones(len(pts))
+        one = lambda pts, gamma: np.ones((1, len(pts)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(singular, "_fan_rule", spy)
             area = singular._graded_integrate(
-                mesh, basis, one, 0.0, (spec.inner, spec.R),
+                mesh, basis.origin, one, 1, (), (spec.inner, spec.R),
                 GradedQuadratureOptions(), kinks=(spec.inner, spec.R)).sum()
         assert calls
         exact = sum(_fan_disk_area(np.array(corners[i]),
@@ -316,10 +317,9 @@ class TestLoadAccuracy:
     REF = GradedQuadratureOptions(n_gauss=10, n_feature=40, n_radial=48,
                                   n_angular=48, max_depth=10)
 
-    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"), ("III", "B1")])
-    def test_loads_match_high_order_reference(self, name, bc):
+    def check(self, name, bc, cutoff):
         dom = builtin_domain(name, bc)
-        bases = corner_bases(dom, 0, CutoffSpec(tau=0.25, R=1.2))
+        bases = corner_bases(dom, 0, cutoff)
         for m in mesh_hierarchy(dom, 4):
             for basis in bases:
                 for load in (load_singular, load_chi_s):
@@ -327,6 +327,78 @@ class TestLoadAccuracy:
                     got = load(m, basis)
                     err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                     assert err <= 1e-12, (m.level, load.__name__, err)
+
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"), ("III", "B1")])
+    def test_loads_match_high_order_reference(self, name, bc):
+        self.check(name, bc, CutoffSpec(tau=0.25, R=1.2))
+
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5")])
+    def test_default_cutoff_loads_match_high_order_reference(self, name, bc):
+        # at tau*R = 0.225 the band cells of the second IV/B3 basis need the
+        # grading toward q that lap(chi*s) alone does not ask for
+        self.check(name, bc, CutoffSpec())
+
+
+class TestOneQuadraturePass:
+    """corner_loads against the per-basis passes it replaced."""
+
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"),
+                                         ("III", "B1"), ("I", "B3")])
+    def test_matches_per_basis_passes(self, name, bc):
+        dom = builtin_domain(name, bc)
+        bases = corner_bases(dom, 0)
+        for m in mesh_hierarchy(dom, 4):
+            got = corner_loads(m, bases)
+            ref = corner_loads(m, bases, TestLoadAccuracy.REF)
+            oracles = (load_singular_per_basis, load_chi_s_per_basis)
+            for j, oracle in enumerate(oracles):
+                for i, basis in enumerate(bases):
+                    old = oracle(m, basis)
+                    scale = np.max(np.abs(old))
+                    # the per-basis lap(chi*s) pass skips the grading toward
+                    # q, so where it misses the reference the two may differ
+                    # by as much as it does
+                    exact = np.max(np.abs(old - ref[j][i])) <= 1e-13 * scale
+                    err = np.max(np.abs(got[j][i] - old)) / scale
+                    assert err <= (1e-13 if exact else 1e-11), \
+                        (m.level, oracle.__name__, i, err)
+
+    def test_views_are_rows_of_the_pass(self):
+        dom = builtin_domain("IV", "B3")
+        bases = corner_bases(dom, 0)
+        m = mesh_hierarchy(dom, 2)[-1]
+        lap, chi_s = corner_loads(m, bases)
+        for i, basis in enumerate(bases):
+            assert np.array_equal(load_singular(m, basis), lap[i])
+            assert np.array_equal(load_chi_s(m, basis), chi_s[i])
+
+    def test_bases_of_two_corners_rejected(self):
+        dom = builtin_domain("IV", "B3")
+        a = corner_bases(dom, 0)[0]
+        b = corner_bases(dom, 0, CutoffSpec(R=1.2))[0]
+        with pytest.raises(ValueError, match="one corner"):
+            corner_loads(mesh_hierarchy(dom, 0)[0], [a, b])
+
+    def test_gauss_rules_computed_once_and_read_only(self, monkeypatch):
+        calls = []
+        for name in ("roots_legendre", "roots_jacobi"):
+            def spy(*args, fn=getattr(singular, name), name=name):
+                calls.append((name, *args))
+                return fn(*args)
+            monkeypatch.setattr(singular, name, spy)
+        singular._gauss.cache_clear()
+        dom = builtin_domain("IV", "B3")
+        for m in mesh_hierarchy(dom, 2):
+            corner_loads(m, corner_bases(dom, 0))
+        # Legendre for 24, 12 and 8 nodes and the collapsed rule; Jacobi
+        # for each beta at each fan order
+        assert len(set(calls)) == len(calls) == 10
+        x, w = singular._gauss(24)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        singular._gauss.cache_clear()
 
 
 def singular_builtins():

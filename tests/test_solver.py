@@ -179,10 +179,14 @@ class TestNeumannVariant:
 
 class TestQuadratureCache:
     def test_compare_study_computes_each_quadrature_once(self, monkeypatch):
+        # one corner_loads pass per level over both bases, also under the
+        # truncated formulation; the one-basis views are never called
         calls = Counter()
-        for name in ("load_singular", "load_chi_s", "inner_chi_s_pair"):
+        for name in ("corner_loads", "load_singular", "load_chi_s",
+                     "inner_chi_s_pair"):
             def counted(mesh, *bases, fn=getattr(solver, name), name=name):
-                calls[(name, mesh.level, bases)] += 1
+                key = tuple(bases[0]) if name == "corner_loads" else bases
+                calls[(name, mesh.level, key)] += 1
                 return fn(mesh, *bases)
             monkeypatch.setattr(solver, name, counted)
         run_study(StudyConfig(domain="IV", bc_type="B3", source="quadrant-step",
@@ -190,9 +194,36 @@ class TestQuadratureCache:
                               compare_formulation="modified-truncated",
                               max_level=2))
         assert set(calls.values()) == {1}
+        assert all(len(bases) == 2 for name, _, bases in calls
+                   if name == "corner_loads")
         per_function = Counter(name for name, _, _ in calls)
-        assert per_function == {"load_singular": 6, "load_chi_s": 6,
-                                "inner_chi_s_pair": 9}
+        assert per_function == {"corner_loads": 3, "inner_chi_s_pair": 9}
+
+    def test_compare_study_reuses_poisson_solves(self, monkeypatch):
+        # per level: w, zeta_0, zeta_1 and u for modified, then only u for
+        # modified-truncated, which reuses w and zeta_0
+        solves = Counter()
+        dirichlet = LevelContext.solve_dirichlet
+
+        def counted(ctx, rhs):
+            solves[ctx.mesh.level] += 1
+            return dirichlet(ctx, rhs)
+
+        monkeypatch.setattr(LevelContext, "solve_dirichlet", counted)
+        report = run_study(StudyConfig(
+            domain="IV", bc_type="B3", source="quadrant-step",
+            formulation="modified", compare_formulation="modified-truncated",
+            max_level=2))
+        assert solves == {0: 5, 1: 5, 2: 5}      # 15 in all, 21 before reuse
+        monkeypatch.undo()
+        for m, res, other in zip(report.meshes, report.solutions,
+                                  report.other_solutions):
+            alone = solve_modified(LevelContext(m), quadrant_step,
+                                   truncate_basis=1)
+            for name in ("w_h", "u_h", "coefficients"):
+                assert np.array_equal(getattr(other, name), getattr(alone, name))
+            assert np.array_equal(other.zeta_h[0], alone.zeta_h[0])
+            assert other.w_h is res.w_h and other.zeta_h[0] is res.zeta_h[0]
 
     def test_key_is_basis_values_and_arrays_are_read_only(self):
         dom = builtin_domain("III", "B5")
