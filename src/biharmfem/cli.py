@@ -36,7 +36,11 @@ def _add_domain_flags(p):
 def _add_solver_flags(p):
     p.add_argument("--f", default="const1", choices=sorted(SOURCES),
                    help="source term")
-    p.add_argument("--formulation", default="modified", choices=FORMULATIONS)
+    p.add_argument("--formulation", default="modified", choices=FORMULATIONS,
+                   help="naive and modified accept every boundary "
+                        "condition (the domain picks the Dirichlet or "
+                        "mean-zero Poisson solve); neumann-modified is "
+                        "modified on all-Neumann domains only")
     p.add_argument("--cutoff-tau", type=float, default=0.125,
                    help="inner radius fraction of the cutoff (default 0.125)")
     p.add_argument("--cutoff-radius", type=float, default=1.8,
@@ -63,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="output directory for study.csv (and VTK dumps)")
     p.add_argument("--field-levels", type=int, nargs="*", default=[],
-                   help="levels at which to dump the solution field as VTK")
+                   help="levels (0..LEVELS) at which to dump the solution "
+                        "field as VTK into --out")
 
     p = sub.add_parser("solve", help="solve at a single refinement level")
     _add_domain_flags(p)
@@ -88,12 +93,6 @@ def _mesh_at_level(domain, level):
 
 
 def _config_from_args(args) -> StudyConfig:
-    out_csv = None
-    field_dir = None
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out_csv = os.path.join(args.out, "study.csv")
-        field_dir = args.out
     return StudyConfig(
         domain=args.domain,
         domain_file=args.domain_file,
@@ -104,9 +103,8 @@ def _config_from_args(args) -> StudyConfig:
         cutoff=CutoffSpec(tau=args.cutoff_tau, R=args.cutoff_radius),
         tol=args.tol,
         compare_formulation=args.compare,
-        csv_path=out_csv,
+        out_dir=args.out,
         field_levels=tuple(args.field_levels),
-        field_dir=field_dir if args.field_levels else None,
     )
 
 
@@ -124,8 +122,8 @@ def _cmd_study(args) -> int:
     _print_row(_HEADER)
     for row in report.table.rows():
         _print_row(format_row(row, lambda v: f"{v:.6g}"))
-    if report.config.csv_path:
-        print(f"wrote {report.config.csv_path}")
+    if args.out:
+        print(f"wrote {os.path.join(args.out, 'study.csv')}")
     return 0
 
 

@@ -12,7 +12,11 @@ of the corner singular functions before the second solve:
   3. solve the small Gram system for the projection coefficients,
   4. solve the Poisson problem for u with right-hand side w - sum(c * xi).
 
-The pure-Neumann variant runs the same steps in mean-zero spaces.
+The domain picks the Poisson solve: the Dirichlet-reduced one when the
+boundary has a Dirichlet part, else the mass-mean-zero one (for a source
+with zero integral), so both the naive and the corrected solve accept
+every boundary condition.  ``solve_modified_neumann`` is ``solve_modified``
+restricted to all-Neumann domains.
 """
 
 from __future__ import annotations
@@ -128,8 +132,8 @@ class LevelContext:
 
 @dataclass
 class ModifiedSolveResult:
-    """Result of every formulation; the naive and uncorrected solves leave
-    ``zeta_h`` and ``coefficients`` empty."""
+    """Result of every formulation; the naive solve leaves ``zeta_h`` and
+    ``coefficients`` empty."""
 
     w_h: np.ndarray
     u_h: np.ndarray
@@ -161,22 +165,31 @@ def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None
 
 
 def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
-                 n_used: int | None = None, neumann: bool = False
-                 ) -> ModifiedSolveResult:
-    """The four steps every formulation shares, with the level's Dirichlet
-    or mean-zero Poisson solve, correcting with the first ``n_used`` (all
-    by default) of the corner's ``bases``; an empty ``bases`` gives the
-    naive solve.  The solves for w (keyed on the source ``f``) and for each
+                 n_used: int | None = None) -> ModifiedSolveResult:
+    """The four steps every formulation shares, correcting with the first
+    ``n_used`` (all by default) of the corner's ``bases``; an empty
+    ``bases`` gives the naive solve.  The domain picks the Poisson solve:
+    the Dirichlet-reduced one when the boundary has a Dirichlet part, else
+    the mass-mean-zero one, for a source that meets the compatibility
+    condition.  The solves for w (keyed on the source ``f``) and for each
     zeta (keyed on its basis) are kept on the level, so another
     formulation on it reuses them."""
-    kind = "neumann" if neumann else "dirichlet"
+    neumann = not ctx.mesh.domain.has_dirichlet()
     poisson = ctx.solve_neumann if neumann else ctx.solve_dirichlet
+    load = ctx.load(f)
+    total = float(load.sum())
+    if neumann and abs(total) > 1e-10 * max(np.linalg.norm(load), 1e-300):
+        raise CompatibilityError(
+            f"source integral over the domain is {total:.6g}; the "
+            "pure-Neumann problem requires a mean-zero source "
+            "(compatibility condition)"
+        )
     # Step 1
-    w = ctx.once((kind, f), lambda: poisson(ctx.load(f)))
+    w = ctx.once(("w", f), lambda: poisson(load))
     # Step 2
     lap_loads, chi_s_loads = ctx.singular_loads(bases)
     bases, chi_s_loads = bases[:n_used], chi_s_loads[:n_used]
-    zetas = [ctx.once((kind, basis), lambda lap=lap: poisson(lap))
+    zetas = [ctx.once(("zeta", basis), lambda lap=lap: poisson(lap))
              for basis, lap in zip(bases, lap_loads)]
     # Step 3: Gram system for the projection coefficients
     coeffs, diagnostics = np.zeros(0), {}
@@ -191,8 +204,8 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
                                            + chi_s_loads[0].sum())
         if abs(float(rhs.sum())) > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
             raise SolveError(
-                f"corrected right-hand side violates compatibility "
-                f"(sum = {rhs.sum():.3e}); singular quadrature failure"
+                f"right-hand side of the u solve violates compatibility "
+                f"(sum = {rhs.sum():.3e})"
             )
         rhs -= rhs.sum() / len(rhs)
     u = poisson(rhs)
@@ -227,23 +240,17 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
 
 
 def solve_naive(ctx: LevelContext, f) -> ModifiedSolveResult:
-    """Two chained Dirichlet-reduced Poisson solves (no correction)."""
-    if not ctx.mesh.domain.has_dirichlet():
-        raise ValueError("naive mixed solve requires a Dirichlet part; "
-                         "use the pure-Neumann variant")
+    """Two chained Poisson solves (no correction)."""
     return _mixed_solve(ctx, f, [])
 
 
 def solve_modified(ctx: LevelContext, f, cutoff: CutoffSpec | None = None,
                    truncate_basis: int | None = None) -> ModifiedSolveResult:
-    """Corrected mixed solve (mixed boundary conditions, Dirichlet part
-    nonempty).
+    """Corrected mixed solve.
 
     ``truncate_basis`` artificially limits the number of singular functions
     used (reproducing the under-corrected variant); default uses all.
     """
-    if not ctx.mesh.domain.has_dirichlet():
-        raise ValueError("use solve_modified_neumann for the pure-Neumann problem")
     bases = _singular_setup(ctx.mesh.domain, cutoff)
     res = _mixed_solve(ctx, f, bases, truncate_basis)
     res.diagnostics["d_perp"] = len(bases)
@@ -251,25 +258,9 @@ def solve_modified(ctx: LevelContext, f, cutoff: CutoffSpec | None = None,
 
 
 def solve_modified_neumann(ctx: LevelContext, f,
-                           cutoff: CutoffSpec | None = None,
-                           corrected: bool = True) -> ModifiedSolveResult:
-    """Corrected mixed solve for the pure-Neumann problem in mean-zero
-    spaces; ``corrected=False`` gives the naive variant on the same path."""
+                           cutoff: CutoffSpec | None = None
+                           ) -> ModifiedSolveResult:
+    """``solve_modified`` restricted to the pure-Neumann problem."""
     if not ctx.mesh.domain.all_neumann():
         raise ValueError("pure-Neumann solver requires all edges Neumann")
-    load = ctx.load(f)
-    total = float(load.sum())
-    if abs(total) > 1e-10 * max(np.linalg.norm(load), 1e-300):
-        raise CompatibilityError(
-            f"source integral over the domain is {total:.6g}; the "
-            "pure-Neumann problem requires a mean-zero source "
-            "(compatibility condition)"
-        )
-    bases = _singular_setup(ctx.mesh.domain, cutoff)
-    if corrected and len(bases) > 1:
-        raise SingularVertexError(
-            f"pure-Neumann correction expects d_perp = 1, got {len(bases)}"
-        )
-    res = _mixed_solve(ctx, f, bases if corrected else [], neumann=True)
-    res.diagnostics["d_perp"] = len(bases)
-    return res
+    return solve_modified(ctx, f, cutoff)

@@ -47,9 +47,8 @@ class StudyConfig:
     cutoff: CutoffSpec = field(default_factory=CutoffSpec)
     tol: float = 1e-10                  # relative residual of every solve
     compare_formulation: str | None = None
-    csv_path: str | None = None
+    out_dir: str | None = None          # study.csv and u_level<j>.vtk go here
     field_levels: tuple[int, ...] = ()
-    field_dir: str | None = None
     domain_file: str | None = None      # always read as a file; overrides domain
 
     def __post_init__(self):
@@ -62,6 +61,11 @@ class StudyConfig:
                 and self.compare_formulation not in FORMULATIONS:
             raise ValueError(
                 f"unknown formulation {self.compare_formulation!r}")
+        bad = [j for j in self.field_levels if not 0 <= j <= self.max_level]
+        if bad:
+            raise ValueError(f"field levels {bad} outside 0..{self.max_level}")
+        if self.field_levels and not self.out_dir:
+            raise ValueError("field levels need an output directory")
 
 
 @dataclass
@@ -162,13 +166,12 @@ def run_study(config: StudyConfig) -> StudyReport:
     table = RateTable(nodes, diff_u, rates(diff_u), diff_w, rates(diff_w),
                       coeffs, linfs)
     report = StudyReport(config, table, meshes, solutions, others)
-    if config.csv_path:
-        export_csv(report, config.csv_path)
-    if config.field_dir:
-        os.makedirs(config.field_dir, exist_ok=True)
+    if config.out_dir:
+        os.makedirs(config.out_dir, exist_ok=True)
+        export_csv(report, os.path.join(config.out_dir, "study.csv"))
         for j in config.field_levels:
             export_field(solutions[j].u_h, meshes[j],
-                         os.path.join(config.field_dir, f"u_level{j}.vtk"))
+                         os.path.join(config.out_dir, f"u_level{j}.vtk"))
     return report
 
 

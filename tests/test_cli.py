@@ -128,6 +128,20 @@ class TestStudyCommand:
             rows = list(csv.DictReader(fh))
         assert [r["nodes"] for r in rows] == ["4", "9", "25", "81"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--levels", "2", "--field-levels", "5", "--out", "d"],
+        ["--levels", "2", "--field-levels", "-1", "--out", "d"],
+        ["--levels", "2", "--field-levels", "1"],
+        ["--levels", "1", "--out", "d"]],
+        ids=["field-level-too-deep", "negative-field-level",
+             "field-levels-without-out", "too-few-levels"])
+    def test_bad_output_request_writes_nothing(self, flags, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["study", "--domain", "III", "--bc", "B1", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert os.listdir(tmp_path) == []
+
     def test_field_dump(self, tmp_path):
         out = tmp_path / "out"
         code = main(["study", "--domain", "III", "--bc", "B1",

@@ -83,6 +83,13 @@ class TestSingularExponents:
             assert 0.0 < beta < 1.0
             assert trig in ("sin", "cos")
 
+    @pytest.mark.parametrize("vclass", [VertexClass.D2, VertexClass.N2])
+    def test_one_class_corner_has_at_most_one_exponent(self, vclass):
+        # an all-Neumann domain has only N2 corners, so its single singular
+        # vertex gives d_perp <= 1
+        for omega in np.linspace(0.0, 2 * math.pi, 2001)[1:-1]:
+            assert len(singular_exponents(vclass, omega)) <= 1
+
     def test_min_exponent_matches_angle_formula(self):
         omega = 1.9 * math.pi
         d2 = singular_exponents(VertexClass.D2, omega)

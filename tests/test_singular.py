@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -311,25 +312,36 @@ def _fan_disk_area(a, b, r):
     return area
 
 
-class TestLoadAccuracy:
-    # at tau*R = 0.3, R = 1.2 the cutoff circles cut through many triangles
-    # at every level; the reference runs every rule at far higher order
-    REF = GradedQuadratureOptions(n_gauss=10, n_feature=40, n_radial=48,
-                                  n_angular=48, max_depth=10)
+# the reference rule: every part of the default rule at far higher order
+REF = GradedQuadratureOptions(n_gauss=10, n_feature=40, n_radial=48,
+                              n_angular=48, max_depth=10)
 
+
+@functools.lru_cache(maxsize=None)
+def corner_passes(name, bc, cutoff):
+    """The bases of corner 0 of a built-in domain and, per level 0-4, the
+    mesh and the ``corner_loads`` pass over every basis at the default rule
+    and at REF; each reference pass runs once for both test classes."""
+    dom = builtin_domain(name, bc)
+    bases = corner_bases(dom, 0, cutoff)
+    return bases, [(m, corner_loads(m, bases), corner_loads(m, bases, REF))
+                   for m in mesh_hierarchy(dom, 4)]
+
+
+class TestLoadAccuracy:
     def check(self, name, bc, cutoff):
-        dom = builtin_domain(name, bc)
-        bases = corner_bases(dom, 0, cutoff)
-        for m in mesh_hierarchy(dom, 4):
-            for basis in bases:
-                for load in (load_singular, load_chi_s):
-                    ref = load(m, basis, self.REF)
-                    got = load(m, basis)
-                    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-                    assert err <= 1e-12, (m.level, load.__name__, err)
+        _, levels = corner_passes(name, bc, cutoff)
+        for m, got, ref in levels:
+            for load, got_rows, ref_rows in zip(("load_singular", "load_chi_s"),
+                                                got, ref):
+                for g, r in zip(got_rows, ref_rows):
+                    err = np.max(np.abs(g - r)) / np.max(np.abs(r))
+                    assert err <= 1e-12, (m.level, load, err)
 
     @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"), ("III", "B1")])
     def test_loads_match_high_order_reference(self, name, bc):
+        # at tau*R = 0.3, R = 1.2 the cutoff circles cut through many
+        # triangles at every level
         self.check(name, bc, CutoffSpec(tau=0.25, R=1.2))
 
     @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5")])
@@ -345,11 +357,8 @@ class TestOneQuadraturePass:
     @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"),
                                          ("III", "B1"), ("I", "B3")])
     def test_matches_per_basis_passes(self, name, bc):
-        dom = builtin_domain(name, bc)
-        bases = corner_bases(dom, 0)
-        for m in mesh_hierarchy(dom, 4):
-            got = corner_loads(m, bases)
-            ref = corner_loads(m, bases, TestLoadAccuracy.REF)
+        bases, levels = corner_passes(name, bc, CutoffSpec())
+        for m, got, ref in levels:
             oracles = (load_singular_per_basis, load_chi_s_per_basis)
             for j, oracle in enumerate(oracles):
                 for i, basis in enumerate(bases):

@@ -26,10 +26,14 @@ class TestNaive:
         res = solve_naive(LevelContext(lshape_b1_meshes[1]), zero)
         assert np.all(res.w_h == 0.0) and np.all(res.u_h == 0.0)
 
-    def test_pure_neumann_rejected(self):
-        m = mesh_hierarchy(builtin_domain("III", "B5"), 1)[-1]
-        with pytest.raises(ValueError):
-            solve_naive(LevelContext(m), quadrant_step)
+    def test_pure_neumann_is_mean_zero(self):
+        # the domain picks the mean-zero Poisson solve
+        ctx = LevelContext(mesh_hierarchy(builtin_domain("III", "B5"), 2)[-1])
+        res = solve_naive(ctx, quadrant_step)
+        for v in (res.w_h, res.u_h):
+            vm = math.sqrt(v @ (ctx.mass @ v))
+            assert vm > 0
+            assert abs(np.ones(len(v)) @ (ctx.mass @ v)) < 1e-9 * vm
 
     def test_square_hinged_plate_converges_to_eigenfunction(self):
         errs = []
@@ -169,11 +173,17 @@ class TestNeumannVariant:
         res = solve_modified_neumann(LevelContext(meshes[-1]), quadrant_step)
         assert abs(res.diagnostics["xi_mean"]) <= 1e-7
 
-    def test_corrected_differs_from_uncorrected(self, meshes):
-        m = meshes[-1]
-        ctx = LevelContext(m)
+    def test_is_modified_on_all_neumann_domain(self, meshes):
+        ctx = LevelContext(meshes[2])
+        neu = solve_modified_neumann(ctx, quadrant_step)
+        mod = solve_modified(LevelContext(meshes[2]), quadrant_step)
+        assert np.array_equal(neu.u_h, mod.u_h)
+        assert np.array_equal(neu.coefficients, mod.coefficients)
+
+    def test_corrected_differs_from_naive(self, meshes):
+        ctx = LevelContext(meshes[-1])
         cor = solve_modified_neumann(ctx, quadrant_step)
-        raw = solve_modified_neumann(ctx, quadrant_step, corrected=False)
+        raw = solve_naive(ctx, quadrant_step)
         assert np.max(np.abs(cor.u_h - raw.u_h)) > 1e-2
 
 
