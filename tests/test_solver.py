@@ -174,8 +174,7 @@ class TestNeumannVariant:
         assert abs(res.diagnostics["xi_mean"]) <= 1e-7
 
     def test_is_modified_on_all_neumann_domain(self, meshes):
-        ctx = LevelContext(meshes[2])
-        neu = solve_modified_neumann(ctx, quadrant_step)
+        neu = solve_modified_neumann(LevelContext(meshes[2]), quadrant_step)
         mod = solve_modified(LevelContext(meshes[2]), quadrant_step)
         assert np.array_equal(neu.u_h, mod.u_h)
         assert np.array_equal(neu.coefficients, mod.coefficients)
