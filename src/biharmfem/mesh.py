@@ -249,3 +249,32 @@ def prolongate(fine: TriMesh, coarse_values: np.ndarray) -> np.ndarray:
     out[: len(v)] = v
     out[len(v):] = 0.5 * (v[fine.edge_parents[:, 0]] + v[fine.edge_parents[:, 1]])
     return out
+
+
+def restrict(fine: TriMesh, values: np.ndarray,
+             coarse: TriMesh | None = None) -> np.ndarray:
+    """The adjoint of ``prolongate``: map rows of fine nodal loads (last
+    axis over the nodes of ``fine``) to the loads against the hats of
+    ``coarse``, an ancestor of ``fine`` (its parent by default), one parent
+    link at a time.  A coarse hat is the sum of the fine hats weighted by
+    the prolongation, so the coarse load is exactly P^T times the fine
+    load; the sum of every row is kept."""
+    coarse = fine.parent if coarse is None else coarse
+    chain = [fine]
+    while chain[-1] is not coarse:
+        if chain[-1].parent is None or chain[-1].edge_parents is None:
+            raise MeshError("mesh to restrict to is not an ancestor")
+        chain.append(chain[-1].parent)
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1] != fine.n_nodes:
+        raise MeshError(f"expected {fine.n_nodes} fine values, got {v.shape[-1]}")
+    rows = v.reshape(-1, fine.n_nodes)
+    for m in chain[:-1]:
+        n = m.parent.n_nodes
+        out = rows[:, :n].copy()
+        for coarse_row, row in zip(out, rows):
+            # each midpoint entry goes half to each of its two parents
+            coarse_row += np.bincount(m.edge_parents.ravel(),
+                                      np.repeat(0.5 * row[n:], 2), n)
+        rows = out
+    return rows.reshape(*v.shape[:-1], coarse.n_nodes)

@@ -27,7 +27,10 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   [tau*R, R]) times a closed-form angular factor.  Otherwise the same
   graded 2-D rule runs at two depths that must agree.
 
-``solver.LevelContext`` caches these per mesh level.
+A study integrates a corner's loads once, on its finest mesh; each coarser
+level's ``solver.LevelContext`` restricts them (``mesh.restrict``), since
+the P1 spaces of uniform refinement are nested.  Pair integrals are
+cached per mesh level.
 """
 
 from __future__ import annotations

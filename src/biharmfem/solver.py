@@ -30,7 +30,7 @@ import numpy as np
 from . import fem
 from .fem import SolveError
 from .geometry import PolygonDomain, perp_dimension
-from .mesh import TriMesh
+from .mesh import TriMesh, restrict
 from .singular import (CutoffSpec, SingularBasis, corner_bases, corner_loads,
                        inner_chi_s_pair, load_chi_s, load_singular)
 
@@ -49,10 +49,14 @@ class CompatibilityError(ValueError):
 class LevelContext:
     """One mesh level: the mesh, the relative residual ``tol`` every
     Poisson solve must reach, and the assembly, factorization,
-    singular-quadrature and Poisson-solution caches shared between solves."""
+    singular-quadrature and Poisson-solution caches shared between solves.
+    ``finest``, the context of a finer level of the same hierarchy, supplies
+    the singular loads: they are integrated once on its mesh and
+    restricted to this one."""
 
     mesh: TriMesh
     tol: float = 1e-10
+    finest: LevelContext | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -117,11 +121,16 @@ class LevelContext:
 
     def singular_loads(self, bases: list[SingularBasis]):
         """The loads of lap(chi*s) and of chi*s of each of a corner's bases,
-        as two lists: one ``corner_loads`` pass over every basis per level,
-        each load kept as ``quadrature(load_singular, basis)`` and
+        as two lists: one ``corner_loads`` pass over every basis on the
+        ``finest`` mesh (this one when unset), restricted to this mesh, each
+        load kept as ``quadrature(load_singular, basis)`` and
         ``quadrature(load_chi_s, basis)`` return it."""
         if any((load_singular, b) not in self._cache for b in bases):
-            loads = corner_loads(self.mesh, bases)
+            if self.finest is None:
+                loads = corner_loads(self.mesh, bases)
+            else:
+                loads = [restrict(self.finest.mesh, rows, self.mesh)
+                         for rows in self.finest.singular_loads(bases)]
             for fn, rows in zip((load_singular, load_chi_s), loads):
                 rows.flags.writeable = False
                 for basis, row in zip(bases, rows):

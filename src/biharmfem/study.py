@@ -132,10 +132,14 @@ def run_study(config: StudyConfig) -> StudyReport:
         mesh = refine_uniform(mesh)
         meshes.append(mesh)
 
+    # the singular loads are integrated once, on the finest mesh, and
+    # restricted to the coarser ones; a coarse level's context, with its
+    # factor, lives only through its own iteration
+    finest = LevelContext(meshes[-1], config.tol)
     solutions, others = [], []
     nodes, diff_u, diff_w, coeffs, linfs = [], [], [], [], []
     for j, m in enumerate(meshes):
-        ctx = LevelContext(m, config.tol)
+        ctx = finest if m is finest.mesh else LevelContext(m, config.tol, finest)
         res = _run_formulation(config.formulation, ctx, f, config.cutoff)
         solutions.append(res)
         nodes.append(m.n_nodes)

@@ -1,10 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharmfem import fem
-from biharmfem.geometry import (BCType, PolygonDomain, builtin_domain,
-                                read_domain_file)
-from biharmfem.mesh import MeshError, TriMesh, initial_mesh, prolongate
+from biharmfem.geometry import (BCType, BUILTIN_NAMES, PolygonDomain,
+                                builtin_domain, read_domain_file)
+from biharmfem.mesh import (MeshError, TriMesh, initial_mesh, prolongate,
+                            restrict)
 from conftest import mesh_hierarchy, unit_square
 from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
                            refine_uniform_dict)
@@ -124,6 +129,72 @@ class TestProlongation:
     def test_dimension_mismatch_rejected(self, lshape_b1_meshes):
         with pytest.raises(MeshError):
             prolongate(lshape_b1_meshes[1], np.ones(3))
+
+
+@functools.lru_cache(maxsize=None)
+def builtin_hierarchy(name):
+    return mesh_hierarchy(builtin_domain(name, "B3" if name == "I" else "B1"), 3)
+
+
+# a built-in domain, a fine level 1-3, a coarser level, rows per vector
+# and a seed for the random vectors
+hierarchy_pairs = st.tuples(
+    st.sampled_from(BUILTIN_NAMES), st.integers(1, 3), st.integers(0, 2),
+    st.integers(1, 3), st.integers(0, 2**32 - 1)
+).filter(lambda t: t[2] < t[1])
+
+
+class TestRestriction:
+    """restrict is the adjoint of prolongate: coarse loads from fine ones."""
+
+    @given(hierarchy_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_of_prolongation(self, case):
+        name, fine_level, coarse_level, k, seed = case
+        meshes = builtin_hierarchy(name)
+        fine, coarse = meshes[fine_level], meshes[coarse_level]
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((k, fine.n_nodes))
+        w = rng.standard_normal(coarse.n_nodes)
+        pw = w
+        for m in meshes[coarse_level + 1:fine_level + 1]:
+            pw = prolongate(m, pw)
+        got = restrict(fine, v, coarse)
+        assert got.shape == (k, coarse.n_nodes)
+        for row, v_row in zip(got, v):
+            scale = np.abs(pw) @ np.abs(v_row)
+            assert abs(w @ row - pw @ v_row) <= 1e-13 * scale
+            # the sum of the loads, which the pure-Neumann compatibility
+            # check reads, is kept to rounding
+            assert abs(row.sum() - v_row.sum()) <= 1e-13 * np.abs(v_row).sum()
+
+    def test_one_link_by_default(self, lshape_b1_meshes):
+        c, f = lshape_b1_meshes[1], lshape_b1_meshes[2]
+        v = np.random.default_rng(3).standard_normal(f.n_nodes)
+        assert np.array_equal(restrict(f, v), restrict(f, v, c))
+        assert restrict(f, v).shape == (c.n_nodes,)
+
+    def test_hat_loads_add_up(self, lshape_b1_meshes):
+        # the coarse hat is the fine hats weighted by the prolongation, so
+        # the restricted fine mass rows are the coarse mass rows
+        c, f = lshape_b1_meshes[1], lshape_b1_meshes[2]
+        Mc = fem.assemble_mass(c).toarray()
+        Mf = fem.assemble_mass(f)
+        rows = np.array([Mf @ prolongate(f, e) for e in np.eye(c.n_nodes)[:5]])
+        assert np.max(np.abs(restrict(f, rows) - Mc[:5])) <= 1e-15
+
+    def test_not_an_ancestor_raises(self, lshape_b1_meshes):
+        m0, m1, m2 = lshape_b1_meshes[:3]
+        other = mesh_hierarchy(builtin_domain("III", "B1"), 1)
+        # no parent at all, a finer mesh, meshes of another hierarchy
+        for fine, coarse in ((m0, None), (m1, m2), (m2, other[0]),
+                             (m1, other[1])):
+            with pytest.raises(MeshError, match="not an ancestor"):
+                restrict(fine, np.zeros(fine.n_nodes), coarse)
+
+    def test_dimension_mismatch_rejected(self, lshape_b1_meshes):
+        with pytest.raises(MeshError):
+            restrict(lshape_b1_meshes[1], np.ones(3))
 
 
 MESH_FIELDS = ("nodes", "triangles", "boundary_edges", "edge_parents",

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from biharmfem import singular
 from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, DomainError,
                                 builtin_domain, perp_dimension)
-from biharmfem.mesh import TriMesh
+from biharmfem.mesh import TriMesh, restrict
 from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
                                 SingularBasis, chi, corner_bases,
                                 chi_derivs, corner_loads, cutoff_disk_in_sector,
@@ -408,6 +408,31 @@ class TestOneQuadraturePass:
         with pytest.raises(ValueError):
             w[0] = 0.0
         singular._gauss.cache_clear()
+
+
+class TestRestrictedLoads:
+    """The loads a study uses on a coarse level, restricted from the
+    level-4 pass, against each level's own pass and the reference."""
+
+    @pytest.mark.parametrize("name,bc,cutoff", [
+        ("IV", "B3", CutoffSpec()), ("III", "B5", CutoffSpec()),
+        ("III", "B1", CutoffSpec()), ("I", "B3", CutoffSpec()),
+        ("IV", "B3", CutoffSpec(tau=0.25, R=1.2)),
+        ("III", "B5", CutoffSpec(tau=0.25, R=1.2)),
+        ("III", "B1", CutoffSpec(tau=0.25, R=1.2)),
+        # the cutoff disk leaves the corner sector
+        ("III", "B5", CutoffSpec(0.125, 2.5))])
+    def test_match_per_level_passes_and_reference(self, name, bc, cutoff):
+        _, levels = corner_passes(name, bc, cutoff)
+        finest, fine_loads, _ = levels[-1]
+        for m, got, ref in levels[:-1]:
+            for load, fine_rows, got_rows, ref_rows in zip(
+                    ("load_singular", "load_chi_s"), fine_loads, got, ref):
+                for i, row in enumerate(restrict(finest, fine_rows, m)):
+                    for other, gate in ((got_rows[i], 1e-13),
+                                        (ref_rows[i], 1e-12)):
+                        err = np.max(np.abs(row - other)) / np.max(np.abs(other))
+                        assert err <= gate, (m.level, load, i, err)
 
 
 def singular_builtins():

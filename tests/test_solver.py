@@ -188,8 +188,9 @@ class TestNeumannVariant:
 
 class TestQuadratureCache:
     def test_compare_study_computes_each_quadrature_once(self, monkeypatch):
-        # one corner_loads pass per level over both bases, also under the
-        # truncated formulation; the one-basis views are never called
+        # one corner_loads pass over both bases, on the finest (level-2)
+        # mesh, restricted to the coarser levels, also under the truncated
+        # formulation; the one-basis views are never called
         calls = Counter()
         for name in ("corner_loads", "load_singular", "load_chi_s",
                      "inner_chi_s_pair"):
@@ -203,10 +204,24 @@ class TestQuadratureCache:
                               compare_formulation="modified-truncated",
                               max_level=2))
         assert set(calls.values()) == {1}
-        assert all(len(bases) == 2 for name, _, bases in calls
-                   if name == "corner_loads")
+        assert [(level, len(bases)) for name, level, bases in calls
+                if name == "corner_loads"] == [(2, 2)]
         per_function = Counter(name for name, _, _ in calls)
-        assert per_function == {"corner_loads": 3, "inner_chi_s_pair": 9}
+        assert per_function == {"corner_loads": 1, "inner_chi_s_pair": 9}
+
+    def test_level_without_finest_integrates_its_own_mesh(self, monkeypatch):
+        # a single-level solve, as the solve command runs it
+        levels = []
+        corner_loads = solver.corner_loads
+
+        def counted(mesh, bases):
+            levels.append(mesh.level)
+            return corner_loads(mesh, bases)
+
+        monkeypatch.setattr(solver, "corner_loads", counted)
+        m = mesh_hierarchy(builtin_domain("IV", "B3"), 1)[-1]
+        solve_modified(LevelContext(m), quadrant_step)
+        assert levels == [1]
 
     def test_compare_study_reuses_poisson_solves(self, monkeypatch):
         # per level: w, zeta_0, zeta_1 and u for modified, then only u for
@@ -225,14 +240,21 @@ class TestQuadratureCache:
             max_level=2))
         assert solves == {0: 5, 1: 5, 2: 5}      # 15 in all, 21 before reuse
         monkeypatch.undo()
+        # fresh truncated solves on contexts linked as run_study links them
+        finest = LevelContext(report.meshes[-1])
+        bases = corner_bases(finest.mesh.domain, 0)
         for m, res, other in zip(report.meshes, report.solutions,
                                   report.other_solutions):
-            alone = solve_modified(LevelContext(m), quadrant_step,
-                                   truncate_basis=1)
+            ctx = finest if m is finest.mesh else LevelContext(m, finest=finest)
+            alone = solve_modified(ctx, quadrant_step, truncate_basis=1)
             for name in ("w_h", "u_h", "coefficients"):
                 assert np.array_equal(getattr(other, name), getattr(alone, name))
             assert np.array_equal(other.zeta_h[0], alone.zeta_h[0])
             assert other.w_h is res.w_h and other.zeta_h[0] is res.zeta_h[0]
+            for loads in ctx.singular_loads(bases):
+                for load in loads:
+                    with pytest.raises(ValueError):
+                        load[0] = 1.0
 
     def test_key_is_basis_values_and_arrays_are_read_only(self):
         dom = builtin_domain("III", "B5")
