@@ -1,5 +1,9 @@
 """P1 assembly, boundary conditions, direct Poisson solves, and discrete
-norms."""
+norms.
+
+A Poisson solve factors its matrix once, in a nested-dissection order of
+the mesh nodes, with SuperLU on the diagonal (no pivoting), and checks the
+relative residual of every solve."""
 
 from __future__ import annotations
 
@@ -93,54 +97,65 @@ def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dirichlet_mask: np.ndarray)
     return A_red, np.asarray(b, dtype=float)[free], free
 
 
-def _check_residual(A, x: np.ndarray, b: np.ndarray, tol: float,
-                    what: str) -> np.ndarray:
-    res = np.linalg.norm(b - A @ x)
-    norm_b = np.linalg.norm(b)
-    if not res <= tol * norm_b:
-        raise SolveError(f"{what} relative residual {res / norm_b:.3e} "
-                         f"exceeds the tolerance {tol:.3e}")
-    return x
+class DirectSolver:
+    """x = solver(b) for the sparse symmetric matrix A, from one LU factor.
 
+    ``order``, a permutation of A's rows (``mesh.nested_dissection`` for a
+    mesh matrix), is applied to both rows and columns, and SuperLU factors
+    the permuted matrix in that order on its diagonal: A is SPD, so no
+    pivoting is needed.  With ``mass`` M, A is the pure-Neumann stiffness
+    (kernel = constants) and the factor is of the bordered matrix
+    [[A, M 1], [(M 1)^T, 0]]: a compatible right-hand side (components sum
+    to zero) gives multiplier 0 and the solution with zero discrete mean
+    against M; an incompatible one is rejected.  The border is ordered just
+    before A's last node, not last: A alone is singular, so after all of
+    A's nodes the last pivot would be roundoff.
 
-def spd_solver(A: sp.csr_matrix, tol: float):
-    """Factor the SPD matrix A once (sparse LU, COLAMD ordering) and return
-    b -> x; every solve must reach the relative residual ``tol``."""
-    lu = spla.splu(A.tocsc())
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        return _check_residual(A, lu.solve(b), b, tol, "direct solve")
-
-    return solve
-
-
-def mean_zero_solver(A: sp.csr_matrix, M_mass: sp.csr_matrix, tol: float):
-    """Solver for the pure-Neumann stiffness (kernel = constants).
-
-    Factors the bordered matrix [[A, M 1], [(M 1)^T, 0]] once.  A
-    compatible right-hand side (components sum to zero) gives multiplier 0
-    and the solution with zero discrete mean against the mass matrix; an
-    incompatible one is rejected.
+    Every solve must reach the relative residual ``tol``; ``lu`` is the
+    factor and ``residual_max`` the worst relative residual so far.
     """
-    n = A.shape[0]
-    m1 = (M_mass @ np.ones(n))[:, None]
-    lu = spla.splu(sp.bmat([[A, m1], [m1.T, None]], format="csc"))
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def __init__(self, A: sp.csr_matrix, tol: float, order: np.ndarray,
+                 mass: sp.csr_matrix | None = None):
+        self.A, self.tol, self.mean_zero = A, tol, mass is not None
+        self.residual_max = 0.0
+        n = A.shape[0]
+        K, self._order = A, np.asarray(order)
+        if self.mean_zero:
+            m1 = (mass @ np.ones(n))[:, None]
+            K = sp.bmat([[A, m1], [m1.T, None]])
+            self._order = np.concatenate([self._order[:-1], [n],
+                                          self._order[-1:]])
+        K = sp.csr_matrix(K)[self._order][:, self._order].tocsc()
+        self.lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0,
+                            options={"SymmetricMode": True})
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        total = abs(b.sum())
+        n = self.A.shape[0]
         norm_b = np.linalg.norm(b)
-        if total > 1e-10 * norm_b:
-            raise SolveError(
-                f"incompatible right-hand side: |sum| = {total:.3e} vs "
-                f"1e-10*|b| = {1e-10 * norm_b:.3e}"
-            )
-        b = b - b.sum() / n  # clean the roundoff component along the kernel
-        x = lu.solve(np.append(b, 0.0))[:n]
-        return _check_residual(A, x, b, tol, "mean-zero solve")
-
-    return solve
+        rhs = b
+        if self.mean_zero:
+            total = abs(b.sum())
+            if total > 1e-10 * norm_b:
+                raise SolveError(
+                    f"incompatible right-hand side: |sum| = {total:.3e} vs "
+                    f"1e-10*|b| = {1e-10 * norm_b:.3e}"
+                )
+            b = b - b.sum() / n  # clean the roundoff component along the kernel
+            norm_b = np.linalg.norm(b)
+            rhs = np.append(b, 0.0)
+        x = np.empty(len(rhs))
+        x[self._order] = self.lu.solve(rhs[self._order])
+        x = x[:n]
+        res = np.linalg.norm(b - self.A @ x)
+        if not res <= self.tol * norm_b:
+            what = "mean-zero solve" if self.mean_zero else "direct solve"
+            raise SolveError(f"{what} relative residual {res / norm_b:.3e} "
+                             f"exceeds the tolerance {self.tol:.3e}")
+        self.residual_max = max(self.residual_max,
+                                float(res / norm_b) if norm_b else 0.0)
+        return x
 
 
 def h1_seminorm_diff(v1: np.ndarray, v2: np.ndarray, stiffness: sp.csr_matrix) -> float:

@@ -251,6 +251,42 @@ def prolongate(fine: TriMesh, coarse_values: np.ndarray) -> np.ndarray:
     return out
 
 
+def nested_dissection(mesh: TriMesh, nodes: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Positions into ``nodes`` (all nodes by default) in nested-dissection
+    order, for the sparse factor of a matrix with the mesh's edge graph.
+
+    A node of a level-L mesh lies on the grid of spacing 2^-L (the initial
+    mesh tiles unit cells, red refinement halves them) and an edge joins
+    nodes at most one grid step apart in each coordinate, so a grid line
+    through a box of nodes separates its two sides.  Starting from the
+    bounding box, every box is halved across the axis that is longer at
+    that depth, x first on a tie (x, y, x, ... on a square).  At each
+    depth a node gets digit 2 if it lies on its box's halving line and its
+    side, 0 or 1, otherwise; the first 2 places it on that separator, and
+    its later digits order it along the separator.  Sorting by the digits
+    puts every separator after both of its halves."""
+    xy = mesh.nodes if nodes is None else mesh.nodes[nodes]
+    ij = np.ascontiguousarray(
+        np.rint((xy - xy.min(axis=0)) * 2.0 ** mesh.level).T, dtype=np.int64)
+    top = ij.max(axis=1)
+    lo, hi = np.zeros_like(ij), np.repeat(top[:, None], ij.shape[1], axis=1)
+    width = top.astype(float)
+    unplaced = np.ones(ij.shape[1], dtype=bool)
+    digits = []
+    while unplaced.any():
+        axis = int(width[1] > width[0])
+        width[axis] /= 2
+        c, low, high = ij[axis], lo[axis], hi[axis]
+        mid = (low + high) // 2
+        on, above = c == mid, c > mid
+        digits.append((above + 2 * on).astype(np.int8))
+        np.putmask(high, c < mid, mid - 1)
+        np.putmask(low, above, mid + 1)
+        unplaced &= ~on
+    return np.lexsort(digits[::-1])
+
+
 def restrict(fine: TriMesh, values: np.ndarray,
              coarse: TriMesh | None = None) -> np.ndarray:
     """The adjoint of ``prolongate``: map rows of fine nodal loads (last

@@ -17,6 +17,10 @@ boundary has a Dirichlet part, else the mass-mean-zero one (for a source
 with zero integral), so both the naive and the corrected solve accept
 every boundary condition.  ``solve_modified_neumann`` is ``solve_modified``
 restricted to all-Neumann domains.
+
+Each level factors its Poisson matrix once, in the nested-dissection order
+of its mesh nodes (``mesh.nested_dissection``), and reports the factor's
+fill and the worst relative residual of its solves with every result.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from . import fem
 from .fem import SolveError
 from .geometry import PolygonDomain, perp_dimension
-from .mesh import TriMesh, restrict
+from .mesh import TriMesh, nested_dissection, restrict
 from .singular import (CutoffSpec, SingularBasis, corner_bases, corner_loads,
                        inner_chi_s_pair, load_chi_s, load_singular)
 
@@ -49,10 +53,12 @@ class CompatibilityError(ValueError):
 class LevelContext:
     """One mesh level: the mesh, the relative residual ``tol`` every
     Poisson solve must reach, and the assembly, factorization,
-    singular-quadrature and Poisson-solution caches shared between solves.
-    ``finest``, the context of a finer level of the same hierarchy, supplies
-    the singular loads: they are integrated once on its mesh and
-    restricted to this one."""
+    singular-quadrature and Poisson-solution caches shared between solves;
+    ``factor_nnz`` and ``residual_max`` report the Poisson factor's fill
+    and the worst relative residual of its solves.  ``finest``, the
+    context of a finer level of the same hierarchy, supplies the singular
+    loads: they are integrated once on its mesh and restricted to this
+    one."""
 
     mesh: TriMesh
     tol: float = 1e-10
@@ -86,19 +92,38 @@ class LevelContext:
             A_red, _, free = fem.apply_dirichlet(
                 self.stiffness, np.zeros(self.mesh.n_nodes), self.mesh.dirichlet_nodes
             )
-            self._cache["dirichlet"] = (fem.spd_solver(A_red, self.tol), free)
-        solve, free = self._cache["dirichlet"]
+            self._cache["free"] = free
+            self._cache["dirichlet"] = fem.DirectSolver(
+                A_red, self.tol, nested_dissection(self.mesh, free))
+        free = self._cache["free"]
         x = np.zeros(self.mesh.n_nodes)
-        x[free] = solve(rhs[free])
+        x[free] = self._cache["dirichlet"](rhs[free])
         return x
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """Mass-mean-zero solution of the pure-Neumann Poisson system with a
         compatible right-hand side, with the level's cached factor."""
         if "neumann" not in self._cache:
-            self._cache["neumann"] = fem.mean_zero_solver(
-                self.stiffness, self.mass, self.tol)
+            self._cache["neumann"] = fem.DirectSolver(
+                self.stiffness, self.tol, nested_dissection(self.mesh),
+                mass=self.mass)
         return self._cache["neumann"](rhs)
+
+    def _factors(self) -> list[fem.DirectSolver]:
+        return [self._cache[k] for k in ("dirichlet", "neumann")
+                if k in self._cache]
+
+    @property
+    def factor_nnz(self) -> int:
+        """nnz(L+U) of the level's Poisson factor, 0 before the first
+        solve."""
+        return sum(s.lu.nnz for s in self._factors())
+
+    @property
+    def residual_max(self) -> float:
+        """The worst relative residual of the level's Poisson solves so
+        far."""
+        return max((s.residual_max for s in self._factors()), default=0.0)
 
     def once(self, key, compute):
         """compute(), computed once per level for each key; arrays come
@@ -142,7 +167,9 @@ class LevelContext:
 @dataclass
 class ModifiedSolveResult:
     """Result of every formulation; the naive solve leaves ``zeta_h`` and
-    ``coefficients`` empty."""
+    ``coefficients`` empty.  ``diagnostics`` holds the level's
+    ``factor_nnz`` and ``residual_max`` and, for a corrected solve, the
+    Gram system's."""
 
     w_h: np.ndarray
     u_h: np.ndarray
@@ -218,6 +245,7 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
             )
         rhs -= rhs.sum() / len(rhs)
     u = poisson(rhs)
+    diagnostics.update(factor_nnz=ctx.factor_nnz, residual_max=ctx.residual_max)
     return ModifiedSolveResult(w, u, zetas, coeffs, diagnostics)
 
 

@@ -1,18 +1,31 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import dblquad
 
 from biharmfem import fem
 from biharmfem.geometry import BCType, PolygonDomain, builtin_domain
-from biharmfem.mesh import TriMesh
+from biharmfem.mesh import TriMesh, nested_dissection
 from biharmfem.singular import _collapsed_rule
 from biharmfem.sources import quadrant_step, square_eigen
 from conftest import mesh_hierarchy, unit_square
 
 TOL = 1e-10     # relative residual every direct solve must reach
+
+
+def identity(n):
+    """The ordering passed for a matrix that is not a mesh matrix."""
+    return np.arange(n)
+
+
+def mean_zero_solver(m, A, M):
+    """The bordered pure-Neumann solver of m, as
+    ``LevelContext.solve_neumann`` builds it."""
+    return fem.DirectSolver(A, TOL, nested_dissection(m), mass=M)
 
 
 def single_triangle_mesh(p0=(0.0, 0.0), p1=(1.0, 0.0), p2=(0.0, 1.0)):
@@ -130,27 +143,28 @@ class TestDirichlet:
         K = fem.assemble_stiffness(m)
         rng = np.random.default_rng(4)
         b = rng.standard_normal(m.n_nodes)
-        K2, b2, _ = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
-        x = fem.spd_solver(K2, TOL)(b2)
+        K2, b2, free = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
+        x = fem.DirectSolver(K2, TOL, nested_dissection(m, free))(b2)
         assert np.linalg.norm(b2 - K2 @ x) <= 1e-9 * np.linalg.norm(b2)
 
 
 class TestSolveSpd:
     def test_one_by_one(self):
         A = sp.csr_matrix(np.array([[4.0]]))
-        assert fem.spd_solver(A, TOL)(np.array([2.0]))[0] == pytest.approx(0.5)
+        assert fem.DirectSolver(A, TOL, identity(1))(np.array([2.0]))[0] \
+            == pytest.approx(0.5)
 
     def test_matches_dense_factorization(self):
         rng = np.random.default_rng(5)
         B = rng.standard_normal((10, 10))
         A = B @ B.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        x = fem.spd_solver(sp.csr_matrix(A), TOL)(b)
+        x = fem.DirectSolver(sp.csr_matrix(A), TOL, identity(10))(b)
         assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-9
 
     def test_zero_rhs(self):
         A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-        assert np.all(fem.spd_solver(A, TOL)(np.zeros(3)) == 0)
+        assert np.all(fem.DirectSolver(A, TOL, identity(3))(np.zeros(3)) == 0)
 
     def test_poisson_manufactured_first_order_h1(self):
         # -lap u = 2 pi^2 sin(pi x) sin(pi y), u = sin(pi x) sin(pi y)
@@ -162,7 +176,7 @@ class TestSolveSpd:
             b = fem.assemble_load(m, f)
             K2, b2, free = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
             u = np.zeros(m.n_nodes)
-            u[free] = fem.spd_solver(K2, TOL)(b2)
+            u[free] = fem.DirectSolver(K2, TOL, nested_dissection(m, free))(b2)
             d = u - exact(m.nodes)
             # true H1 seminorm error vs the smooth solution, via interpolant
             # plus the known O(h) interpolation bound; the discrete energy
@@ -177,13 +191,13 @@ class TestMeanZeroSolve:
         return m, fem.assemble_stiffness(m), fem.assemble_mass(m)
 
     def test_zero_rhs(self):
-        _, A, M = self._system(1)
-        assert np.all(fem.mean_zero_solver(A, M, TOL)(np.zeros(A.shape[0])) == 0)
+        m, A, M = self._system(1)
+        assert np.all(mean_zero_solver(m, A, M)(np.zeros(A.shape[0])) == 0)
 
     def test_compatible_rhs_solved_with_zero_mean(self):
         m, A, M = self._system()
         b = fem.assemble_load(m, quadrant_step)
-        v = fem.mean_zero_solver(A, M, TOL)(b)
+        v = mean_zero_solver(m, A, M)(b)
         b0 = b - b.sum() / len(b)
         assert np.linalg.norm(b0 - A @ v) <= 1e-9 * np.linalg.norm(b0)
         vm = math.sqrt(v @ (M @ v))
@@ -193,41 +207,87 @@ class TestMeanZeroSolve:
         m, A, M = self._system(1)
         b = fem.assemble_load(m, lambda p: np.ones(len(p)))  # integral 12
         with pytest.raises(fem.SolveError):
-            fem.mean_zero_solver(A, M, TOL)(b)
+            mean_zero_solver(m, A, M)(b)
 
 
-def _dense_reduced(m):
-    K2, _, free = fem.apply_dirichlet(fem.assemble_stiffness(m),
-                                      np.zeros(m.n_nodes), m.dirichlet_nodes)
-    return K2, free
+SYSTEMS = [("III", "B1"), ("IV", "B3"), ("III", "B5")]
+
+
+@functools.lru_cache(maxsize=None)
+def _meshes(name, bc):
+    return mesh_hierarchy(builtin_domain(name, bc), 5)
+
+
+def _bordered(A, M):
+    m1 = (M @ np.ones(A.shape[0]))[:, None]
+    return sp.bmat([[A, m1], [m1.T, None]], format="csc")
+
+
+def _system(name, bc, level):
+    """The solver of a built-in level as ``LevelContext`` builds it, the
+    matrix it factors in the original order (Dirichlet-reduced, or
+    bordered on B5) and the right-hand side of the quadrant-step load
+    (compatible on B5)."""
+    m = _meshes(name, bc)[level]
+    b = fem.assemble_load(m, quadrant_step)
+    A = fem.assemble_stiffness(m)
+    if bc == "B5":
+        M = fem.assemble_mass(m)
+        return mean_zero_solver(m, A, M), _bordered(A, M), b - b.sum() / len(b)
+    K2, b2, free = fem.apply_dirichlet(A, b, m.dirichlet_nodes)
+    return fem.DirectSolver(K2, TOL, nested_dissection(m, free)), K2, b2
 
 
 class TestDirectSolveAgainstDense:
     """The sparse LU solves against dense LAPACK solves of the same
-    systems."""
+    systems (level 5 does not fit a dense matrix)."""
 
-    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_dirichlet_matches_dense(self, level):
-        m = mesh_hierarchy(builtin_domain("III", "B1"), level)[-1]
-        K2, free = _dense_reduced(m)
-        b = fem.assemble_load(m, quadrant_step)[free]
-        x = fem.spd_solver(K2, TOL)(b)
-        ref = np.linalg.solve(K2.toarray(), b)
-        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        for name, bc in SYSTEMS[:2]:
+            solver, K2, b = _system(name, bc, level)
+            ref = np.linalg.solve(K2.toarray(), b)
+            x = solver(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_mean_zero_matches_dense_bordered(self, level):
-        m = mesh_hierarchy(builtin_domain("III", "B5"), level)[-1]
-        A, M = fem.assemble_stiffness(m), fem.assemble_mass(m)
-        b = fem.assemble_load(m, quadrant_step)
-        n = m.n_nodes
-        m1 = M @ np.ones(n)
-        bordered = np.block([[A.toarray(), m1[:, None]],
-                             [m1[None, :], np.zeros((1, 1))]])
-        ref = np.linalg.solve(bordered, np.append(b - b.sum() / n, 0.0))
+        solver, bordered, b = _system("III", "B5", level)
+        n = len(b)
+        ref = np.linalg.solve(bordered.toarray(), np.append(b, 0.0))
         assert abs(ref[n]) <= 1e-12 * np.linalg.norm(ref[:n])
-        x = fem.mean_zero_solver(A, M, TOL)(b)
+        x = solver(b)
         assert np.linalg.norm(x - ref[:n]) <= 1e-12 * np.linalg.norm(ref[:n])
+
+
+class TestNestedDissectionFactor:
+    """The nested-dissection factor against the factor it replaced, kept
+    here as the oracle: ``splu`` with its default COLAMD ordering and
+    partial pivoting, on the Dirichlet-reduced III/B1 and IV/B3 stiffness
+    and the bordered III/B5 matrix."""
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("name, bc", SYSTEMS)
+    def test_matches_colamd_oracle(self, name, bc, level):
+        solver, matrix, b = _system(name, bc, level)
+        oracle = spla.splu(matrix.tocsc())
+        ref = oracle.solve(np.append(b, 0.0) if bc == "B5" else b)[:len(b)]
+        x = solver(b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # no row pivoting: every pivot is on the diagonal
+        assert np.array_equal(solver.lu.perm_r, np.arange(matrix.shape[0]))
+        if level >= 4:
+            assert solver.lu.nnz <= oracle.nnz
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_bordered_pivots_are_not_roundoff(self, level):
+        # A alone is singular: with the border after all of its nodes, the
+        # last pivot of A is roundoff
+        m = _meshes("III", "B5")[level]
+        solver = mean_zero_solver(m, fem.assemble_stiffness(m),
+                                  fem.assemble_mass(m))
+        pivots = np.abs(solver.lu.U.diagonal())
+        assert pivots.min() >= 1e-8 * pivots.max()
 
 
 class TestNorms:

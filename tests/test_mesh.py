@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharmfem import fem
-from biharmfem.geometry import (BCType, BUILTIN_NAMES, PolygonDomain,
-                                builtin_domain, read_domain_file)
-from biharmfem.mesh import (MeshError, TriMesh, initial_mesh, prolongate,
-                            restrict)
+from biharmfem.geometry import (BC_TYPES, BCType, BUILTIN_NAMES,
+                                DomainError, PolygonDomain, builtin_domain,
+                                read_domain_file)
+from biharmfem.mesh import (MeshError, TriMesh, initial_mesh,
+                            nested_dissection, prolongate, restrict)
 from conftest import mesh_hierarchy, unit_square
 from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
                            refine_uniform_dict)
@@ -195,6 +196,59 @@ class TestRestriction:
     def test_dimension_mismatch_rejected(self, lshape_b1_meshes):
         with pytest.raises(MeshError):
             restrict(lshape_b1_meshes[1], np.ones(3))
+
+
+def _builds(name, bc):
+    try:
+        builtin_domain(name, bc)
+    except DomainError:     # I has a straight angle, so one tag change
+        return False
+    return True
+
+
+BUILTINS = [(name, bc) for name in BUILTIN_NAMES for bc in BC_TYPES
+            if _builds(name, bc)]
+
+
+@functools.lru_cache(maxsize=None)
+def bc_hierarchy(name, bc):
+    return mesh_hierarchy(builtin_domain(name, bc), 4)
+
+
+class TestNestedDissection:
+    """The order in which a level's Poisson factor eliminates its nodes."""
+
+    @given(st.sampled_from(BUILTINS), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_and_grid_invariant(self, builtin, level):
+        m = bc_hierarchy(*builtin)[level]
+        # the nodes the level's factor orders: the free ones, or all of
+        # them on an all-Neumann domain
+        if m.domain.has_dirichlet():
+            nodes = np.flatnonzero(~m.dirichlet_nodes)
+            order = nested_dissection(m, nodes) if len(nodes) else nodes
+        else:
+            nodes = np.arange(m.n_nodes)
+            order = nested_dissection(m)
+        assert np.array_equal(np.sort(order), np.arange(len(nodes)))
+        # every node on the grid of spacing 2^-level, and every edge at
+        # most one grid step long in each coordinate, so that a grid line
+        # separates its two sides
+        ij = m.nodes * 2.0 ** level
+        assert np.array_equal(ij, np.rint(ij))
+        pairs = m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        assert np.abs(ij[pairs[:, 0]] - ij[pairs[:, 1]]).max() <= 1
+
+    def test_separators_after_their_halves(self):
+        # the 5 x 5 grid of the unit square at level 2: the column x = 0.5
+        # comes last, and the left half ends with its own separator, the
+        # row y = 0.5
+        m = mesh_hierarchy(unit_square(), 2)[-1]
+        xy = m.nodes[nested_dissection(m)]
+        assert np.all(xy[-5:, 0] == 0.5)
+        left = xy[:10]
+        assert np.all(left[:, 0] < 0.5)
+        assert np.all(left[-2:, 1] == 0.5) and np.all(left[:-2, 1] != 0.5)
 
 
 MESH_FIELDS = ("nodes", "triangles", "boundary_edges", "edge_parents",

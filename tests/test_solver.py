@@ -282,3 +282,45 @@ class TestQuadratureCache:
         assert np.array_equal(ctx.quadrature(solver.load_singular, basis),
                               solver.load_singular(m, basis))
         assert np.array_equal(first.u_h, second.u_h)
+
+
+class TestSolveHealth:
+    """A level keeps its Poisson factor's fill and the worst relative
+    residual of its solves, and every formulation reports both."""
+
+    @pytest.mark.parametrize("name, bc", [("IV", "B3"), ("III", "B5")])
+    def test_diagnostics_report_fill_and_worst_residual(self, name, bc):
+        m = mesh_hierarchy(builtin_domain(name, bc), 2)[-1]
+        ctx = LevelContext(m)
+        assert ctx.factor_nnz == 0 and ctx.residual_max == 0.0
+        neumann = not m.domain.has_dirichlet()
+        method = "solve_neumann" if neumann else "solve_dirichlet"
+        poisson, residuals = getattr(ctx, method), []
+
+        def recorded(rhs):
+            x = poisson(rhs)
+            # the relative residual of the system the factor solves
+            r = rhs - rhs.mean() if neumann else rhs
+            d = r - ctx.stiffness @ x
+            keep = np.ones(m.n_nodes, bool) if neumann else ~m.dirichlet_nodes
+            residuals.append(np.linalg.norm(d[keep]) / np.linalg.norm(r[keep]))
+            return x
+
+        setattr(ctx, method, recorded)
+        naive = solve_naive(ctx, quadrant_step)
+        modified = solve_modified(ctx, quadrant_step)
+        # naive: w and u; modified reuses w and adds each zeta and its u
+        assert len(residuals) == 3 + len(modified.zeta_h)
+        assert ctx.factor_nnz > m.n_nodes
+        assert 0 < ctx.residual_max <= ctx.tol
+        assert ctx.residual_max == pytest.approx(max(residuals), rel=1e-6)
+        for res in (naive, modified):
+            assert res.diagnostics["factor_nnz"] == ctx.factor_nnz
+        assert modified.diagnostics["residual_max"] == ctx.residual_max
+        assert naive.diagnostics["residual_max"] <= ctx.residual_max
+
+    def test_level_without_free_node_has_no_factor(self):
+        ctx = LevelContext(mesh_hierarchy(unit_square(), 0)[0])
+        res = solve_naive(ctx, const1)
+        assert res.diagnostics["factor_nnz"] == 0
+        assert res.diagnostics["residual_max"] == 0.0
