@@ -1,9 +1,10 @@
-"""P1 assembly, boundary conditions, direct Poisson solves, and discrete
-norms.
+"""P1 assembly, direct Poisson solves, and discrete norms.
 
-A Poisson solve factors its matrix once, in a nested-dissection order of
-the mesh nodes, with SuperLU on the diagonal (no pivoting), and checks the
-relative residual of every solve."""
+A Poisson solve factors the stiffness once, restricted to its unknowns
+(the free nodes, or every node with a mean-zero border) and eliminated in
+their nested-dissection order, with SuperLU on the diagonal (no pivoting).
+It takes and returns full-length nodal vectors and checks the relative
+residual of every solve on the unknowns' rows."""
 
 from __future__ import annotations
 
@@ -84,35 +85,26 @@ def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
     return b
 
 
-def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, dirichlet_mask: np.ndarray):
-    """Eliminate constrained rows/columns (homogeneous data).
-
-    Returns (A_reduced, b_reduced, free_indices).
-    """
-    mask = np.asarray(dirichlet_mask, dtype=bool)
-    free = np.flatnonzero(~mask)
-    if len(free) == 0:
-        raise ValueError("all nodes are constrained")
-    A_red = A[free][:, free].tocsr()
-    return A_red, np.asarray(b, dtype=float)[free], free
-
-
 class DirectSolver:
     """x = solver(b) for the sparse symmetric matrix A, from one LU factor.
 
-    ``order``, a permutation of A's rows (``mesh.nested_dissection`` for a
-    mesh matrix), is applied to both rows and columns, and SuperLU factors
-    the permuted matrix in that order on its diagonal: A is SPD, so no
-    pivoting is needed.  With ``mass`` M, A is the pure-Neumann stiffness
-    (kernel = constants) and the factor is of the bordered matrix
+    ``order`` lists the unknowns, a subset of A's rows, in elimination
+    order: for a mesh matrix the free nodes in ``mesh.nested_dissection``
+    order, or every node on a pure-Neumann level.  SuperLU factors
+    A[order][:, order] in that order on its diagonal: A is SPD on the
+    unknowns, so no pivoting is needed.  Vectors are full-length; the
+    solution is zero off ``order`` and the right-hand side is read on it.
+    With ``mass`` M, A is the pure-Neumann stiffness (kernel = constants),
+    ``order`` holds every node and the factor is of the bordered matrix
     [[A, M 1], [(M 1)^T, 0]]: a compatible right-hand side (components sum
     to zero) gives multiplier 0 and the solution with zero discrete mean
     against M; an incompatible one is rejected.  The border is ordered just
     before A's last node, not last: A alone is singular, so after all of
     A's nodes the last pivot would be roundoff.
 
-    Every solve must reach the relative residual ``tol``; ``lu`` is the
-    factor and ``residual_max`` the worst relative residual so far.
+    Every solve must reach the relative residual ``tol`` on the rows of
+    ``order``; ``lu`` is the factor and ``residual_max`` the worst relative
+    residual so far.
     """
 
     def __init__(self, A: sp.csr_matrix, tol: float, order: np.ndarray,
@@ -121,6 +113,10 @@ class DirectSolver:
         self.residual_max = 0.0
         n = A.shape[0]
         K, self._order = A, np.asarray(order)
+        if len(self._order) == 0:
+            raise ValueError("all nodes are constrained")
+        self._unknown = np.zeros(n, dtype=bool)
+        self._unknown[self._order] = True
         if self.mean_zero:
             m1 = (mass @ np.ones(n))[:, None]
             K = sp.bmat([[A, m1], [m1.T, None]])
@@ -133,9 +129,9 @@ class DirectSolver:
     def __call__(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         n = self.A.shape[0]
-        norm_b = np.linalg.norm(b)
         rhs = b
         if self.mean_zero:
+            norm_b = np.linalg.norm(b)
             total = abs(b.sum())
             if total > 1e-10 * norm_b:
                 raise SolveError(
@@ -143,12 +139,12 @@ class DirectSolver:
                     f"1e-10*|b| = {1e-10 * norm_b:.3e}"
                 )
             b = b - b.sum() / n  # clean the roundoff component along the kernel
-            norm_b = np.linalg.norm(b)
             rhs = np.append(b, 0.0)
-        x = np.empty(len(rhs))
+        x = np.zeros(len(rhs))
         x[self._order] = self.lu.solve(rhs[self._order])
         x = x[:n]
-        res = np.linalg.norm(b - self.A @ x)
+        norm_b = np.linalg.norm(b[self._unknown])
+        res = np.linalg.norm((b - self.A @ x)[self._unknown])
         if not res <= self.tol * norm_b:
             what = "mean-zero solve" if self.mean_zero else "direct solve"
             raise SolveError(f"{what} relative residual {res / norm_b:.3e} "

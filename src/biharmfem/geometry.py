@@ -80,7 +80,7 @@ class PolygonDomain:
         if len(self.tags) != len(verts):
             raise DomainError("need one edge tag per vertex")
         object.__setattr__(self, "tags", tuple(BCType(t) for t in self.tags))
-        if self.signed_area() <= 0:
+        if self.area() <= 0:
             raise DomainError("vertices must be ordered counterclockwise")
         self._check_simple()
         object.__setattr__(self, "angles", self._interior_angles())
@@ -130,12 +130,10 @@ class PolygonDomain:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def signed_area(self) -> float:
+    def area(self) -> float:
+        """Shoelace area, signed: negative for clockwise vertices."""
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-    def area(self) -> float:
-        return self.signed_area()
 
     def edge(self, j: int) -> tuple[np.ndarray, np.ndarray, BCType]:
         n = self.n_vertices

@@ -90,14 +90,6 @@ class TriMesh:
         raise MeshError(f"edge {edges[k].tolist()} shared by {counts[k]} "
                         f"triangles, expected {expected[k]}")
 
-    def node_index(self, point) -> int:
-        """Index of the mesh node at the given coordinates."""
-        d = np.linalg.norm(self.nodes - np.asarray(point, dtype=float), axis=1)
-        i = int(np.argmin(d))
-        if d[i] > 1e-10:
-            raise MeshError(f"no mesh node at {point}")
-        return i
-
 
 def _point_on_segment(p, a, b, tol=1e-10) -> bool:
     ab = b - a
@@ -287,15 +279,13 @@ def nested_dissection(mesh: TriMesh, nodes: np.ndarray | None = None
     return np.lexsort(digits[::-1])
 
 
-def restrict(fine: TriMesh, values: np.ndarray,
-             coarse: TriMesh | None = None) -> np.ndarray:
+def restrict(fine: TriMesh, values: np.ndarray, coarse: TriMesh) -> np.ndarray:
     """The adjoint of ``prolongate``: map rows of fine nodal loads (last
     axis over the nodes of ``fine``) to the loads against the hats of
-    ``coarse``, an ancestor of ``fine`` (its parent by default), one parent
-    link at a time.  A coarse hat is the sum of the fine hats weighted by
-    the prolongation, so the coarse load is exactly P^T times the fine
-    load; the sum of every row is kept."""
-    coarse = fine.parent if coarse is None else coarse
+    ``coarse``, an ancestor of ``fine``, one parent link at a time.  A
+    coarse hat is the sum of the fine hats weighted by the prolongation, so
+    the coarse load is exactly P^T times the fine load; the sum of every
+    row is kept."""
     chain = [fine]
     while chain[-1] is not coarse:
         if chain[-1].parent is None or chain[-1].edge_parents is None:

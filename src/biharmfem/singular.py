@@ -138,13 +138,6 @@ class SingularBasis:
         arg = self.beta * np.asarray(theta, dtype=float)
         return np.sin(arg) if self.trig == "sin" else np.cos(arg)
 
-    def eval_s(self, points):
-        """The raw singular function r**(-beta)*Phi; undefined at the corner."""
-        r, theta = self.local_polar(points)
-        if np.any(r == 0):
-            raise ValueError("singular function evaluated at the corner")
-        return r ** (-self.beta) * self.angular(theta)
-
     def eval_chi_s(self, points):
         r, theta = self.local_polar(points)
         out = np.zeros_like(r)

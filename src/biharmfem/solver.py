@@ -18,9 +18,11 @@ with zero integral), so both the naive and the corrected solve accept
 every boundary condition.  ``solve_modified_neumann`` is ``solve_modified``
 restricted to all-Neumann domains.
 
-Each level factors its Poisson matrix once, in the nested-dissection order
-of its mesh nodes (``mesh.nested_dissection``), and reports the factor's
-fill and the worst relative residual of its solves with every result.
+Each level factors its stiffness once, restricted to the unknowns of its
+Poisson solve (the free nodes, or every node on a pure-Neumann level) and
+eliminated in their nested-dissection order (``mesh.nested_dissection``),
+and reports the factor's fill and the worst relative residual of its
+solves with every result.
 """
 
 from __future__ import annotations
@@ -89,16 +91,11 @@ class LevelContext:
         if self.mesh.dirichlet_nodes.all():
             return np.zeros(self.mesh.n_nodes)
         if "dirichlet" not in self._cache:
-            A_red, _, free = fem.apply_dirichlet(
-                self.stiffness, np.zeros(self.mesh.n_nodes), self.mesh.dirichlet_nodes
-            )
-            self._cache["free"] = free
+            free = np.flatnonzero(~self.mesh.dirichlet_nodes)
             self._cache["dirichlet"] = fem.DirectSolver(
-                A_red, self.tol, nested_dissection(self.mesh, free))
-        free = self._cache["free"]
-        x = np.zeros(self.mesh.n_nodes)
-        x[free] = self._cache["dirichlet"](rhs[free])
-        return x
+                self.stiffness, self.tol,
+                free[nested_dissection(self.mesh, free)])
+        return self._cache["dirichlet"](rhs)
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """Mass-mean-zero solution of the pure-Neumann Poisson system with a

@@ -209,20 +209,8 @@ def export_csv(report: StudyReport, path: str) -> None:
     _atomic_write(path, write)
 
 
-def read_csv(path: str) -> list[dict]:
-    """Parse a study CSV back into rows of floats (empty cells -> nan)."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append({
-                k: (math.nan if v == "" else float(v)) for k, v in rec.items()
-            })
-    return rows
-
-
-def export_field(u_h: np.ndarray, mesh: TriMesh, path: str,
-                 name: str = "u") -> None:
-    """Dump a nodal field as a legacy-VTK ASCII unstructured grid."""
+def export_field(u_h: np.ndarray, mesh: TriMesh, path: str) -> None:
+    """Dump the nodal field u as a legacy-VTK ASCII unstructured grid."""
     u_h = np.asarray(u_h, dtype=float)
     if len(u_h) != mesh.n_nodes:
         raise ValueError("field length does not match mesh")
@@ -240,7 +228,7 @@ def export_field(u_h: np.ndarray, mesh: TriMesh, path: str,
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         fh.write(f"POINT_DATA {mesh.n_nodes}\n")
-        fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        fh.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
         for v in u_h:
             fh.write(f"{float(v)!r}\n")
 

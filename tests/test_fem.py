@@ -11,6 +11,7 @@ from biharmfem import fem
 from biharmfem.geometry import BCType, PolygonDomain, builtin_domain
 from biharmfem.mesh import TriMesh, nested_dissection
 from biharmfem.singular import _collapsed_rule
+from biharmfem.solver import LevelContext
 from biharmfem.sources import quadrant_step, square_eigen
 from conftest import mesh_hierarchy, unit_square
 
@@ -20,6 +21,13 @@ TOL = 1e-10     # relative residual every direct solve must reach
 def identity(n):
     """The ordering passed for a matrix that is not a mesh matrix."""
     return np.arange(n)
+
+
+def dirichlet_solver(m, A, tol=TOL):
+    """The Dirichlet solver of m, as ``LevelContext.solve_dirichlet``
+    builds it: the free nodes in nested-dissection order."""
+    free = np.flatnonzero(~m.dirichlet_nodes)
+    return fem.DirectSolver(A, tol, free[nested_dissection(m, free)])
 
 
 def mean_zero_solver(m, A, M):
@@ -121,31 +129,37 @@ class TestLoad:
 
 
 class TestDirichlet:
+    """A factor of a subset of the stiffness's rows, read and returned as
+    full-length vectors."""
+
     def test_no_constraints_leaves_system_unchanged(self, lshape_b1_meshes):
+        # every node an unknown: the whole (here nonsingular) matrix
         m = lshape_b1_meshes[1]
-        K = fem.assemble_stiffness(m)
+        K = fem.assemble_stiffness(m) + fem.assemble_mass(m)
         b = np.arange(m.n_nodes, dtype=float)
-        K2, b2, free = fem.apply_dirichlet(K, b, np.zeros(m.n_nodes, bool))
-        assert abs(K - K2).max() == 0
-        assert np.array_equal(b, b2)
-        assert len(free) == m.n_nodes
+        x = fem.DirectSolver(K, TOL, nested_dissection(m))(b)
+        ref = np.linalg.solve(K.toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(b, np.arange(m.n_nodes))
 
     def test_fully_constrained_mesh_rejected(self):
         meshes = mesh_hierarchy(unit_square(), 0)
         m = meshes[0]
         K = fem.assemble_stiffness(m)
         assert m.dirichlet_nodes.all()
-        with pytest.raises(ValueError):
-            fem.apply_dirichlet(K, np.zeros(m.n_nodes), m.dirichlet_nodes)
+        free = np.flatnonzero(~m.dirichlet_nodes)
+        with pytest.raises(ValueError, match="all nodes are constrained"):
+            fem.DirectSolver(K, TOL, free)
 
     def test_reduced_system_solvable(self, lshape_b1_meshes):
         m = lshape_b1_meshes[2]
         K = fem.assemble_stiffness(m)
         rng = np.random.default_rng(4)
         b = rng.standard_normal(m.n_nodes)
-        K2, b2, free = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
-        x = fem.DirectSolver(K2, TOL, nested_dissection(m, free))(b2)
-        assert np.linalg.norm(b2 - K2 @ x) <= 1e-9 * np.linalg.norm(b2)
+        x = dirichlet_solver(m, K)(b)
+        free = ~m.dirichlet_nodes
+        assert np.all(x[m.dirichlet_nodes] == 0)
+        assert np.linalg.norm((b - K @ x)[free]) <= 1e-9 * np.linalg.norm(b[free])
 
 
 class TestSolveSpd:
@@ -174,9 +188,7 @@ class TestSolveSpd:
         for m in mesh_hierarchy(unit_square(), 5)[3:]:
             K = fem.assemble_stiffness(m)
             b = fem.assemble_load(m, f)
-            K2, b2, free = fem.apply_dirichlet(K, b, m.dirichlet_nodes)
-            u = np.zeros(m.n_nodes)
-            u[free] = fem.DirectSolver(K2, TOL, nested_dissection(m, free))(b2)
+            u = dirichlet_solver(m, K)(b)
             d = u - exact(m.nodes)
             # true H1 seminorm error vs the smooth solution, via interpolant
             # plus the known O(h) interpolation bound; the discrete energy
@@ -225,17 +237,18 @@ def _bordered(A, M):
 
 def _system(name, bc, level):
     """The solver of a built-in level as ``LevelContext`` builds it, the
-    matrix it factors in the original order (Dirichlet-reduced, or
-    bordered on B5) and the right-hand side of the quadrant-step load
-    (compatible on B5)."""
+    matrix it factors in node order (the stiffness on the free nodes, or
+    bordered on B5), the full-length right-hand side of the quadrant-step
+    load (compatible on B5) and the unknowns."""
     m = _meshes(name, bc)[level]
     b = fem.assemble_load(m, quadrant_step)
     A = fem.assemble_stiffness(m)
     if bc == "B5":
         M = fem.assemble_mass(m)
-        return mean_zero_solver(m, A, M), _bordered(A, M), b - b.sum() / len(b)
-    K2, b2, free = fem.apply_dirichlet(A, b, m.dirichlet_nodes)
-    return fem.DirectSolver(K2, TOL, nested_dissection(m, free)), K2, b2
+        return (mean_zero_solver(m, A, M), _bordered(A, M),
+                b - b.sum() / len(b), np.arange(m.n_nodes))
+    free = np.flatnonzero(~m.dirichlet_nodes)
+    return dirichlet_solver(m, A), A[free][:, free], b, free
 
 
 class TestDirectSolveAgainstDense:
@@ -245,14 +258,14 @@ class TestDirectSolveAgainstDense:
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_dirichlet_matches_dense(self, level):
         for name, bc in SYSTEMS[:2]:
-            solver, K2, b = _system(name, bc, level)
-            ref = np.linalg.solve(K2.toarray(), b)
+            solver, K2, b, free = _system(name, bc, level)
+            ref = np.linalg.solve(K2.toarray(), b[free])
             x = solver(b)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(x[free] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_mean_zero_matches_dense_bordered(self, level):
-        solver, bordered, b = _system("III", "B5", level)
+        solver, bordered, b, _ = _system("III", "B5", level)
         n = len(b)
         ref = np.linalg.solve(bordered.toarray(), np.append(b, 0.0))
         assert abs(ref[n]) <= 1e-12 * np.linalg.norm(ref[:n])
@@ -269,10 +282,11 @@ class TestNestedDissectionFactor:
     @pytest.mark.parametrize("level", range(6))
     @pytest.mark.parametrize("name, bc", SYSTEMS)
     def test_matches_colamd_oracle(self, name, bc, level):
-        solver, matrix, b = _system(name, bc, level)
+        solver, matrix, b, free = _system(name, bc, level)
         oracle = spla.splu(matrix.tocsc())
-        ref = oracle.solve(np.append(b, 0.0) if bc == "B5" else b)[:len(b)]
-        x = solver(b)
+        rhs = np.append(b, 0.0) if bc == "B5" else b[free]
+        ref = oracle.solve(rhs)[:len(free)]
+        x = solver(b)[free]
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         # no row pivoting: every pivot is on the diagonal
         assert np.array_equal(solver.lu.perm_r, np.arange(matrix.shape[0]))
@@ -288,6 +302,47 @@ class TestNestedDissectionFactor:
                                   fem.assemble_mass(m))
         pivots = np.abs(solver.lu.U.diagonal())
         assert pivots.min() >= 1e-8 * pivots.max()
+
+
+class TestSubsetFactor:
+    """The free nodes' factor taken straight from the stiffness against
+    the path it replaced, written out here as the oracle: the reduced copy
+    A[free][:, free], factored in its free-relative nested-dissection
+    order, with the solution scattered back to full length."""
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("name, bc", [("III", "B1"), ("IV", "B3"),
+                                          ("I", "B3")])
+    def test_matches_reduced_copy(self, name, bc, level):
+        m = _meshes(name, bc)[level]
+        A = fem.assemble_stiffness(m)
+        b = fem.assemble_load(m, quadrant_step)
+        free = np.flatnonzero(~m.dirichlet_nodes)
+        order = nested_dissection(m, free)
+        A_red = A[free][:, free].tocsr()
+        oracle = spla.splu(A_red[order][:, order].tocsc(),
+                           permc_spec="NATURAL", diag_pivot_thresh=0,
+                           options={"SymmetricMode": True})
+        x_red = np.empty(len(free))
+        x_red[order] = oracle.solve(b[free][order])
+        ref = np.zeros(m.n_nodes)
+        ref[free] = x_red
+        solver = dirichlet_solver(m, A)
+        assert np.array_equal(solver(b), ref)
+        assert solver.lu.nnz == oracle.nnz
+
+    def test_residual_check_still_raises(self, lshape_b1_meshes):
+        m = lshape_b1_meshes[3]
+        solver = dirichlet_solver(m, fem.assemble_stiffness(m), tol=1e-300)
+        with pytest.raises(fem.SolveError):
+            solver(fem.assemble_load(m, quadrant_step))
+
+    def test_all_dirichlet_level_gives_zeros_without_factor(self):
+        m = mesh_hierarchy(unit_square(), 0)[0]
+        ctx = LevelContext(m)
+        x = ctx.solve_dirichlet(np.ones(m.n_nodes))
+        assert np.array_equal(x, np.zeros(m.n_nodes))
+        assert ctx.factor_nnz == 0
 
 
 class TestNorms:

@@ -16,6 +16,12 @@ from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
                            refine_uniform_dict)
 
 
+def node_at(m, point):
+    """The index of the one node of m at ``point``."""
+    (i,) = np.flatnonzero(np.linalg.norm(m.nodes - point, axis=1) <= 1e-10)
+    return i
+
+
 class TestInitialMesh:
     def test_domain_i_counts(self):
         m = initial_mesh(builtin_domain("I", "B3"))
@@ -37,7 +43,7 @@ class TestInitialMesh:
     def test_corner_vertex_is_a_node(self):
         for name in ("I", "II", "III", "IV"):
             m = initial_mesh(builtin_domain(name, "B3"))
-            assert m.node_index((0.0, 0.0)) >= 0
+            assert node_at(m, (0.0, 0.0)) >= 0
 
     def test_off_grid_domain_rejected(self):
         dom = PolygonDomain(0.5 * unit_square().vertices,
@@ -89,7 +95,7 @@ class TestRefinement:
 
     def test_corner_node_persists(self, lshape_b1_meshes):
         for m in lshape_b1_meshes:
-            assert np.allclose(m.nodes[m.node_index((0.0, 0.0))], [0.0, 0.0])
+            assert np.allclose(m.nodes[node_at(m, (0.0, 0.0))], [0.0, 0.0])
 
 
 class TestDirichletFlags:
@@ -97,7 +103,7 @@ class TestDirichletFlags:
         # arriving edge Neumann, leaving Dirichlet: the shared corner node
         # is constrained
         m = initial_mesh(builtin_domain("III", "B3"))
-        assert m.dirichlet_nodes[m.node_index((0.0, 0.0))]
+        assert m.dirichlet_nodes[node_at(m, (0.0, 0.0))]
 
     def test_pure_neumann_has_no_constraints(self):
         m = initial_mesh(builtin_domain("III", "B5"))
@@ -105,7 +111,7 @@ class TestDirichletFlags:
 
     def test_interior_nodes_free(self, lshape_b1_meshes):
         m = lshape_b1_meshes[2]
-        assert not m.dirichlet_nodes[m.node_index((-1.0, 1.0))]
+        assert not m.dirichlet_nodes[node_at(m, (-1.0, 1.0))]
 
 
 class TestProlongation:
@@ -169,12 +175,6 @@ class TestRestriction:
             # check reads, is kept to rounding
             assert abs(row.sum() - v_row.sum()) <= 1e-13 * np.abs(v_row).sum()
 
-    def test_one_link_by_default(self, lshape_b1_meshes):
-        c, f = lshape_b1_meshes[1], lshape_b1_meshes[2]
-        v = np.random.default_rng(3).standard_normal(f.n_nodes)
-        assert np.array_equal(restrict(f, v), restrict(f, v, c))
-        assert restrict(f, v).shape == (c.n_nodes,)
-
     def test_hat_loads_add_up(self, lshape_b1_meshes):
         # the coarse hat is the fine hats weighted by the prolongation, so
         # the restricted fine mass rows are the coarse mass rows
@@ -182,7 +182,7 @@ class TestRestriction:
         Mc = fem.assemble_mass(c).toarray()
         Mf = fem.assemble_mass(f)
         rows = np.array([Mf @ prolongate(f, e) for e in np.eye(c.n_nodes)[:5]])
-        assert np.max(np.abs(restrict(f, rows) - Mc[:5])) <= 1e-15
+        assert np.max(np.abs(restrict(f, rows, c) - Mc[:5])) <= 1e-15
 
     def test_not_an_ancestor_raises(self, lshape_b1_meshes):
         m0, m1, m2 = lshape_b1_meshes[:3]
@@ -195,7 +195,7 @@ class TestRestriction:
 
     def test_dimension_mismatch_rejected(self, lshape_b1_meshes):
         with pytest.raises(MeshError):
-            restrict(lshape_b1_meshes[1], np.ones(3))
+            restrict(lshape_b1_meshes[1], np.ones(3), lshape_b1_meshes[0])
 
 
 def _builds(name, bc):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from biharmfem.mesh import initial_mesh
 from biharmfem.study import (RateTable, StudyConfig, StudyReport, cauchy_rate,
-                             export_csv, export_field, read_csv, run_study)
+                             export_csv, export_field, run_study)
 from conftest import unit_square
 
 
@@ -83,7 +84,9 @@ class TestCsvExport:
                                     source="const1"))
         path = tmp_path / "study.csv"
         export_csv(rep, str(path))
-        rows = read_csv(str(path))
+        with open(path, newline="") as fh:
+            rows = [{k: math.nan if v == "" else float(v) for k, v in rec.items()}
+                    for rec in csv.DictReader(fh)]
         t = rep.table
         assert len(rows) == 3
         for j, row in enumerate(rows):
@@ -130,6 +133,7 @@ class TestFieldExport:
         assert f"POINTS {m.n_nodes} double" in text
         assert f"CELLS {m.n_triangles} {4 * m.n_triangles}" in text
         assert f"POINT_DATA {m.n_nodes}" in text
+        assert "SCALARS u double 1" in text
         assert text.count("5") >= m.n_triangles
 
     def test_length_mismatch_rejected(self, tmp_path):
