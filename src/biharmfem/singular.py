@@ -6,21 +6,21 @@ corner.  They are localized by a radial quintic cutoff ``chi`` equal to 1
 inside r = tau*R and 0 beyond r = R.  Quadrature:
 
 - Loads of lap(chi*s) and chi*s against the P1 hats, for every basis of a
-  corner, come from one pass over one point set (``corner_loads``): the
-  geometry and the points are built once, and each batch of points gets
-  one local_polar and one chi_derivs; per basis only r**(-beta) and the
-  angular factor, and one scatter per load.  Triangles at q and
-  triangles straddling the radial kinks r = tau*R and r = R (chi is only
-  C^2 there) use the fan rule: a triangle is the signed sum of the
+  corner, come from one pass (``corner_loads``) over integrands that are
+  a radial factor of r times an angular factor of theta.  Triangles at q
+  and triangles straddling the radial kinks r = tau*R and r = R (chi is
+  only C^2 there) use the fan rule: a triangle is the signed sum of the
   triangles (q, a, b) over its edges, each Duffy-mapped with its radial
   variable split at 0, tau*R and R and its angular variable split where
-  the edge a->b crosses a circle, so each piece is smooth.  lap(chi*s)
-  vanishes inside r = tau*R, so only the corner fans' segment [0, tau*R]
-  is singular; it takes a Gauss-Jacobi rule absorbing r**(-beta) per
+  the edge a->b crosses a circle, so each piece is smooth.  A ray of a
+  piece takes one angular value and two radial moments, which give every
+  hat's load since a hat is affine along the ray.  lap(chi*s) vanishes
+  inside r = tau*R, so only the corner fans' segment [0, tau*R] is
+  singular; it takes a Gauss-Jacobi rule absorbing r**(-beta) per
   distinct beta.  A straddling triangle's fans are clipped to its own
   radial range, so they are short and thin and take fewer nodes.  Other
-  triangles use a collapsed Gauss rule on red-refinement children graded
-  toward q and across the cutoff band.
+  triangles use a collapsed Gauss rule on red-refinement children, split
+  child by child toward q and across the cutoff band.
 - The Gram pair integral of (chi*s_a)*(chi*s_b).  When the disk B(q, R)
   meets the domain only inside the corner sector it separates: a radial
   factor (closed form on [0, tau*R], self-checked Gauss rule on
@@ -46,7 +46,7 @@ from .geometry import PolygonDomain, classify_vertex, singular_exponents
 from .mesh import TriMesh
 
 _FAN_CHUNK = 256      # fan triangles per batch of quadrature points
-_CELL_CHUNK = 2048    # graded cells per batch
+_CELL_CHUNK = 512     # graded leaves per batch
 
 
 class QuadratureError(RuntimeError):
@@ -201,21 +201,6 @@ def _collapsed_rule(n: int):
     return lam, weights
 
 
-def _subdivision_templates(depth: int) -> np.ndarray:
-    """Barycentric corner coordinates of the 4**depth red-refinement children."""
-    tris = np.eye(3)[None, :, :]
-    for _ in range(depth):
-        c0, c1, c2 = tris[:, 0], tris[:, 1], tris[:, 2]
-        m01, m12, m20 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c0)
-        tris = np.concatenate([
-            np.stack([c0, m01, m20], axis=1),
-            np.stack([m01, c1, m12], axis=1),
-            np.stack([m20, m12, c2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ], axis=0)
-    return tris
-
-
 def _segment_dist(q, a, b) -> np.ndarray:
     """Distance from the point q to each segment a[k] -> b[k]."""
     ab = b - a
@@ -237,16 +222,20 @@ class GradedQuadratureOptions:
     n_angular: int = 24
 
 
-def _fan_rule(q, a, b, gammas, radii, n_radial, n_angular):
-    """Points, weights (signed like det(a-q, b-q)) and fan index over the
-    triangles (q, a[k], b[k]) within radii[k, 0] <= r <= radii[k, -1]
-    (radii: one ascending row per fan), by the Duffy map x = q + u*p(v),
-    p(v) = (1-v)*(a-q) + v*(b-q).  u is split at each circle
-    r = radii[k, i], v where |p(v)| crosses a circle (a quadratic in v);
-    n_radial x n_angular nodes per piece.  Returns one (pts, w, fan) triple
-    for the Gauss-Legendre segments, then one per gamma in ``gammas`` for
-    the segments from the corner (radii[k, 0] = 0), where Gauss-Jacobi
-    absorbs u**(1-gamma) of an integrand singular like r**(-gamma)."""
+def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
+                 n_radial: int, n_angular: int):
+    """Moments of f = radial(r, gamma) * angular(theta) over the triangles
+    (q, a[k], b[k]), q = basis.origin, within radii[k, 0] <= r <=
+    radii[k, -1], by the Duffy map x = q + u*p(v), p(v) = (1-v)*(a-q) +
+    v*(b-q): v split where |p(v)| crosses a circle r = radii[k, i], u at
+    each circle; n_angular rays per piece, n_radial nodes per segment.
+    Along a ray theta is fixed, r = u*|p| and a hat is affine, so a hat's
+    integral over a (piece, segment) is hat(q)*m0 + grad(hat).m1: m0, m1
+    the sums of w*f, w*f*(x - q), signed like det(a-q, b-q).  Yields
+    (fan, m0, m1) of shapes (n,), (rows, n), (rows, 2, n): Gauss-Legendre
+    segments, then per gamma the segments from the corner (radii[k, 0] =
+    0), where Gauss-Jacobi absorbs u**(1-gamma) of f ~ r**(-gamma)."""
+    q = np.asarray(basis.origin)
     d, e = a - q, b - a
     two_area = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
     ee, de, dd = (e * e).sum(axis=1), (d * e).sum(axis=1), (d * d).sum(axis=1)
@@ -264,52 +253,82 @@ def _fan_rule(q, a, b, gammas, radii, n_radial, n_angular):
 
     xa, wa = _gauss(n_angular)
     v = v0[:, None] + dv[:, None] * (0.5 * (xa + 1.0))          # (P, A)
-    p = d[fan, None, :] + v[..., None] * e[fan, None, :]       # (P, A, 2)
-    rho = np.linalg.norm(p, axis=-1)
-    scale = two_area[fan, None] * 0.5 * dv[:, None] * wa
-
-    def nodes(rows, u, w):      # (len(rows), A, K) nodes of pieces ``rows``
-        w = w * scale[rows, :, None]
-        i, ia, ik = np.nonzero(w)
-        return q + u[i, ia, ik][:, None] * p[rows[i], ia], w[i, ia, ik], \
-            fan[rows[i]]
+    p = d.T[:, fan, None] + v * e.T[:, fan, None]              # (2, P, A)
+    rho = np.hypot(*p)
+    _, theta = basis.local_polar((q[:, None, None] + p).reshape(2, -1).T)
+    phi = angular(theta.reshape(rho.shape)) * (0.5 * two_area[fan, None]
+                                               * dv[:, None] * wa)
 
     u_at = np.minimum(radii[fan][:, None, :] / rho[..., None], 1.0)
     xl, wl = _gauss(n_radial)
     tl, wl = 0.5 * (xl + 1.0), 0.5 * wl
-    u0, u1 = u_at[..., :-1, None], u_at[..., 1:, None]       # (P, A, S, 1)
+    corner = radii[fan, 0] == 0.0
+    live = (u_at[..., 1:] > u_at[..., :-1]).any(axis=1)       # (P, S)
+    live[corner, 0] = False     # the segment from the corner: Gauss-Jacobi
+    pi, si = np.nonzero(live)
+    u0, u1 = u_at[pi, :, si, None], u_at[pi, :, si + 1, None]  # (n, A, 1)
     u = u0 + (u1 - u0) * tl
-    w = (u1 - u0) * wl * u
-    corner = np.flatnonzero(radii[fan, 0] == 0.0)
-    w[corner, :, 0] = 0.0       # the segment from the corner: Gauss-Jacobi
-    shape = (len(fan), len(wa), -1)
-    out = [nodes(np.arange(len(fan)), u.reshape(shape), w.reshape(shape))]
-    u_end = u_at[corner, :, 1:2]       # where each corner segment ends
+    groups = [(pi, u, (u1 - u0) * wl * u, None)]
+    pi = np.flatnonzero(corner)
+    u_end = u_at[pi, :, 1, None]       # where each corner segment ends
     for gamma in gammas:
         xj, wj = _gauss(n_radial, 1.0 - gamma)
         tj = 0.5 * (xj + 1.0)
         # the [-1, 1] weight (1 + x)**(1 - gamma) -> u * u**(-gamma) on [0, 1]
         wj = wj * 2.0 ** (gamma - 2.0) * tj**gamma
-        out.append(nodes(corner, u_end * tj, u_end**2 * wj))
-    return out
+        groups.append((pi, u_end * tj, u_end**2 * wj, gamma))
+    for pi, u, w, gamma in groups:
+        wf = w * radial(u * rho[pi, :, None], gamma)       # (rows, n, A, L)
+        ray0 = wf.sum(axis=-1) * phi[:, pi]
+        ray1 = (wf * u).sum(axis=-1) * phi[:, pi]
+        yield fan[pi], ray0.sum(axis=-1), \
+            (ray1[:, None] * p[:, pi]).sum(axis=-1)
 
 
-def _graded_integrate(mesh: TriMesh, q, values, n_rows: int, gammas, radii,
-                      opts: GradedQuadratureOptions, kinks: tuple = (),
-                      depth_bump: int = 0) -> np.ndarray:
-    """Integrate ``n_rows`` integrands, supported in radii[0] <= r <=
-    radii[-1] about the corner q and smooth between consecutive radii,
-    against all P1 hats: an (n_rows, n_nodes) array, one load per row.
+def _graded_cells(q, corners, cell, dist, h, band,
+                  opts: GradedQuadratureOptions, depth_bump: int = 0):
+    """Red-refine the triangles corners[cell] (corners: (n, 3, 2), with
+    distances ``dist`` to q and diameters ``h``), child by child while a
+    child fails the near test near_ratio*h <= dist or, meeting the band
+    (inner, outer), the test h <= (outer - inner)/n_feature; depth_bump
+    halves both thresholds per unit, and max_depth caps the depth.  Yields
+    (depth, cell, bary) per depth: the leaves' triangles and their corners'
+    barycentric coordinates (m, 3, 3) in it, None at depth 0."""
+    inner, outer = band
+    feat = (outer - inner) / opts.n_feature / 2.0**depth_bump
+    dist = dist[cell]
+    bary = np.broadcast_to(np.eye(3), (len(cell), 3, 3))
+    for depth in range(opts.max_depth + 1):
+        hd = h[cell] / 2**depth
+        in_band = (dist < outer + hd) & (dist + hd > inner - hd)
+        split = (opts.near_ratio * 2.0**depth_bump * hd > dist) | in_band & (hd > feat)
+        split &= depth < opts.max_depth
+        yield depth, cell[~split], bary[~split] if depth else None
+        c0, c1, c2 = np.moveaxis(bary[split], 1, 0)
+        m01, m12, m20 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c0)
+        bary = np.stack([c0, m01, m20, m01, c1, m12, m20, m12, c2,
+                         m01, m12, m20], axis=1).reshape(-1, 3, 3)
+        cell = np.repeat(cell[split], 4)
+        x = bary @ corners[cell]
+        dist = np.min([_segment_dist(q, x[:, i], x[:, (i + 1) % 3])
+                       for i in range(3)], axis=0)
 
-    values(pts, gamma) gives the (n_rows, len(pts)) integrand values.
-    gamma is None on points every row shares; on the corner fans' first
+
+def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
+                      n_rows: int, gammas, radii, opts: GradedQuadratureOptions,
+                      kinks: tuple = (), depth_bump: int = 0) -> np.ndarray:
+    """Integrate ``n_rows`` integrands radial(r, gamma) * angular(theta) in
+    the polar frame of ``basis`` (each callable gives (n_rows, *shape)
+    values), supported in radii[0] <= r <= radii[-1] and smooth between
+    consecutive radii, against all P1 hats: an (n_rows, n_nodes) array.
+    gamma is None on nodes every row shares; on the corner fans' first
     segment [0, radii[1]] it is the exponent of the Gauss-Jacobi rule that
-    made the points, one of ``gammas``, and a row counts there only if it
-    is singular like r**(-gamma) at q (values 0 otherwise).  Triangles at q
-    or straddling a circle r = c, c in ``kinks``, go through the fan rule;
-    the rest through a collapsed rule on children graded toward q and
-    across the band radii[-2] <= r <= radii[-1]."""
-    q = np.asarray(q, dtype=float)
+    made the nodes, one of ``gammas``, and a row counts there only if it
+    is singular like r**(-gamma) at q (radial values 0 otherwise).
+    Triangles at q or straddling a circle r = c, c in ``kinks``, go
+    through the fan rule; the rest through a collapsed rule on children
+    graded toward q and across the band radii[-2] <= r <= radii[-1]."""
+    q = np.asarray(basis.origin)
     tri_pts = mesh.nodes[mesh.triangles]
     vert_d = np.linalg.norm(tri_pts - q, axis=2)
     dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
@@ -332,8 +351,7 @@ def _graded_integrate(mesh: TriMesh, q, values, n_rows: int, gammas, radii,
     def scatter(rows, tri):     # per row of out, per-triangle (T, 3) -> nodes
         nodes = mesh.triangles[tri].ravel()
         for load, row in zip(out, rows):
-            load += np.bincount(nodes, weights=row.ravel(),
-                                minlength=mesh.n_nodes)
+            np.add.at(load, nodes, row.ravel())
 
     # fan rule over each edge (a, b) of the triangle, skipping edges at q.
     # T lies in dist_T <= r <= r_max_T, so its fans' radii are clipped to
@@ -356,41 +374,32 @@ def _graded_integrate(mesh: TriMesh, q, values, n_rows: int, gammas, radii,
             sl = slice(s, s + _FAN_CHUNK)
             fan_radii = np.clip(np.asarray(radii, dtype=float),
                                 lo[owner[sl], None], hi[owner[sl], None])
-            groups = _fan_rule(q, a[sl], b[sl], gammas, fan_radii,
-                               opts.n_radial // k, opts.n_angular // k)
-            for gamma, (pts, wts, j) in zip((None, *gammas), groups):
+            for j, m0, m1 in _fan_moments(basis, a[sl], b[sl], fan_radii, radial,
+                                          angular, gammas, opts.n_radial // k,
+                                          opts.n_angular // k):
                 tri = owner[sl][j]
-                vals = values(pts, gamma) * (wts * np.sign(det[tri]))
-                # barycentric coordinates of the fan points in their triangle
-                rel = pts - tri_pts[tri, 0]
+                # T's barycentric map applied to the moments about corner 0
+                rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
                 l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
                 l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
-                bary = np.column_stack([1.0 - l2 - l3, l2, l3])
-                scatter((row[:, None] * bary for row in vals), tri)
+                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1)
+                        * np.sign(det[tri])[:, None], tri)
 
-    # collapsed rule on graded children: depth set by corner distance and
-    # by the cutoff band
-    idx = np.flatnonzero(support & ~fan)
-    d, h = dist[idx], h[idx]
-    inner, outer = radii[-2], radii[-1]
-    feat = (outer - inner) / opts.n_feature
-    in_band = (d < outer + h) & (d + h > inner - h)
-    depth = np.where(in_band & (h > feat), np.ceil(np.log2(h / feat)), 0)
-    depth = np.maximum(depth, np.ceil(np.log2(opts.near_ratio * h / d)))
-    depth = np.clip(depth.astype(int) + depth_bump, 0, opts.max_depth)
+    # collapsed rule on graded children, one shared template at depth 0
     lam, w = _collapsed_rule(opts.n_gauss)
-    for level in np.unique(depth):
-        sub = _subdivision_templates(int(level))
-        bary = np.einsum("qi,sij->sqj", lam, sub).reshape(-1, 3)   # (S*Q, 3)
-        wts = np.tile(w, len(sub)) / len(sub)
-        sel = idx[depth == level]
-        step = max(1, _CELL_CHUNK // len(sub))
-        for s in range(0, len(sel), step):
-            tri = sel[s:s + step]
-            pts = (bary @ tri_pts[tri]).reshape(-1, 2)
-            vals = values(pts, None).reshape(n_rows, len(tri), -1) * wts \
-                * (0.5 * np.abs(det[tri]))[:, None]
-            scatter(vals @ bary, tri)
+    for depth, cell, sub in _graded_cells(q, tri_pts, np.flatnonzero(support & ~fan),
+                                          dist, h, radii[-2:], opts, depth_bump):
+        for s in range(0, len(cell), _CELL_CHUNK):
+            tri = cell[s:s + _CELL_CHUNK]
+            corners = tri_pts[tri] if sub is None \
+                else sub[s:s + _CELL_CHUNK] @ tri_pts[tri]
+            r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
+            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
+            # (n_rows, T, 3) loads of the leaf's corners
+            loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
+            if sub is not None:
+                loads = (loads[..., None] * sub[s:s + _CELL_CHUNK]).sum(axis=-2)
+            scatter(loads, tri)
     return out
 
 
@@ -409,21 +418,23 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
     spec = first.cutoff
     k = len(bases)
 
-    def values(pts, gamma):
+    def radial(r, gamma):
         # rows 0..k-1: lap(chi*s) = (chi'' + (1 - 2*beta)*chi'/r) * s (s is
         # harmonic); rows k..2k-1: chi*s
-        r, theta = first.local_polar(pts)
         c0, c1, c2 = chi_derivs(r, spec)
-        out = np.zeros((2 * k, len(r)))
+        out = np.zeros((2 * k, *r.shape))
         for i, basis in enumerate(bases):
             if gamma not in (None, basis.beta):
                 continue        # another exponent's rule at the corner
-            r_beta, phi = r ** (-basis.beta), basis.angular(theta)
-            out[i] = (c2 + (1.0 - 2.0 * basis.beta) * c1 / r) * r_beta * phi
-            out[k + i] = c0 * r_beta * phi
+            r_beta = r ** (-basis.beta)
+            out[i] = (c2 + (1.0 - 2.0 * basis.beta) * c1 / r) * r_beta
+            out[k + i] = c0 * r_beta
         return out
 
-    loads = _graded_integrate(mesh, first.origin, values, 2 * k,
+    def angular(theta):
+        return np.array([basis.angular(theta) for basis in bases] * 2)
+
+    loads = _graded_integrate(mesh, first, radial, angular, 2 * k,
                               sorted({b.beta for b in bases}),
                               (0.0, spec.inner, spec.R), opts,
                               kinks=(spec.inner, spec.R))
@@ -501,14 +512,19 @@ def _pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
     that must agree to the target."""
     gamma = basis_a.beta + basis_b.beta
 
-    def values(pts, _gamma):    # one integrand, singular like r**(-gamma)
-        return (basis_a.eval_chi_s(pts) * basis_b.eval_chi_s(pts))[None]
+    def radial(r, _gamma):      # one integrand, singular like r**(-gamma)
+        return (chi(r, basis_a.cutoff) * chi(r, basis_b.cutoff)
+                * r ** (-gamma))[None]
+
+    def angular(theta):
+        return (basis_a.angular(theta) * basis_b.angular(theta))[None]
 
     r_hi = min(basis_a.cutoff.R, basis_b.cutoff.R)
     radii = (0.0, min(basis_a.cutoff.inner, r_hi), r_hi)
     # the P1 hats sum to 1, so the nodal integrals sum to the integral
-    coarse, fine = (_graded_integrate(mesh, basis_a.origin, values, 1, (gamma,),
-                                      radii, opts, depth_bump=bump).sum()
+    coarse, fine = (_graded_integrate(mesh, basis_a, radial, angular, 1,
+                                      (gamma,), radii, opts,
+                                      depth_bump=bump).sum()
                     for bump in (0, 1))
     # absolute floor of 1: distinct angular modes are orthogonal over the
     # sector, so entries can vanish identically while the natural scale of
@@ -528,8 +544,10 @@ def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBas
     functions share a corner sector that holds the cutoff disk's part of
     the domain, else the graded 2-D rule."""
     opts = opts or GradedQuadratureOptions()
-    same_sector = all(getattr(basis_a, name) == getattr(basis_b, name)
-                      for name in ("origin", "frame_angle", "omega", "cutoff"))
-    if same_sector and cutoff_disk_in_sector(mesh.domain, basis_a):
+    if any(getattr(basis_a, name) != getattr(basis_b, name)
+           for name in ("origin", "frame_angle", "omega")):
+        raise ValueError("inner_chi_s_pair takes the bases of one corner")
+    if basis_a.cutoff == basis_b.cutoff \
+            and cutoff_disk_in_sector(mesh.domain, basis_a):
         return _pair_separable(basis_a, basis_b, opts.n_radial, target)
     return _pair_graded(mesh, basis_a, basis_b, opts, target)

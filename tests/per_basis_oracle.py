@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from biharmfem.singular import (GradedQuadratureOptions, _collapsed_rule,
-                                _segment_dist, _subdivision_templates)
+                                _segment_dist)
+from graded_oracle import _subdivision_templates
 
 FAN_CHUNK, CELL_CHUNK = 512, 16384
 

@@ -1,8 +1,11 @@
+import collections
 import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biharmfem import singular
@@ -13,6 +16,7 @@ from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
                                 SingularBasis, chi, corner_bases,
                                 chi_derivs, corner_loads, cutoff_disk_in_sector,
                                 inner_chi_s_pair, load_chi_s, load_singular)
+import graded_oracle
 from conftest import mesh_hierarchy
 from per_basis_oracle import load_chi_s_per_basis, load_singular_per_basis
 from worklist_oracle import load_singular_worklist
@@ -264,26 +268,26 @@ class TestFanRule:
         [(1.15, 0.10), (1.25, 0.10), (1.20, 0.20)],      # 1.6, 2.2 and 10
     ])
     def test_clipped_fans_weigh_triangle_in_annulus(self, corners):
-        # with gfun = 1 the fan rule over one triangle away from q gives
-        # the area of T within the annulus, against the closed form; the
-        # indicator jumps on both circles, the worst case for a clipped
-        # fan with fewer nodes
+        # with radial and angular factors 1 the fan rule over one triangle
+        # away from q gives the area of T within the annulus, against the
+        # closed form; the indicator jumps on both circles, the worst case
+        # for a clipped fan with fewer nodes
         spec = CutoffSpec(tau=0.25, R=1.2)
         basis = SingularBasis(0.5, "sin", np.zeros(2), 0.0, 1.5 * math.pi, spec)
         mesh = TriMesh(builtin_domain("III", "B1"), np.array(corners),
                        np.array([[0, 1, 2]]), np.zeros((0, 3), dtype=int))
         calls = []
-        fan_rule = singular._fan_rule
+        fan_moments = singular._fan_moments
 
         def spy(*args):
             calls.append(1)
-            return fan_rule(*args)
+            return fan_moments(*args)
 
-        one = lambda pts, gamma: np.ones((1, len(pts)))
+        one = lambda x, *gamma: np.ones((1, *x.shape))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(singular, "_fan_rule", spy)
+            mp.setattr(singular, "_fan_moments", spy)
             area = singular._graded_integrate(
-                mesh, basis.origin, one, 1, (), (spec.inner, spec.R),
+                mesh, basis, one, one, 1, (), (spec.inner, spec.R),
                 GradedQuadratureOptions(), kinks=(spec.inner, spec.R)).sum()
         assert calls
         exact = sum(_fan_disk_area(np.array(corners[i]),
@@ -412,6 +416,155 @@ class TestOneQuadraturePass:
         singular._gauss.cache_clear()
 
 
+class TestPointFormOracle:
+    """The ray-reduced fan rule and the per-child grading against the
+    point-form rule they replaced (tests/graded_oracle.py)."""
+
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)])
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"),
+                                         ("III", "B1"), ("I", "B3")])
+    def test_corner_loads_match(self, name, bc, cutoff):
+        dom = builtin_domain(name, bc)
+        bases = corner_bases(dom, 0, cutoff)
+        for m in mesh_hierarchy(dom, 6):
+            got = corner_loads(m, bases)
+            ref = graded_oracle.corner_loads(m, bases)
+            for load, got_rows, ref_rows in zip(("load_singular", "load_chi_s"),
+                                                got, ref):
+                for i, (g, r) in enumerate(zip(got_rows, ref_rows)):
+                    err = np.max(np.abs(g - r)) / np.max(np.abs(r))
+                    assert err <= 1e-13, (m.level, load, i, err)
+
+    def test_pair_fallback_matches(self):
+        # the cutoff disk leaves the corner sector, so the pair integrals
+        # take the graded 2-D rule
+        dom = builtin_domain("III", "B5")
+        bases = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
+        opts = GradedQuadratureOptions()
+        for m in mesh_hierarchy(dom, 3):
+            for i, a in enumerate(bases):
+                for b in bases[i:]:
+                    got = singular._pair_graded(m, a, b, opts, 1e-8)
+                    ref = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
+                    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def _fails_grading(q, corners, h, band, opts, bump):
+    """Whether each cell (n, 3, 2) of diameter h (n,) fails the near or the
+    band test of the collapsed rule's grading."""
+    d = np.min([singular._segment_dist(q, corners[:, i], corners[:, (i + 1) % 3])
+                for i in range(3)], axis=0)
+    inner, outer = band
+    in_band = (d < outer + h) & (d + h > inner - h)
+    return (opts.near_ratio * 2**bump * h > d) \
+        | in_band & (h > (outer - inner) / opts.n_feature / 2**bump)
+
+
+def _parent(bary, depth):
+    """Barycentric corners of the red-refinement parent of a depth-``depth``
+    leaf: a corner child keeps one corner of its parent, the only one on
+    the parent's dyadic lattice; the middle child keeps none."""
+    on_parent = np.all(bary * 2 ** (depth - 1) % 1 == 0, axis=1)
+    if on_parent.any():
+        c = bary[on_parent][0]
+        return np.array([c, *(2 * m - c for m in bary[~on_parent])])
+    return bary.sum(axis=0) - 2 * bary
+
+
+class TestGradedCells:
+    """The collapsed rule's cells split child by child until each passes
+    the near and band tests."""
+
+    @given(st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi),
+           st.floats(0.02, 1.0), st.floats(0.0, 2 * math.pi),
+           st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2),
+           st.sampled_from([CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)]),
+           st.integers(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_leaves_tile_and_pass(self, dist, angle, size, turn, skew, cutoff,
+                                  bump):
+        # a triangle near q or in the cutoff band, of diameter about size,
+        # not holding q; a mesh cell's distance to q is at least a fraction
+        # of its diameter
+        q = np.zeros(2)
+        center = dist * np.array([math.cos(angle), math.sin(angle)])
+        t = turn + 2 * math.pi / 3 * np.arange(3) + np.r_[0.0, skew]
+        corners = center + 0.5 * size * np.column_stack([np.cos(t), np.sin(t)])
+        edges = np.roll(corners, -1, axis=0) - corners
+        rel = q - corners
+        assume(np.any(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0] < 0))
+        h = np.max(np.linalg.norm(edges, axis=1))
+        d = np.min(singular._segment_dist(q, corners, corners + edges))
+        assume(d > 0.05 * h)
+        opts = GradedQuadratureOptions()
+        band = (cutoff.inner, cutoff.R)
+        depths, leaves = [], []
+        for depth, cell, sub in singular._graded_cells(
+                q, corners[None], np.array([0]), np.array([d]), np.array([h]),
+                band, opts, bump):
+            depths += [depth] * len(cell)
+            leaves += list(np.eye(3)[None].repeat(len(cell), 0) if sub is None
+                           else sub)
+        depths, leaves = np.array(depths), np.array(leaves)
+        # each leaf's share of the cell is its rule weight's, 4**-depth, and
+        # the distinct leaves add up to the whole cell
+        e1, e2 = leaves[:, 1] - leaves[:, 0], leaves[:, 2] - leaves[:, 0]
+        share = np.abs(e1[:, 1] * e2[:, 2] - e1[:, 2] * e2[:, 1])
+        assert np.array_equal(share, 4.0**-depths)
+        assert len(np.unique(leaves.mean(axis=1), axis=0)) == len(leaves)
+        area = 0.5 * abs(edges[0, 0] * edges[1, 1] - edges[0, 1] * edges[1, 0])
+        assert math.fsum(area * 4.0**-depths) == pytest.approx(area, rel=1e-14)
+        x = leaves @ corners
+        shallow = depths < opts.max_depth
+        assert not _fails_grading(q, x[shallow], h / 2.0**depths[shallow], band,
+                                  opts, bump).any()
+        deep = depths > 0
+        parents = np.array([_parent(b, k) for b, k in
+                            zip(leaves[deep], depths[deep])]).reshape(-1, 3, 3)
+        assert _fails_grading(q, parents @ corners, h / 2.0**(depths[deep] - 1),
+                              band, opts, bump).all()
+        # no more leaves than the uniform refinement to the deepest need
+        inner, outer = band
+        feat = (outer - inner) / opts.n_feature
+        in_band = d < outer + h and d + h > inner - h
+        uniform = max(math.ceil(math.log2(h / feat)) if in_band and h > feat else 0,
+                      math.ceil(math.log2(opts.near_ratio * h / d)), 0)
+        assert len(leaves) <= 4 ** min(uniform + bump, opts.max_depth)
+
+
+class TestEvaluationCounts:
+    """The integrand evaluations of two passes, pinned: the fan rule's rays
+    (one angular value each) and radial nodes, and the collapsed rule's
+    points."""
+
+    @pytest.mark.parametrize("name,bc,level,expected", [
+        ("IV", "B3", 2, {"fan rays": 4368, "radial nodes": 45696,
+                         "collapsed points": 170604}),
+        ("III", "B5", 4, {"fan rays": 17064, "radial nodes": 194976,
+                          "collapsed points": 226584})])
+    def test_pinned(self, name, bc, level, expected, monkeypatch):
+        counts = collections.Counter()
+        graded = singular._graded_integrate
+
+        def counted(mesh, basis, radial, angular, *args, **kw):
+            # the fan rule passes (pieces, rays) angles and (segments,
+            # rays, nodes) radii; the collapsed rule flat point arrays
+            def radial_spy(r, gamma):
+                counts["radial nodes" if r.ndim == 3 else "collapsed points"] \
+                    += r.size
+                return radial(r, gamma)
+
+            def angular_spy(theta):
+                counts["fan rays"] += theta.size if theta.ndim == 2 else 0
+                return angular(theta)
+            return graded(mesh, basis, radial_spy, angular_spy, *args, **kw)
+
+        monkeypatch.setattr(singular, "_graded_integrate", counted)
+        dom = builtin_domain(name, bc)
+        corner_loads(mesh_hierarchy(dom, level)[-1], corner_bases(dom, 0))
+        assert dict(counts) == expected
+
+
 class TestRestrictedLoads:
     """The loads a study uses on a coarse level, restricted from the
     level-4 pass, against each level's own pass and the reference."""
@@ -476,6 +629,14 @@ class TestSeparablePair:
                 graded = singular._pair_graded(m, a, b, opts, 1e-8)
                 separable = inner_chi_s_pair(m, a, b)
                 assert abs(separable - graded) <= 1e-12 * max(abs(graded), 1.0)
+
+    def test_bases_of_two_corners_rejected(self):
+        # the graded rule integrates in the polar frame of one corner
+        m = mesh_hierarchy(builtin_domain("III", "B1"), 0)[0]
+        a = lshape_basis()
+        b = SingularBasis(a.beta, a.trig, (1.0, 0.0), a.frame_angle, a.omega)
+        with pytest.raises(ValueError, match="one corner"):
+            inner_chi_s_pair(m, a, b)
 
     def test_fallback_runs_when_predicate_fails(self, monkeypatch):
         calls = []
