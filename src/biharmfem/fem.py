@@ -20,41 +20,40 @@ class SolveError(RuntimeError):
 
 
 def _tri_geometry(mesh: TriMesh):
-    p = mesh.nodes[mesh.triangles]          # (T, 3, 2)
-    # edge vectors opposite each local node
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    area = 0.5 * (e[:, 2, 0] * (-e[:, 1, 1]) - e[:, 2, 1] * (-e[:, 1, 0]))
-    return p, e, area
+    """Edge vectors opposite each local node (T, 3, 2) and areas (T,);
+    raises on a degenerate or inverted triangle."""
+    tri = mesh.triangles
+    e = mesh.nodes[tri[:, [2, 0, 1]]]
+    e -= mesh.nodes[tri[:, [1, 2, 0]]]
+    area = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+    if np.any(area <= 0):
+        raise ValueError("degenerate or inverted triangle")
+    return e, area
 
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Exact P1 stiffness matrix (gradient inner products per triangle)."""
-    _, e, area = _tri_geometry(mesh)
-    if np.any(area <= 0):
-        raise ValueError("degenerate or inverted triangle")
+    e, area = _tri_geometry(mesh)
     # grad(phi_i) = rot90(e_i) / (2A); K_ij = (e_i . e_j) / (4A)
-    K = np.einsum("tia,tja->tij", e, e) / (4.0 * area)[:, None, None]
+    K = np.matmul(e, e.transpose(0, 2, 1))
+    del e
+    K /= (4.0 * area)[:, None, None]
     return _scatter(mesh, K)
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Exact P1 mass matrix: (A/12) * [[2,1,1],[1,2,1],[1,1,2]] per triangle."""
-    _, _, area = _tri_geometry(mesh)
-    if np.any(area <= 0):
-        raise ValueError("degenerate or inverted triangle")
+    area = _tri_geometry(mesh)[1]
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    M = area[:, None, None] * local[None, :, :]
-    return _scatter(mesh, M)
+    return _scatter(mesh, area[:, None, None] * local)
 
 
 def _scatter(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    A = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    )
-    return A.tocsr()
+    # int32 indices: scipy would copy int64 ones to int32
+    rows = np.repeat(mesh.triangles.astype(np.int32), 3, axis=1).ravel()
+    cols = rows.reshape(-1, 3, 3).transpose(0, 2, 1).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
 # Interior 3-point rule on the reference triangle: degree-2 exact, with no
@@ -75,14 +74,12 @@ def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
     grid meshes).  ``quad`` overrides the rule as (bary_points, weights).
     """
     bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
-    p, _, area = _tri_geometry(mesh)
-    b = np.zeros(mesh.n_nodes)
-    for lam, wk in zip(bary, w):
-        pts = np.einsum("i,tia->ta", lam, p)
-        fv = np.asarray(f(pts), dtype=float)
-        contrib = (wk * area)[:, None] * fv[:, None] * lam[None, :]
-        np.add.at(b, mesh.triangles, contrib)
-    return b
+    area = _tri_geometry(mesh)[1]
+    pts = np.einsum("qi,tia->tqa", bary, mesh.nodes[mesh.triangles])
+    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(len(area), -1)
+    contrib = (fv * (w * area[:, None])) @ bary     # (T, 3)
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 class DirectSolver:

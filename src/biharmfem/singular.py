@@ -14,18 +14,17 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   variable split at 0, tau*R and R and its angular variable split where
   the edge a->b crosses a circle, so each piece is smooth.  A ray of a
   piece takes one angular value and two radial moments, which give every
-  hat's load since a hat is affine along the ray.  lap(chi*s) vanishes
-  inside r = tau*R, so only the corner fans' segment [0, tau*R] is
-  singular; it takes a Gauss-Jacobi rule absorbing r**(-beta) per
-  distinct beta.  A straddling triangle's fans are clipped to its own
-  radial range, so they are short and thin and take fewer nodes.  Other
+  hat's load since a hat is affine along the ray.  On the corner fans'
+  singular segment [0, tau*R] chi = 1, so the ray moments are closed
+  forms.  A straddling triangle's fans are clipped to its own radial
+  range, so they are short and thin and take fewer nodes.  Other
   triangles use a collapsed Gauss rule on red-refinement children, split
   child by child toward q and across the cutoff band.
 - The Gram pair integral of (chi*s_a)*(chi*s_b).  When the disk B(q, R)
   meets the domain only inside the corner sector it separates: a radial
   factor (closed form on [0, tau*R], self-checked Gauss rule on
   [tau*R, R]) times a closed-form angular factor.  Otherwise the same
-  graded 2-D rule runs at two depths that must agree.
+  graded 2-D rule runs at two depths (one fan part) that must agree.
 
 A study integrates a corner's loads once, on its finest mesh; each coarser
 level's ``solver.LevelContext`` restricts them (``mesh.restrict``), since
@@ -40,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .geometry import PolygonDomain, classify_vertex, singular_exponents
 from .mesh import TriMesh
@@ -178,11 +177,10 @@ def corner_bases(domain: PolygonDomain, j: int,
 
 
 @functools.lru_cache(maxsize=32)
-def _gauss(n: int, alpha: float | None = None):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], or
-    with ``alpha`` of the Gauss-Jacobi rule for the weight (1 + x)**alpha;
-    computed once per (n, alpha) and shared, so the arrays are read-only."""
-    x, w = roots_legendre(n) if alpha is None else roots_jacobi(n, 0.0, alpha)
+def _gauss(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1];
+    computed once per n and shared, so the arrays are read-only."""
+    x, w = leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -234,7 +232,8 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     the sums of w*f, w*f*(x - q), signed like det(a-q, b-q).  Yields
     (fan, m0, m1) of shapes (n,), (rows, n), (rows, 2, n): Gauss-Legendre
     segments, then per gamma the segments from the corner (radii[k, 0] =
-    0), where Gauss-Jacobi absorbs u**(1-gamma) of f ~ r**(-gamma)."""
+    0), where each row is c*r**(-gamma) and its moments take closed
+    forms."""
     q = np.asarray(basis.origin)
     d, e = a - q, b - a
     two_area = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
@@ -264,23 +263,24 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     tl, wl = 0.5 * (xl + 1.0), 0.5 * wl
     corner = radii[fan, 0] == 0.0
     live = (u_at[..., 1:] > u_at[..., :-1]).any(axis=1)       # (P, S)
-    live[corner, 0] = False     # the segment from the corner: Gauss-Jacobi
+    live[corner, 0] = False     # the segment from the corner: closed form
     pi, si = np.nonzero(live)
     u0, u1 = u_at[pi, :, si, None], u_at[pi, :, si + 1, None]  # (n, A, 1)
     u = u0 + (u1 - u0) * tl
-    groups = [(pi, u, (u1 - u0) * wl * u, None)]
+    w = (u1 - u0) * wl * u
+    groups = [(pi, u, w, w * u, None)]
+    # on the corner segment [0, U], f = c*(u*|p|)**(-gamma): the moments of
+    # u*f and u*u*f are f(U/2)*2**-gamma times U**2/(2-gamma), U**3/(3-gamma)
     pi = np.flatnonzero(corner)
     u_end = u_at[pi, :, 1, None]       # where each corner segment ends
     for gamma in gammas:
-        xj, wj = _gauss(n_radial, 1.0 - gamma)
-        tj = 0.5 * (xj + 1.0)
-        # the [-1, 1] weight (1 + x)**(1 - gamma) -> u * u**(-gamma) on [0, 1]
-        wj = wj * 2.0 ** (gamma - 2.0) * tj**gamma
-        groups.append((pi, u_end * tj, u_end**2 * wj, gamma))
-    for pi, u, w, gamma in groups:
-        wf = w * radial(u * rho[pi, :, None], gamma)       # (rows, n, A, L)
-        ray0 = wf.sum(axis=-1) * phi[:, pi]
-        ray1 = (wf * u).sum(axis=-1) * phi[:, pi]
+        w = 2.0**-gamma * u_end**2
+        groups.append((pi, 0.5 * u_end, w / (2.0 - gamma),
+                       w * u_end / (3.0 - gamma), gamma))
+    for pi, u, w0, w1, gamma in groups:
+        f = radial(u * rho[pi, :, None], gamma)            # (rows, n, A, L)
+        ray0 = (w0 * f).sum(axis=-1) * phi[:, pi]
+        ray1 = (w1 * f).sum(axis=-1) * phi[:, pi]
         yield fan[pi], ray0.sum(axis=-1), \
             (ray1[:, None] * p[:, pi]).sum(axis=-1)
 
@@ -316,21 +316,24 @@ def _graded_cells(q, corners, cell, dist, h, band,
 
 def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                       n_rows: int, gammas, radii, opts: GradedQuadratureOptions,
-                      kinks: tuple = (), depth_bump: int = 0) -> np.ndarray:
+                      kinks: tuple = (), depth_bumps: tuple = (0,)) -> np.ndarray:
     """Integrate ``n_rows`` integrands radial(r, gamma) * angular(theta) in
     the polar frame of ``basis`` (each callable gives (n_rows, *shape)
     values), supported in radii[0] <= r <= radii[-1] and smooth between
-    consecutive radii, against all P1 hats: an (n_rows, n_nodes) array.
-    gamma is None on nodes every row shares; on the corner fans' first
-    segment [0, radii[1]] it is the exponent of the Gauss-Jacobi rule that
-    made the nodes, one of ``gammas``, and a row counts there only if it
-    is singular like r**(-gamma) at q (radial values 0 otherwise).
-    Triangles at q or straddling a circle r = c, c in ``kinks``, go
-    through the fan rule; the rest through a collapsed rule on children
-    graded toward q and across the band radii[-2] <= r <= radii[-1]."""
+    consecutive radii, against all P1 hats: a (len(depth_bumps), n_rows,
+    n_nodes) array, one collapsed-rule grading per depth bump.  gamma is
+    None on nodes every row shares; on the corner fans' first segment
+    [0, radii[1]] it is one of ``gammas``, and a row counts there only if
+    it is c*r**(-gamma) there (radial values 0 otherwise).  Triangles at q
+    or straddling a circle r = c, c in ``kinks``, go through the fan rule;
+    the rest through a collapsed rule on children graded toward q and
+    across the band radii[-2] <= r <= radii[-1]."""
     q = np.asarray(basis.origin)
-    tri_pts = mesh.nodes[mesh.triangles]
-    vert_d = np.linalg.norm(tri_pts - q, axis=2)
+    # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max
+    vert_d = np.linalg.norm(mesh.nodes - q, axis=1)[mesh.triangles]
+    near = vert_d.min(axis=1) < radii[-1] + mesh.max_edge_length()
+    triangles, vert_d = mesh.triangles[near], vert_d[near]
+    tri_pts = mesh.nodes[triangles]
     dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
                    for i in range(3)], axis=0)
     r_max = vert_d.max(axis=1)
@@ -346,11 +349,11 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     h = np.max([np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1),
                 np.linalg.norm(e2 - e1, axis=1)], axis=0)
 
-    out = np.zeros((n_rows, mesh.n_nodes))
+    out = np.zeros((len(depth_bumps), n_rows, mesh.n_nodes))
 
-    def scatter(rows, tri):     # per row of out, per-triangle (T, 3) -> nodes
-        nodes = mesh.triangles[tri].ravel()
-        for load, row in zip(out, rows):
+    def scatter(dest, rows, tri):   # per row of dest, per-triangle (T, 3) -> nodes
+        nodes = triangles[tri].ravel()
+        for load, row in zip(dest, rows):
             np.add.at(load, nodes, row.ravel())
 
     # fan rule over each edge (a, b) of the triangle, skipping edges at q.
@@ -382,24 +385,27 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                 rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
                 l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
                 l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
-                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1)
+                scatter(out[0], np.stack([m0 - l2 - l3, l2, l3], axis=-1)
                         * np.sign(det[tri])[:, None], tri)
+    out[1:] = out[0]        # the fan rule does not depend on the grading
 
     # collapsed rule on graded children, one shared template at depth 0
     lam, w = _collapsed_rule(opts.n_gauss)
-    for depth, cell, sub in _graded_cells(q, tri_pts, np.flatnonzero(support & ~fan),
-                                          dist, h, radii[-2:], opts, depth_bump):
-        for s in range(0, len(cell), _CELL_CHUNK):
-            tri = cell[s:s + _CELL_CHUNK]
-            corners = tri_pts[tri] if sub is None \
-                else sub[s:s + _CELL_CHUNK] @ tri_pts[tri]
-            r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
-            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
-            # (n_rows, T, 3) loads of the leaf's corners
-            loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
-            if sub is not None:
-                loads = (loads[..., None] * sub[s:s + _CELL_CHUNK]).sum(axis=-2)
-            scatter(loads, tri)
+    cells = np.flatnonzero(support & ~fan)
+    for bump, bump_out in zip(depth_bumps, out):
+        for depth, cell, sub in _graded_cells(q, tri_pts, cells, dist, h,
+                                              radii[-2:], opts, bump):
+            for s in range(0, len(cell), _CELL_CHUNK):
+                tri = cell[s:s + _CELL_CHUNK]
+                corners = tri_pts[tri] if sub is None \
+                    else sub[s:s + _CELL_CHUNK] @ tri_pts[tri]
+                r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
+                vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
+                # (n_rows, T, 3) loads of the leaf's corners
+                loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
+                if sub is not None:
+                    loads = (loads[..., None] * sub[s:s + _CELL_CHUNK]).sum(axis=-2)
+                scatter(bump_out, loads, tri)
     return out
 
 
@@ -409,14 +415,10 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
     every basis of one corner, from one quadrature pass (see the module
     docstring): two (k, n_nodes) arrays, row i for bases[i]."""
     opts = opts or GradedQuadratureOptions()
-    first = bases[0]
-    def frame(b):
-        return b.origin, b.frame_angle, b.omega, b.cutoff
-
-    if any(frame(b) != frame(first) for b in bases):
+    if len({(b.origin, b.frame_angle, b.omega, b.cutoff) for b in bases}) > 1:
         raise ValueError("corner_loads takes the bases of one corner")
+    first, k = bases[0], len(bases)
     spec = first.cutoff
-    k = len(bases)
 
     def radial(r, gamma):
         # rows 0..k-1: lap(chi*s) = (chi'' + (1 - 2*beta)*chi'/r) * s (s is
@@ -437,7 +439,7 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
     loads = _graded_integrate(mesh, first, radial, angular, 2 * k,
                               sorted({b.beta for b in bases}),
                               (0.0, spec.inner, spec.R), opts,
-                              kinks=(spec.inner, spec.R))
+                              kinks=(spec.inner, spec.R))[0]
     return loads[:k], loads[k:]
 
 
@@ -520,12 +522,11 @@ def _pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
         return (basis_a.angular(theta) * basis_b.angular(theta))[None]
 
     r_hi = min(basis_a.cutoff.R, basis_b.cutoff.R)
-    radii = (0.0, min(basis_a.cutoff.inner, r_hi), r_hi)
+    radii = (0.0, min(basis_a.cutoff.inner, basis_b.cutoff.inner, r_hi), r_hi)
     # the P1 hats sum to 1, so the nodal integrals sum to the integral
-    coarse, fine = (_graded_integrate(mesh, basis_a, radial, angular, 1,
-                                      (gamma,), radii, opts,
-                                      depth_bump=bump).sum()
-                    for bump in (0, 1))
+    coarse, fine = (out.sum() for out in _graded_integrate(
+        mesh, basis_a, radial, angular, 1, (gamma,), radii, opts,
+        depth_bumps=(0, 1)))
     # absolute floor of 1: distinct angular modes are orthogonal over the
     # sector, so entries can vanish identically while the natural scale of
     # the quadrature stays O(1)

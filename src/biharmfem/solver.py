@@ -92,9 +92,10 @@ class LevelContext:
             return np.zeros(self.mesh.n_nodes)
         if "dirichlet" not in self._cache:
             free = np.flatnonzero(~self.mesh.dirichlet_nodes)
+            # every formulation needs M: assemble it before the factor
+            A, _ = self.stiffness, self.mass
             self._cache["dirichlet"] = fem.DirectSolver(
-                self.stiffness, self.tol,
-                free[nested_dissection(self.mesh, free)])
+                A, self.tol, free[nested_dissection(self.mesh, free)])
         return self._cache["dirichlet"](rhs)
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:

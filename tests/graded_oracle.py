@@ -11,14 +11,23 @@ that rule, on the same integrands.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy.special import roots_jacobi, roots_legendre
 
 from biharmfem.singular import (GradedQuadratureOptions, QuadratureError,
-                                _collapsed_rule, _gauss, _segment_dist,
-                                chi_derivs)
+                                _collapsed_rule, _segment_dist, chi_derivs)
 
 _FAN_CHUNK = 256      # fan triangles per batch of quadrature points
 _CELL_CHUNK = 2048    # graded cells per batch
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss(n: int, alpha: float | None = None):
+    """The n-point Gauss-Legendre rule on [-1, 1], or with ``alpha`` the
+    Gauss-Jacobi rule for the weight (1 + x)**alpha."""
+    return roots_legendre(n) if alpha is None else roots_jacobi(n, 0.0, alpha)
 
 
 def _subdivision_templates(depth: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import dblquad
 
 from biharmfem import fem
-from biharmfem.geometry import BCType, PolygonDomain, builtin_domain
+from biharmfem.geometry import BCType, BUILTIN_NAMES, PolygonDomain, builtin_domain
 from biharmfem.mesh import TriMesh, nested_dissection
 from biharmfem.singular import _collapsed_rule
 from biharmfem.solver import LevelContext
-from biharmfem.sources import quadrant_step, square_eigen
+from biharmfem.sources import const1, quadrant_step, square_eigen
+import assembly_oracle
 from conftest import mesh_hierarchy, unit_square
 
 TOL = 1e-10     # relative residual every direct solve must reach
@@ -126,6 +128,57 @@ class TestLoad:
         rng = np.random.default_rng(3)
         for node in rng.choice(m.n_nodes, size=5, replace=False):
             assert b[node] == pytest.approx(hat_integral(int(node)), abs=1e-8)
+
+
+def csr_bytes(A):
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
+class TestAssemblyOracle:
+    """The P1 assembly against the einsum, int64-COO and per-point np.add.at
+    code it replaced (tests/assembly_oracle.py)."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_matrices_identical(self, name):
+        for m in mesh_hierarchy(builtin_domain(name, "B3"), 4):
+            for fn in ("assemble_stiffness", "assemble_mass"):
+                got = getattr(fem, fn)(m)
+                ref = getattr(assembly_oracle, fn)(m)
+                assert got.format == "csr" and got.shape == ref.shape
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, part),
+                                          getattr(ref, part)), (m.level, fn)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_loads_agree(self, name):
+        for m in mesh_hierarchy(builtin_domain(name, "B3"), 4):
+            for f in (const1, quadrant_step, square_eigen):
+                for quad in (None, _collapsed_rule(3)):
+                    got = fem.assemble_load(m, f, quad)
+                    ref = assembly_oracle.assemble_load(m, f, quad)
+                    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                    assert err <= 1e-15, (m.level, f.__name__, err)
+
+    @pytest.mark.parametrize("fn", ["assemble_stiffness", "assemble_mass"])
+    def test_traced_peak_bounded_by_result(self, fn):
+        # about 6.9x the matrix's bytes at level 5, at the CSR conversion
+        # of the element matrices with int32 COO indices; an int64 index
+        # copy or a (T, 3, 3) temporary live during the scatter exceeds 7.5x
+        m = mesh_hierarchy(builtin_domain("IV", "B3"), 5)[-1]
+        tracemalloc.start()
+        try:
+            A = getattr(fem, fn)(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * csr_bytes(A), peak / csr_bytes(A)
+
+    def test_inverted_triangle_rejected(self):
+        m = single_triangle_mesh()
+        m = TriMesh(m.domain, m.nodes, m.triangles[:, ::-1], m.boundary_edges)
+        for fn in (fem.assemble_stiffness, fem.assemble_mass):
+            with pytest.raises(ValueError, match="degenerate"):
+                fn(m)
 
 
 class TestDirichlet:

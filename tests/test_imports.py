@@ -1,11 +1,15 @@
 """Every name a module imports is used in that module.
 
 Package ``__init__.py`` files are exempt (their imports are re-exports), and
-so are ``from __future__`` imports.
+so are ``from __future__`` imports.  The CLI does not import
+``scipy.special``, which would add tens of milliseconds to every run.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +41,13 @@ def test_scanner_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_scipy_special():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, biharmfem.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -396,18 +396,18 @@ class TestOneQuadraturePass:
 
     def test_gauss_rules_computed_once_and_read_only(self, monkeypatch):
         calls = []
-        for name in ("roots_legendre", "roots_jacobi"):
-            def spy(*args, fn=getattr(singular, name), name=name):
-                calls.append((name, *args))
-                return fn(*args)
-            monkeypatch.setattr(singular, name, spy)
+
+        def spy(n, fn=singular.leggauss):
+            calls.append(n)
+            return fn(n)
+        monkeypatch.setattr(singular, "leggauss", spy)
         singular._gauss.cache_clear()
         dom = builtin_domain("IV", "B3")
         for m in mesh_hierarchy(dom, 2):
             corner_loads(m, corner_bases(dom, 0))
-        # Legendre for 24, 12 and 8 nodes and the collapsed rule; Jacobi
-        # for each beta at each fan order
-        assert len(set(calls)) == len(calls) == 10
+        # 24, 12 and 8 nodes on the fans, 6 for the collapsed rule; the
+        # corner segments take closed forms
+        assert sorted(calls) == [6, 8, 12, 24]
         x, w = singular._gauss(24)
         with pytest.raises(ValueError):
             x[0] = 0.0
@@ -447,6 +447,71 @@ class TestPointFormOracle:
                     got = singular._pair_graded(m, a, b, opts, 1e-8)
                     ref = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
                     assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+class TestPassPreamble:
+    """The pass computes its per-triangle geometry only for triangles with
+    a vertex within radii[-1] + h_max of q; the loads equal those of the
+    whole-mesh preamble (h_max = inf selects every triangle)."""
+
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2),
+                                        CutoffSpec(0.125, 2.5)])
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"),
+                                         ("III", "B1"), ("I", "B3")])
+    def test_loads_equal_whole_mesh_preamble(self, name, bc, cutoff, monkeypatch):
+        dom = builtin_domain(name, bc)
+        bases = corner_bases(dom, 0, cutoff)
+        for m in mesh_hierarchy(dom, 4):
+            got = corner_loads(m, bases)
+            with monkeypatch.context() as mp:
+                mp.setattr(TriMesh, "max_edge_length", lambda self: math.inf)
+                ref = corner_loads(m, bases)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r), m.level
+
+
+class TestPairFanOnce:
+    """The pair fallback's two gradings share one fan-rule part."""
+
+    def test_fan_part_computed_once(self, monkeypatch):
+        dom = builtin_domain("III", "B5")
+        bases = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
+        opts = GradedQuadratureOptions()
+        calls = collections.Counter()
+        fan_moments = singular._fan_moments
+
+        def spy(*args):
+            calls["fan"] += 1
+            return fan_moments(*args)
+        monkeypatch.setattr(singular, "_fan_moments", spy)
+        for m in mesh_hierarchy(dom, 3):
+            for i, a in enumerate(bases):
+                for b in bases[i:]:
+                    gamma = a.beta + b.beta
+
+                    def radial(r, _gamma, a=a, b=b, gamma=gamma):
+                        return (chi(r, a.cutoff) * chi(r, b.cutoff)
+                                * r ** (-gamma))[None]
+
+                    def angular(theta, a=a, b=b):
+                        return (a.angular(theta) * b.angular(theta))[None]
+                    radii = (0.0, a.cutoff.inner, a.cutoff.R)
+                    calls.clear()
+                    apart = [singular._graded_integrate(
+                        m, a, radial, angular, 1, (gamma,), radii, opts,
+                        depth_bumps=(bump,))[0] for bump in (0, 1)]
+                    assert calls["fan"] > 0
+                    one_pass = calls["fan"] / 2
+                    calls.clear()
+                    both = singular._graded_integrate(
+                        m, a, radial, angular, 1, (gamma,), radii, opts,
+                        depth_bumps=(0, 1))
+                    assert calls["fan"] == one_pass
+                    assert np.array_equal(both, np.array(apart))
+                    calls.clear()
+                    pair = singular._pair_graded(m, a, b, opts, 1e-8)
+                    assert calls["fan"] == one_pass
+                    assert pair == float(apart[1].sum())
 
 
 def _fails_grading(q, corners, h, band, opts, bump):
@@ -538,9 +603,9 @@ class TestEvaluationCounts:
     points."""
 
     @pytest.mark.parametrize("name,bc,level,expected", [
-        ("IV", "B3", 2, {"fan rays": 4368, "radial nodes": 45696,
+        ("IV", "B3", 2, {"fan rays": 4368, "radial nodes": 37968,
                          "collapsed points": 170604}),
-        ("III", "B5", 4, {"fan rays": 17064, "radial nodes": 194976,
+        ("III", "B5", 4, {"fan rays": 17064, "radial nodes": 191664,
                           "collapsed points": 226584})])
     def test_pinned(self, name, bc, level, expected, monkeypatch):
         counts = collections.Counter()

@@ -209,6 +209,23 @@ class TestQuadratureCache:
         per_function = Counter(name for name, _, _ in calls)
         assert per_function == {"corner_loads": 1, "inner_chi_s_pair": 9}
 
+    @pytest.mark.parametrize("bc", ["B1", "B5"])
+    def test_mass_assembled_before_the_factor(self, bc, monkeypatch):
+        # M's assembly transients never sit on top of a live factor
+        contexts, built = [], []
+        direct_solver = fem.DirectSolver
+
+        def checked(*args, **kw):
+            built.append(all("M" in ctx._cache for ctx in contexts))
+            return direct_solver(*args, **kw)
+
+        monkeypatch.setattr(fem, "DirectSolver", checked)
+        source = quadrant_step if bc == "B5" else const1
+        for m in mesh_hierarchy(builtin_domain("III", bc), 2):
+            contexts.append(LevelContext(m))
+            solve_naive(contexts[-1], source)
+        assert built == [True] * 3
+
     def test_level_without_finest_integrates_its_own_mesh(self, monkeypatch):
         # a single-level solve, as the solve command runs it
         levels = []
