@@ -76,6 +76,10 @@ class PolygonDomain:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
             raise DomainError("vertices must be an (n, 2) array with n >= 3")
+        for j, (x, y) in enumerate(verts):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DomainError(f"vertex {j} has a non-finite coordinate "
+                                  f"({x}, {y})")
         object.__setattr__(self, "vertices", verts)
         if len(self.tags) != len(verts):
             raise DomainError("need one edge tag per vertex")

@@ -20,16 +20,15 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   range, so they are short and thin and take fewer nodes.  Other
   triangles use a collapsed Gauss rule on red-refinement children, split
   child by child toward q and across the cutoff band.
-- The Gram pair integral of (chi*s_a)*(chi*s_b).  When the disk B(q, R)
-  meets the domain only inside the corner sector it separates: a radial
-  factor (closed form on [0, tau*R], self-checked Gauss rule on
-  [tau*R, R]) times a closed-form angular factor.  Otherwise the same
-  graded 2-D rule runs at two depths (one fan part) that must agree.
+- The Gram pair integral of (chi*s_a)*(chi*s_b) takes the same fan rule
+  over the triangles (q, a, b) of the domain's edges away from q, at two
+  orders that must agree.  The fans tile the domain when it is
+  star-shaped from q, which holds for every domain the solver takes.
 
 A study integrates a corner's loads once, on its finest mesh; each coarser
 level's ``solver.LevelContext`` restricts them (``mesh.restrict``), since
-the P1 spaces of uniform refinement are nested.  Pair integrals are
-cached per mesh level.
+the P1 spaces of uniform refinement are nested.  Pair integrals depend on
+the domain only, so a study computes them once.
 """
 
 from __future__ import annotations
@@ -49,11 +48,7 @@ _CELL_CHUNK = 512     # graded leaves per batch
 
 
 class QuadratureError(RuntimeError):
-    """Graded quadrature failed to reach its accuracy target."""
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
+    """Singular quadrature failed to reach its accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,8 @@ class GradedQuadratureOptions:
     max_depth: int = 8
     # fan-rule nodes of the corner fans per radial segment and angular piece;
     # the thin fans of triangles away from q take 1/2 or 1/3 of them (or
-    # all while h_T > dist_T/2).  n_radial also sets the pair radial rule.
+    # all while h_T > dist_T/2).  The pair integral's fans take all of them,
+    # and twice that for its self-check.
     n_radial: int = 24
     n_angular: int = 24
 
@@ -286,22 +282,22 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
 
 
 def _graded_cells(q, corners, cell, dist, h, band,
-                  opts: GradedQuadratureOptions, depth_bump: int = 0):
+                  opts: GradedQuadratureOptions):
     """Red-refine the triangles corners[cell] (corners: (n, 3, 2), with
     distances ``dist`` to q and diameters ``h``), child by child while a
     child fails the near test near_ratio*h <= dist or, meeting the band
-    (inner, outer), the test h <= (outer - inner)/n_feature; depth_bump
-    halves both thresholds per unit, and max_depth caps the depth.  Yields
-    (depth, cell, bary) per depth: the leaves' triangles and their corners'
-    barycentric coordinates (m, 3, 3) in it, None at depth 0."""
+    (inner, outer), the test h <= (outer - inner)/n_feature; max_depth
+    caps the depth.  Yields (depth, cell, bary) per depth: the leaves'
+    triangles and their corners' barycentric coordinates (m, 3, 3) in it,
+    None at depth 0."""
     inner, outer = band
-    feat = (outer - inner) / opts.n_feature / 2.0**depth_bump
+    feat = (outer - inner) / opts.n_feature
     dist = dist[cell]
     bary = np.broadcast_to(np.eye(3), (len(cell), 3, 3))
     for depth in range(opts.max_depth + 1):
         hd = h[cell] / 2**depth
         in_band = (dist < outer + hd) & (dist + hd > inner - hd)
-        split = (opts.near_ratio * 2.0**depth_bump * hd > dist) | in_band & (hd > feat)
+        split = (opts.near_ratio * hd > dist) | in_band & (hd > feat)
         split &= depth < opts.max_depth
         yield depth, cell[~split], bary[~split] if depth else None
         c0, c1, c2 = np.moveaxis(bary[split], 1, 0)
@@ -316,18 +312,18 @@ def _graded_cells(q, corners, cell, dist, h, band,
 
 def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                       n_rows: int, gammas, radii, opts: GradedQuadratureOptions,
-                      kinks: tuple = (), depth_bumps: tuple = (0,)) -> np.ndarray:
+                      kinks: tuple = ()) -> np.ndarray:
     """Integrate ``n_rows`` integrands radial(r, gamma) * angular(theta) in
     the polar frame of ``basis`` (each callable gives (n_rows, *shape)
     values), supported in radii[0] <= r <= radii[-1] and smooth between
-    consecutive radii, against all P1 hats: a (len(depth_bumps), n_rows,
-    n_nodes) array, one collapsed-rule grading per depth bump.  gamma is
-    None on nodes every row shares; on the corner fans' first segment
-    [0, radii[1]] it is one of ``gammas``, and a row counts there only if
-    it is c*r**(-gamma) there (radial values 0 otherwise).  Triangles at q
-    or straddling a circle r = c, c in ``kinks``, go through the fan rule;
-    the rest through a collapsed rule on children graded toward q and
-    across the band radii[-2] <= r <= radii[-1]."""
+    consecutive radii, against all P1 hats: an (n_rows, n_nodes) array,
+    one load per row.  gamma is None on nodes every row shares; on the
+    corner fans' first segment [0, radii[1]] it is one of ``gammas``, and a
+    row counts there only if it is c*r**(-gamma) there (radial values 0
+    otherwise).  Triangles at q or straddling a circle r = c, c in
+    ``kinks``, go through the fan rule; the rest through a collapsed rule
+    on children graded toward q and across the band radii[-2] <= r <=
+    radii[-1]."""
     q = np.asarray(basis.origin)
     # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max
     vert_d = np.linalg.norm(mesh.nodes - q, axis=1)[mesh.triangles]
@@ -349,11 +345,11 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     h = np.max([np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1),
                 np.linalg.norm(e2 - e1, axis=1)], axis=0)
 
-    out = np.zeros((len(depth_bumps), n_rows, mesh.n_nodes))
+    out = np.zeros((n_rows, mesh.n_nodes))
 
-    def scatter(dest, rows, tri):   # per row of dest, per-triangle (T, 3) -> nodes
+    def scatter(rows, tri):     # per row of out, per-triangle (T, 3) -> nodes
         nodes = triangles[tri].ravel()
-        for load, row in zip(dest, rows):
+        for load, row in zip(out, rows):
             np.add.at(load, nodes, row.ravel())
 
     # fan rule over each edge (a, b) of the triangle, skipping edges at q.
@@ -385,27 +381,25 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                 rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
                 l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
                 l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
-                scatter(out[0], np.stack([m0 - l2 - l3, l2, l3], axis=-1)
+                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1)
                         * np.sign(det[tri])[:, None], tri)
-    out[1:] = out[0]        # the fan rule does not depend on the grading
 
     # collapsed rule on graded children, one shared template at depth 0
     lam, w = _collapsed_rule(opts.n_gauss)
     cells = np.flatnonzero(support & ~fan)
-    for bump, bump_out in zip(depth_bumps, out):
-        for depth, cell, sub in _graded_cells(q, tri_pts, cells, dist, h,
-                                              radii[-2:], opts, bump):
-            for s in range(0, len(cell), _CELL_CHUNK):
-                tri = cell[s:s + _CELL_CHUNK]
-                corners = tri_pts[tri] if sub is None \
-                    else sub[s:s + _CELL_CHUNK] @ tri_pts[tri]
-                r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
-                vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
-                # (n_rows, T, 3) loads of the leaf's corners
-                loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
-                if sub is not None:
-                    loads = (loads[..., None] * sub[s:s + _CELL_CHUNK]).sum(axis=-2)
-                scatter(bump_out, loads, tri)
+    for depth, cell, sub in _graded_cells(q, tri_pts, cells, dist, h,
+                                          radii[-2:], opts):
+        for s in range(0, len(cell), _CELL_CHUNK):
+            tri = cell[s:s + _CELL_CHUNK]
+            corners = tri_pts[tri] if sub is None \
+                else sub[s:s + _CELL_CHUNK] @ tri_pts[tri]
+            r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
+            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
+            # (n_rows, T, 3) loads of the leaf's corners
+            loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
+            if sub is not None:
+                loads = (loads[..., None] * sub[s:s + _CELL_CHUNK]).sum(axis=-2)
+            scatter(loads, tri)
     return out
 
 
@@ -439,7 +433,7 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
     loads = _graded_integrate(mesh, first, radial, angular, 2 * k,
                               sorted({b.beta for b in bases}),
                               (0.0, spec.inner, spec.R), opts,
-                              kinks=(spec.inner, spec.R))[0]
+                              kinks=(spec.inner, spec.R))
     return loads[:k], loads[k:]
 
 
@@ -457,98 +451,45 @@ def load_chi_s(mesh: TriMesh, basis: SingularBasis,
     return corner_loads(mesh, [basis], opts)[1][0]
 
 
-def cutoff_disk_in_sector(domain: PolygonDomain, basis: SingularBasis) -> bool:
-    """True when the disk B(q, R) meets the domain only inside the corner
-    sector: both edges at q are at least R long and every other edge is at
-    least R from q.  The pair integral then separates in polar coordinates."""
-    q, R = np.array(basis.origin), basis.cutoff.R
-    a = domain.vertices
-    b = np.roll(a, -1, axis=0)                  # edge i runs a[i] -> b[i]
-    at_q = (np.linalg.norm(a - q, axis=1) < 1e-12) \
-        | (np.linalg.norm(b - q, axis=1) < 1e-12)
-    return bool(at_q.sum() == 2
-                and np.all(np.linalg.norm(b - a, axis=1)[at_q] >= R)
-                and np.all(_segment_dist(q, a[~at_q], b[~at_q]) >= R))
-
-
-def _angular_product(basis_a: SingularBasis, basis_b: SingularBasis) -> float:
-    """Closed form of the integral of Phi_a * Phi_b over (0, omega), with
-    Phi = cos(beta*theta - phase), phase pi/2 for sin."""
-    omega = basis_a.omega
-
-    def int_cos(k, phase):      # integral of cos(k*theta - phase)
-        return (math.cos(phase) * omega * np.sinc(k * omega / math.pi)
-                + math.sin(phase) * 0.5 * k * omega**2
-                * np.sinc(k * omega / (2.0 * math.pi))**2)
-
-    pa, pb = (0.5 * math.pi * (b.trig == "sin") for b in (basis_a, basis_b))
-    ba, bb = basis_a.beta, basis_b.beta
-    return float(0.5 * (int_cos(ba - bb, pa - pb) + int_cos(ba + bb, pa + pb)))
-
-
-def _pair_separable(basis_a: SingularBasis, basis_b: SingularBasis,
-                    n: int, target: float) -> float:
-    """Radial times angular factor: chi = 1 gives a closed form on
-    [0, tau*R]; on [tau*R, R] Gauss rules of n and 2n points must agree."""
-    spec = basis_a.cutoff
-    gamma = basis_a.beta + basis_b.beta
-    half = 0.5 * (spec.R - spec.inner)
-
-    def band(m):
-        x, w = _gauss(m)
-        r = spec.inner + half * (x + 1.0)
-        return half * float(np.sum(w * chi(r, spec) ** 2 * r ** (1.0 - gamma)))
-
-    coarse, fine = band(n), band(2 * n)
-    radial = spec.inner ** (2.0 - gamma) / (2.0 - gamma) + fine
-    if abs(fine - coarse) > target * radial:
-        raise QuadratureError(
-            f"pair radial rule disagreement {abs(fine - coarse) / radial:.3e} "
-            f"exceeds target {target:.1e}", radial)
-    return radial * _angular_product(basis_a, basis_b)
-
-
-def _pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
-                 opts: GradedQuadratureOptions, target: float) -> float:
-    """The pair integral by the graded 2-D rule, computed at two depths
-    that must agree to the target."""
-    gamma = basis_a.beta + basis_b.beta
+def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
+                     opts: GradedQuadratureOptions | None = None) -> float:
+    """Integral of (chi*s_a)(chi*s_b) over the domain of ``mesh`` (the mesh
+    itself is not used): the sum of the fan rule over the triangles
+    (q, a, b) of the domain's edges a -> b away from q, at the corner fans'
+    n_radial x n_angular nodes and at twice that, which must agree.  The
+    fans tile the domain when it is star-shaped from q.  Every reflex vertex
+    is singular and the solver takes one singular vertex, so that holds
+    for each domain it integrates; elsewhere a fan leaves the domain and
+    crosses the branch cut of theta, and the two orders disagree."""
+    opts = opts or GradedQuadratureOptions()
+    if any(getattr(basis_a, name) != getattr(basis_b, name)
+           for name in ("origin", "frame_angle", "omega", "cutoff")):
+        raise ValueError("inner_chi_s_pair takes the bases of one corner")
+    spec, gamma = basis_a.cutoff, basis_a.beta + basis_b.beta
 
     def radial(r, _gamma):      # one integrand, singular like r**(-gamma)
-        return (chi(r, basis_a.cutoff) * chi(r, basis_b.cutoff)
-                * r ** (-gamma))[None]
+        return (chi(r, spec) ** 2 * r ** (-gamma))[None]
 
     def angular(theta):
         return (basis_a.angular(theta) * basis_b.angular(theta))[None]
 
-    r_hi = min(basis_a.cutoff.R, basis_b.cutoff.R)
-    radii = (0.0, min(basis_a.cutoff.inner, basis_b.cutoff.inner, r_hi), r_hi)
-    # the P1 hats sum to 1, so the nodal integrals sum to the integral
-    coarse, fine = (out.sum() for out in _graded_integrate(
-        mesh, basis_a, radial, angular, 1, (gamma,), radii, opts,
-        depth_bumps=(0, 1)))
+    q = np.array(basis_a.origin)
+    a = mesh.domain.vertices
+    b = np.roll(a, -1, axis=0)                  # edge i runs a[i] -> b[i]
+    away = (np.linalg.norm(a - q, axis=1) > 1e-12) \
+        & (np.linalg.norm(b - q, axis=1) > 1e-12)
+    radii = np.tile((0.0, spec.inner, spec.R), (int(away.sum()), 1))
+    coarse, fine = (
+        sum(float(m0.sum()) for _, m0, _ in _fan_moments(
+            basis_a, a[away], b[away], radii, radial, angular, (gamma,),
+            k * opts.n_radial, k * opts.n_angular))
+        for k in (1, 2))
     # absolute floor of 1: distinct angular modes are orthogonal over the
     # sector, so entries can vanish identically while the natural scale of
     # the quadrature stays O(1)
     scale = max(abs(fine), 1.0)
-    if abs(fine - coarse) > 10 * target * scale:
+    if abs(fine - coarse) > 1e-8 * scale:
         raise QuadratureError(
             f"pair quadrature disagreement {abs(fine - coarse) / scale:.3e} "
-            f"exceeds target {target:.1e}", fine)
-    return float(fine)
-
-
-def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
-                     opts: GradedQuadratureOptions | None = None,
-                     target: float = 1e-8) -> float:
-    """Integral of (chi*s_a)(chi*s_b) over the domain: separable when both
-    functions share a corner sector that holds the cutoff disk's part of
-    the domain, else the graded 2-D rule."""
-    opts = opts or GradedQuadratureOptions()
-    if any(getattr(basis_a, name) != getattr(basis_b, name)
-           for name in ("origin", "frame_angle", "omega")):
-        raise ValueError("inner_chi_s_pair takes the bases of one corner")
-    if basis_a.cutoff == basis_b.cutoff \
-            and cutoff_disk_in_sector(mesh.domain, basis_a):
-        return _pair_separable(basis_a, basis_b, opts.n_radial, target)
-    return _pair_graded(mesh, basis_a, basis_b, opts, target)
+            "exceeds 1e-8 (is the domain star-shaped from the corner?)")
+    return fine

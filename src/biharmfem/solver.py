@@ -59,8 +59,8 @@ class LevelContext:
     ``factor_nnz`` and ``residual_max`` report the Poisson factor's fill
     and the worst relative residual of its solves.  ``finest``, the
     context of a finer level of the same hierarchy, supplies the singular
-    loads: they are integrated once on its mesh and restricted to this
-    one."""
+    loads, integrated once on its mesh and restricted to this one, and the
+    pair integrals, which depend on the domain only."""
 
     mesh: TriMesh
     tol: float = 1e-10
@@ -257,7 +257,8 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
             val = float(zetas[a] @ (ctx.mass @ zetas[b]))
             val += float(zetas[a] @ chi_s_loads[b])
             val += float(zetas[b] @ chi_s_loads[a])
-            val += ctx.quadrature(inner_chi_s_pair, bases[a], bases[b])
+            val += (ctx.finest or ctx).quadrature(inner_chi_s_pair,
+                                                  bases[a], bases[b])
             gram[a, b] = gram[b, a] = val
     rhs = np.array([
         float(w @ (ctx.mass @ z)) + float(w @ bs)

@@ -5,8 +5,9 @@ It evaluates the integrand at every quadrature point: the fan rule gives
 each point of each Duffy ray its own polar coordinates, cutoff, angular
 factor and barycentric coordinates, and the collapsed rule refines every
 child of a graded cell to the depth its cell needs (4**depth children).
-``corner_loads`` and ``pair_graded`` are the singular module's callers of
-that rule, on the same integrands.
+``corner_loads`` is the singular module's caller of that rule, on the same
+integrands; ``pair_graded`` is the graded 2-D pair rule that the fan rule
+over the domain's edges (``singular.inner_chi_s_pair``) replaced.
 """
 
 from __future__ import annotations
@@ -260,5 +261,5 @@ def pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
     if abs(fine - coarse) > 10 * target * scale:
         raise QuadratureError(
             f"pair quadrature disagreement {abs(fine - coarse) / scale:.3e} "
-            f"exceeds target {target:.1e}", fine)
+            f"exceeds target {target:.1e}")
     return float(fine)

@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import warnings
 
 import pytest
 
@@ -205,3 +206,19 @@ class TestDomainResolution:
 def test_non_finite_setting_is_config_error(cmd, flag, value, capsys):
     assert main([cmd, "--domain", "III", *LEVEL_1[cmd], flag, value]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("cmd", sorted(LEVEL_1))
+@pytest.mark.parametrize("coordinate, shown", [("nan", "nan"), ("1e400", "inf")])
+def test_non_finite_vertex_is_config_error(cmd, coordinate, shown, tmp_path,
+                                           capsys):
+    domain = tmp_path / "sq.txt"
+    domain.write_text(SQUARE.replace("1 1\n", f"{coordinate} 1\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--domain-file", str(domain), *LEVEL_1[cmd]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex 2 has a non-finite coordinate")
+    assert f"({shown}, 1.0)" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biharmfem import singular
-from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, DomainError,
-                                builtin_domain, perp_dimension)
-from biharmfem.mesh import TriMesh, restrict
+from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, BCType, DomainError,
+                                PolygonDomain, builtin_domain, perp_dimension)
+from biharmfem.mesh import TriMesh, initial_mesh, restrict
 from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
                                 SingularBasis, chi, corner_bases,
-                                chi_derivs, corner_loads, cutoff_disk_in_sector,
-                                inner_chi_s_pair, load_chi_s, load_singular)
+                                chi_derivs, corner_loads, inner_chi_s_pair,
+                                load_chi_s, load_singular)
 import graded_oracle
+import pair_oracle
 from conftest import mesh_hierarchy
 from per_basis_oracle import load_chi_s_per_basis, load_singular_per_basis
 from worklist_oracle import load_singular_worklist
@@ -436,17 +437,19 @@ class TestPointFormOracle:
                     assert err <= 1e-13, (m.level, load, i, err)
 
     def test_pair_fallback_matches(self):
-        # the cutoff disk leaves the corner sector, so the pair integrals
-        # take the graded 2-D rule
-        dom = builtin_domain("III", "B5")
-        bases = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
+        # the cutoff disk leaves the corner sector, so no closed form holds;
+        # the point-form graded 2-D rule over the mesh is the reference
         opts = GradedQuadratureOptions()
-        for m in mesh_hierarchy(dom, 3):
-            for i, a in enumerate(bases):
-                for b in bases[i:]:
-                    got = singular._pair_graded(m, a, b, opts, 1e-8)
-                    ref = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
-                    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+        for name, bc in (("III", "B5"), ("IV", "B3"), ("III", "B1")):
+            dom = builtin_domain(name, bc)
+            bases = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
+            for m in mesh_hierarchy(dom, 3):
+                for i, a in enumerate(bases):
+                    for b in bases[i:]:
+                        got = inner_chi_s_pair(m, a, b)
+                        ref = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
+                        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), \
+                            (dom.name, m.level)
 
 
 class TestPassPreamble:
@@ -470,59 +473,15 @@ class TestPassPreamble:
                 assert np.array_equal(g, r), m.level
 
 
-class TestPairFanOnce:
-    """The pair fallback's two gradings share one fan-rule part."""
-
-    def test_fan_part_computed_once(self, monkeypatch):
-        dom = builtin_domain("III", "B5")
-        bases = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
-        opts = GradedQuadratureOptions()
-        calls = collections.Counter()
-        fan_moments = singular._fan_moments
-
-        def spy(*args):
-            calls["fan"] += 1
-            return fan_moments(*args)
-        monkeypatch.setattr(singular, "_fan_moments", spy)
-        for m in mesh_hierarchy(dom, 3):
-            for i, a in enumerate(bases):
-                for b in bases[i:]:
-                    gamma = a.beta + b.beta
-
-                    def radial(r, _gamma, a=a, b=b, gamma=gamma):
-                        return (chi(r, a.cutoff) * chi(r, b.cutoff)
-                                * r ** (-gamma))[None]
-
-                    def angular(theta, a=a, b=b):
-                        return (a.angular(theta) * b.angular(theta))[None]
-                    radii = (0.0, a.cutoff.inner, a.cutoff.R)
-                    calls.clear()
-                    apart = [singular._graded_integrate(
-                        m, a, radial, angular, 1, (gamma,), radii, opts,
-                        depth_bumps=(bump,))[0] for bump in (0, 1)]
-                    assert calls["fan"] > 0
-                    one_pass = calls["fan"] / 2
-                    calls.clear()
-                    both = singular._graded_integrate(
-                        m, a, radial, angular, 1, (gamma,), radii, opts,
-                        depth_bumps=(0, 1))
-                    assert calls["fan"] == one_pass
-                    assert np.array_equal(both, np.array(apart))
-                    calls.clear()
-                    pair = singular._pair_graded(m, a, b, opts, 1e-8)
-                    assert calls["fan"] == one_pass
-                    assert pair == float(apart[1].sum())
-
-
-def _fails_grading(q, corners, h, band, opts, bump):
+def _fails_grading(q, corners, h, band, opts):
     """Whether each cell (n, 3, 2) of diameter h (n,) fails the near or the
     band test of the collapsed rule's grading."""
     d = np.min([singular._segment_dist(q, corners[:, i], corners[:, (i + 1) % 3])
                 for i in range(3)], axis=0)
     inner, outer = band
     in_band = (d < outer + h) & (d + h > inner - h)
-    return (opts.near_ratio * 2**bump * h > d) \
-        | in_band & (h > (outer - inner) / opts.n_feature / 2**bump)
+    return (opts.near_ratio * h > d) \
+        | in_band & (h > (outer - inner) / opts.n_feature)
 
 
 def _parent(bary, depth):
@@ -543,11 +502,9 @@ class TestGradedCells:
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi),
            st.floats(0.02, 1.0), st.floats(0.0, 2 * math.pi),
            st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2),
-           st.sampled_from([CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)]),
-           st.integers(0, 1))
+           st.sampled_from([CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)]))
     @settings(max_examples=60, deadline=None)
-    def test_leaves_tile_and_pass(self, dist, angle, size, turn, skew, cutoff,
-                                  bump):
+    def test_leaves_tile_and_pass(self, dist, angle, size, turn, skew, cutoff):
         # a triangle near q or in the cutoff band, of diameter about size,
         # not holding q; a mesh cell's distance to q is at least a fraction
         # of its diameter
@@ -566,7 +523,7 @@ class TestGradedCells:
         depths, leaves = [], []
         for depth, cell, sub in singular._graded_cells(
                 q, corners[None], np.array([0]), np.array([d]), np.array([h]),
-                band, opts, bump):
+                band, opts):
             depths += [depth] * len(cell)
             leaves += list(np.eye(3)[None].repeat(len(cell), 0) if sub is None
                            else sub)
@@ -582,19 +539,19 @@ class TestGradedCells:
         x = leaves @ corners
         shallow = depths < opts.max_depth
         assert not _fails_grading(q, x[shallow], h / 2.0**depths[shallow], band,
-                                  opts, bump).any()
+                                  opts).any()
         deep = depths > 0
         parents = np.array([_parent(b, k) for b, k in
                             zip(leaves[deep], depths[deep])]).reshape(-1, 3, 3)
         assert _fails_grading(q, parents @ corners, h / 2.0**(depths[deep] - 1),
-                              band, opts, bump).all()
+                              band, opts).all()
         # no more leaves than the uniform refinement to the deepest need
         inner, outer = band
         feat = (outer - inner) / opts.n_feature
         in_band = d < outer + h and d + h > inner - h
         uniform = max(math.ceil(math.log2(h / feat)) if in_band and h > feat else 0,
                       math.ceil(math.log2(opts.near_ratio * h / d)), 0)
-        assert len(leaves) <= 4 ** min(uniform + bump, opts.max_depth)
+        assert len(leaves) <= 4 ** min(uniform, opts.max_depth)
 
 
 class TestEvaluationCounts:
@@ -671,49 +628,52 @@ def singular_builtins():
 
 
 class TestSeparablePair:
-    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)])
-    def test_predicate_holds_for_builtins(self, cutoff):
-        cases = singular_builtins()
-        assert len(cases) >= 15
-        for dom, j in cases:
-            basis = corner_bases(dom, j, cutoff)[0]
-            assert cutoff_disk_in_sector(dom, basis), dom.name
+    """The fan-rule pair integral against its separable closed form
+    (tests/pair_oracle.py), which holds when the cutoff disk meets the
+    domain only inside the corner sector, as on every built-in domain."""
 
-    def test_predicate_fails_when_disk_reaches_far_edges(self):
-        dom = builtin_domain("III", "B1")
-        assert not cutoff_disk_in_sector(dom, lshape_basis(CutoffSpec(R=2.5)))
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2),
+                                        CutoffSpec(tau=0.3, R=1.0)])
+    def test_matches_closed_form_on_builtins(self, cutoff):
+        cases = singular_builtins()
+        assert len(cases) == 17
+        for dom, j in cases:
+            bases = corner_bases(dom, j, cutoff)
+            m = mesh_hierarchy(dom, 0)[0]
+            for i, a in enumerate(bases):
+                for b in bases[i:]:
+                    ref = pair_oracle.pair_closed_form(dom, a, b)
+                    got = inner_chi_s_pair(m, a, b)
+                    assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0), dom.name
 
     @pytest.mark.parametrize("name,bc", [("III", "B1"), ("I", "B3"), ("IV", "B3")])
     def test_matches_graded_rule(self, name, bc):
+        # the graded 2-D rule over the mesh, at two depths that must agree
         dom = builtin_domain(name, bc)
         bases = corner_bases(dom, 0)
         m = mesh_hierarchy(dom, 1)[-1]
         opts = GradedQuadratureOptions()
         for i, a in enumerate(bases):
             for b in bases[i:]:
-                graded = singular._pair_graded(m, a, b, opts, 1e-8)
-                separable = inner_chi_s_pair(m, a, b)
-                assert abs(separable - graded) <= 1e-12 * max(abs(graded), 1.0)
+                graded = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
+                got = inner_chi_s_pair(m, a, b)
+                assert abs(got - graded) <= 1e-12 * max(abs(graded), 1.0)
+
+    def test_value_depends_on_the_domain_only(self):
+        dom = builtin_domain("IV", "B3")
+        b1, b2 = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
+        values = {inner_chi_s_pair(m, b1, b2) for m in mesh_hierarchy(dom, 3)}
+        assert len(values) == 1
 
     def test_bases_of_two_corners_rejected(self):
-        # the graded rule integrates in the polar frame of one corner
+        # the fans are integrated in the polar frame of one corner, with
+        # one cutoff
         m = mesh_hierarchy(builtin_domain("III", "B1"), 0)[0]
         a = lshape_basis()
-        b = SingularBasis(a.beta, a.trig, (1.0, 0.0), a.frame_angle, a.omega)
-        with pytest.raises(ValueError, match="one corner"):
-            inner_chi_s_pair(m, a, b)
-
-    def test_fallback_runs_when_predicate_fails(self, monkeypatch):
-        calls = []
-        graded = singular._pair_graded
-        monkeypatch.setattr(singular, "_pair_graded",
-                            lambda *args: calls.append(1) or graded(*args))
-        m = mesh_hierarchy(builtin_domain("III", "B1"), 1)[-1]
-        inner_chi_s_pair(m, lshape_basis(), lshape_basis())
-        assert calls == []
-        wide = lshape_basis(CutoffSpec(R=2.5))
-        val = inner_chi_s_pair(m, wide, wide)
-        assert calls == [1] and val > 0
+        for b in (SingularBasis(a.beta, a.trig, (1.0, 0.0), a.frame_angle, a.omega),
+                  lshape_basis(CutoffSpec(R=1.2))):
+            with pytest.raises(ValueError, match="one corner"):
+                inner_chi_s_pair(m, a, b)
 
     @pytest.mark.parametrize("trig_a,trig_b", [("sin", "sin"), ("sin", "cos"),
                                                ("cos", "sin"), ("cos", "cos")])
@@ -724,13 +684,29 @@ class TestSeparablePair:
                 b = SingularBasis(beta_b, trig_b, np.zeros(2), 0.0, omega)
                 ref = quad(lambda t: a.angular(t) * b.angular(t), 0.0, omega,
                            epsabs=1e-15, limit=200)[0]
-                assert singular._angular_product(a, b) == pytest.approx(
+                assert pair_oracle.angular_product(a, b) == pytest.approx(
                     ref, rel=1e-13, abs=1e-14)
 
     def test_radial_self_check_raises(self):
+        # two radial nodes per segment miss the cutoff band's quintic, and
+        # the rule at twice the nodes disagrees
+        m = mesh_hierarchy(builtin_domain("III", "B1"), 0)[0]
         basis = lshape_basis()
-        with pytest.raises(singular.QuadratureError):
-            singular._pair_separable(basis, basis, 2, 1e-8)
+        with pytest.raises(singular.QuadratureError, match="disagreement"):
+            inner_chi_s_pair(m, basis, basis, GradedQuadratureOptions(n_radial=2))
+
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(0.125, 2.5)])
+    def test_non_star_shaped_domain_raises(self, cutoff):
+        # from the reflex vertex q = (1, 1) of a U the fans of the far edges
+        # leave the domain and cross the branch cut of theta; the solver
+        # never integrates this domain, which has two singular vertices
+        dom = PolygonDomain(np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1),
+                                      (1, 1), (1, 3), (0, 3)], dtype=float),
+                            (BCType.DIRICHLET,) * 8)
+        assert perp_dimension(dom) == (2, [4, 5])
+        (basis,) = corner_bases(dom, 5, cutoff)
+        with pytest.raises(singular.QuadratureError, match="disagreement"):
+            inner_chi_s_pair(initial_mesh(dom), basis, basis)
 
 
 class TestInnerProducts:
@@ -743,7 +719,7 @@ class TestInnerProducts:
         rad = quad(lambda r: chi(np.array([r]), basis.cutoff)[0] ** 2
                    * r ** (1 - 2 * basis.beta), 0, basis.cutoff.R,
                    points=[basis.cutoff.inner], limit=200)[0]
-        assert val == pytest.approx(ang * rad, rel=1e-10)
+        assert val == pytest.approx(ang * rad, rel=1e-12)
 
     def test_symmetry(self):
         dom = builtin_domain("IV", "B3")
