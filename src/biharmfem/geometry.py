@@ -18,6 +18,11 @@ from enum import Enum
 import numpy as np
 
 ANGLE_TOL = 1e-12
+# vertex coordinates lie in [-GRID_BOUND, GRID_BOUND]: mesh.initial_mesh
+# tiles the vertices' bounding box with unit cells, so its level-0 grid has
+# at most (2*GRID_BOUND)**2 of them, and the polygon arithmetic stays far
+# from overflow
+GRID_BOUND = 64
 
 # Interval breakpoints for the singular-exponent table.
 _BREAKPOINTS = (0.5 * math.pi, math.pi, 1.5 * math.pi, 2.0 * math.pi)
@@ -80,6 +85,11 @@ class PolygonDomain:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DomainError(f"vertex {j} has a non-finite coordinate "
                                   f"({x}, {y})")
+        extent = float(np.abs(verts).max())
+        if extent > GRID_BOUND:
+            raise DomainError(
+                f"domain extent {extent:g} exceeds the level-0 grid bound: "
+                f"vertex coordinates must lie in [-{GRID_BOUND}, {GRID_BOUND}]")
         object.__setattr__(self, "vertices", verts)
         if len(self.tags) != len(verts):
             raise DomainError("need one edge tag per vertex")

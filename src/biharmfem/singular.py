@@ -18,8 +18,10 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   singular segment [0, tau*R] chi = 1, so the ray moments are closed
   forms.  A straddling triangle's fans are clipped to its own radial
   range, so they are short and thin and take fewer nodes.  Other
-  triangles use a collapsed Gauss rule on red-refinement children, split
-  child by child toward q and across the cutoff band.
+  triangles use collapsed Gauss rules on red-refinement children, split
+  child by child until each is at most half as wide as its distance to q.
+  The integrand is analytic away from q, so each leaf takes the order its
+  width-to-distance ratio needs (see ``GradedQuadratureOptions``).
 - The Gram pair integral of (chi*s_a)*(chi*s_b) takes the same fan rule
   over the triangles (q, a, b) of the domain's edges away from q, at two
   orders that must agree.  The fans tile the domain when it is
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +47,7 @@ from .geometry import PolygonDomain, classify_vertex, singular_exponents
 from .mesh import TriMesh
 
 _FAN_CHUNK = 256      # fan triangles per batch of quadrature points
-_CELL_CHUNK = 512     # graded leaves per batch
+_CELL_POINTS = 512 * 36   # collapsed-rule points per batch
 
 
 class QuadratureError(RuntimeError):
@@ -204,16 +207,36 @@ def _segment_dist(q, a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradedQuadratureOptions:
-    n_gauss: int = 6          # collapsed rule order (degree 2n-2 exact)
-    near_ratio: float = 6.0   # subdivide until child diameter <= dist/near_ratio
-    n_feature: int = 10       # resolve the cutoff band to (R - tau*R)/n_feature
-    max_depth: int = 8
+    # a collapsed leaf of diameter h at distance dist from q takes the Gauss
+    # order n = ceil(order_target / ln(rho)), where rho = 2*dist/h +
+    # sqrt((2*dist/h)**2 + 1) is the leaf's Bernstein-ellipse parameter seen
+    # from q: its error decays like rho**(-2n) <= exp(-2*order_target)
+    order_target: float = 22.0
+    near_ratio: float = 2.0   # split a leaf while near_ratio*h > dist
+    max_depth: int = 8        # a leaf that still fails at this depth raises
     # fan-rule nodes of the corner fans per radial segment and angular piece;
     # the thin fans of triangles away from q take 1/2 or 1/3 of them (or
     # all while h_T > dist_T/2).  The pair integral's fans take all of them,
     # and twice that for its self-check.
     n_radial: int = 24
     n_angular: int = 24
+
+    def __post_init__(self):
+        rules = {
+            "order_target": (numbers.Real, lambda v: 0 < v < math.inf,
+                             "finite and positive"),
+            "near_ratio": (numbers.Real, lambda v: 1 <= v < math.inf,
+                           "finite and at least 1"),
+            "max_depth": (numbers.Integral, lambda v: v >= 0, "an integer >= 0"),
+            "n_radial": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
+            "n_angular": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
+        }
+        for name, (kind, ok, what) in rules.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or not ok(value):
+                raise ValueError(f"GradedQuadratureOptions.{name} must be "
+                                 f"{what}, got {value!r}")
 
 
 def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
@@ -281,25 +304,29 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
             (ray1[:, None] * p[:, pi]).sum(axis=-1)
 
 
-def _graded_cells(q, corners, cell, dist, h, band,
-                  opts: GradedQuadratureOptions):
+def _graded_cells(q, corners, cell, dist, h, opts: GradedQuadratureOptions):
     """Red-refine the triangles corners[cell] (corners: (n, 3, 2), with
     distances ``dist`` to q and diameters ``h``), child by child while a
-    child fails the near test near_ratio*h <= dist or, meeting the band
-    (inner, outer), the test h <= (outer - inner)/n_feature; max_depth
-    caps the depth.  Yields (depth, cell, bary) per depth: the leaves'
-    triangles and their corners' barycentric coordinates (m, 3, 3) in it,
-    None at depth 0."""
-    inner, outer = band
-    feat = (outer - inner) / opts.n_feature
+    child fails the near test near_ratio*h <= dist.  Yields (depth, cell,
+    bary, order) per depth: the leaves' triangles, their corners'
+    barycentric coordinates (m, 3, 3) in it (None at depth 0) and the
+    collapsed rule's order for each leaf, ceil(order_target / asinh(2 *
+    dist/h)) (asinh(x) = ln(x + sqrt(x*x + 1))).  Raises QuadratureError
+    if a leaf still fails the near test at max_depth."""
     dist = dist[cell]
     bary = np.broadcast_to(np.eye(3), (len(cell), 3, 3))
     for depth in range(opts.max_depth + 1):
         hd = h[cell] / 2**depth
-        in_band = (dist < outer + hd) & (dist + hd > inner - hd)
-        split = (opts.near_ratio * hd > dist) | in_band & (hd > feat)
-        split &= depth < opts.max_depth
-        yield depth, cell[~split], bary[~split] if depth else None
+        split = opts.near_ratio * hd > dist
+        leaf = ~split
+        order = np.ceil(opts.order_target / np.arcsinh(2.0 * dist[leaf] / hd[leaf]))
+        yield depth, cell[leaf], bary[leaf] if depth else None, order.astype(int)
+        if not split.any():
+            return
+        if depth == opts.max_depth:
+            raise QuadratureError(
+                f"{int(split.sum())} collapsed cells fail the near test "
+                f"{opts.near_ratio:g}*h <= dist at max_depth {opts.max_depth}")
         c0, c1, c2 = np.moveaxis(bary[split], 1, 0)
         m01, m12, m20 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c0)
         bary = np.stack([c0, m01, m20, m01, c1, m12, m20, m12, c2,
@@ -321,9 +348,9 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     corner fans' first segment [0, radii[1]] it is one of ``gammas``, and a
     row counts there only if it is c*r**(-gamma) there (radial values 0
     otherwise).  Triangles at q or straddling a circle r = c, c in
-    ``kinks``, go through the fan rule; the rest through a collapsed rule
-    on children graded toward q and across the band radii[-2] <= r <=
-    radii[-1]."""
+    ``kinks``, go through the fan rule; the rest through collapsed rules
+    on children graded toward q, each child at the order its distance to
+    q asks for."""
     q = np.asarray(basis.origin)
     # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max
     vert_d = np.linalg.norm(mesh.nodes - q, axis=1)[mesh.triangles]
@@ -374,8 +401,9 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
             fan_radii = np.clip(np.asarray(radii, dtype=float),
                                 lo[owner[sl], None], hi[owner[sl], None])
             for j, m0, m1 in _fan_moments(basis, a[sl], b[sl], fan_radii, radial,
-                                          angular, gammas, opts.n_radial // k,
-                                          opts.n_angular // k):
+                                          angular, gammas,
+                                          max(opts.n_radial // k, 1),
+                                          max(opts.n_angular // k, 1)):
                 tri = owner[sl][j]
                 # T's barycentric map applied to the moments about corner 0
                 rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
@@ -384,22 +412,26 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                 scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1)
                         * np.sign(det[tri])[:, None], tri)
 
-    # collapsed rule on graded children, one shared template at depth 0
-    lam, w = _collapsed_rule(opts.n_gauss)
+    # collapsed rule on graded children, one shared template at depth 0;
+    # each batch holds at most _CELL_POINTS points whatever the leaves' order
     cells = np.flatnonzero(support & ~fan)
-    for depth, cell, sub in _graded_cells(q, tri_pts, cells, dist, h,
-                                          radii[-2:], opts):
-        for s in range(0, len(cell), _CELL_CHUNK):
-            tri = cell[s:s + _CELL_CHUNK]
-            corners = tri_pts[tri] if sub is None \
-                else sub[s:s + _CELL_CHUNK] @ tri_pts[tri]
-            r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
-            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
-            # (n_rows, T, 3) loads of the leaf's corners
-            loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
-            if sub is not None:
-                loads = (loads[..., None] * sub[s:s + _CELL_CHUNK]).sum(axis=-2)
-            scatter(loads, tri)
+    for depth, cell, sub, order in _graded_cells(q, tri_pts, cells, dist, h,
+                                                 opts):
+        for n in np.unique(order):
+            lam, w = _collapsed_rule(int(n))
+            pick = np.flatnonzero(order == n)
+            step = max(1, _CELL_POINTS // len(w))
+            for s in range(0, len(pick), step):
+                tri = cell[pick[s:s + step]]
+                bary = None if sub is None else sub[pick[s:s + step]]
+                corners = tri_pts[tri] if bary is None else bary @ tri_pts[tri]
+                r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
+                vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
+                # (n_rows, T, 3) loads of the leaf's corners
+                loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
+                if bary is not None:
+                    loads = (loads[..., None] * bary).sum(axis=-2)
+                scatter(loads, tri)
     return out
 
 

@@ -4,7 +4,8 @@ form, kept as a differential-test oracle for ``singular._graded_integrate``.
 It evaluates the integrand at every quadrature point: the fan rule gives
 each point of each Duffy ray its own polar coordinates, cutoff, angular
 factor and barycentric coordinates, and the collapsed rule refines every
-child of a graded cell to the depth its cell needs (4**depth children).
+child of a graded cell to the depth its cell needs (4**depth children),
+at the fixed order and grading of ``fixed_order_oracle.FixedOrderOptions``.
 ``corner_loads`` is the singular module's caller of that rule, on the same
 integrands; ``pair_graded`` is the graded 2-D pair rule that the fan rule
 over the domain's edges (``singular.inner_chi_s_pair``) replaced.
@@ -17,8 +18,9 @@ import functools
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from biharmfem.singular import (GradedQuadratureOptions, QuadratureError,
-                                _collapsed_rule, _segment_dist, chi_derivs)
+from biharmfem.singular import (QuadratureError, _collapsed_rule,
+                                _segment_dist, chi_derivs)
+from fixed_order_oracle import FixedOrderOptions
 
 _FAN_CHUNK = 256      # fan triangles per batch of quadrature points
 _CELL_CHUNK = 2048    # graded cells per batch
@@ -104,7 +106,7 @@ def _fan_rule(q, a, b, gammas, radii, n_radial, n_angular):
 
 
 def _graded_integrate(mesh: TriMesh, q, values, n_rows: int, gammas, radii,
-                      opts: GradedQuadratureOptions, kinks: tuple = (),
+                      opts: FixedOrderOptions, kinks: tuple = (),
                       depth_bump: int = 0) -> np.ndarray:
     """Integrate ``n_rows`` integrands, supported in radii[0] <= r <=
     radii[-1] about the corner q and smooth between consecutive radii,
@@ -204,11 +206,11 @@ def _graded_integrate(mesh: TriMesh, q, values, n_rows: int, gammas, radii,
 
 
 def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
-                 opts: GradedQuadratureOptions | None = None):
+                 opts: FixedOrderOptions | None = None):
     """The load vectors of lap(chi*s) and of chi*s against the P1 hats for
     every basis of one corner, from one point-form quadrature pass: two
     (k, n_nodes) arrays, row i for bases[i]."""
-    opts = opts or GradedQuadratureOptions()
+    opts = opts or FixedOrderOptions()
     first = bases[0]
     def frame(b):
         return b.origin, b.frame_angle, b.omega, b.cutoff
@@ -240,7 +242,7 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
 
 
 def pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
-                opts: GradedQuadratureOptions, target: float) -> float:
+                opts: FixedOrderOptions, target: float) -> float:
     """The pair integral by the graded 2-D rule, computed at two depths
     that must agree to the target."""
     gamma = basis_a.beta + basis_b.beta

@@ -13,8 +13,8 @@ coordinates and the cutoff for every load) but independent of it.
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from biharmfem.singular import (GradedQuadratureOptions, _collapsed_rule,
-                                _segment_dist)
+from biharmfem.singular import _collapsed_rule, _segment_dist
+from fixed_order_oracle import FixedOrderOptions
 from graded_oracle import _subdivision_templates
 
 FAN_CHUNK, CELL_CHUNK = 512, 16384
@@ -136,7 +136,7 @@ def _graded_integrate(mesh, basis, gfun, gamma, radii, opts, kinks):
 
 def load_singular_per_basis(mesh, basis, opts=None):
     """Load vector of lap(chi*s) against the P1 hats, on its own point set."""
-    opts = opts or GradedQuadratureOptions()
+    opts = opts or FixedOrderOptions()
     spec = basis.cutoff
     return _graded_integrate(mesh, basis, basis.eval_laplacian_chi_s, 0.0,
                              (spec.inner, spec.R), opts,
@@ -145,7 +145,7 @@ def load_singular_per_basis(mesh, basis, opts=None):
 
 def load_chi_s_per_basis(mesh, basis, opts=None):
     """Load vector of chi*s against the P1 hats, on its own point set."""
-    opts = opts or GradedQuadratureOptions()
+    opts = opts or FixedOrderOptions()
     spec = basis.cutoff
     return _graded_integrate(mesh, basis, basis.eval_chi_s, basis.beta,
                              (0.0, spec.inner, spec.R), opts,

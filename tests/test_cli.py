@@ -222,3 +222,21 @@ def test_non_finite_vertex_is_config_error(cmd, coordinate, shown, tmp_path,
     assert f"({shown}, 1.0)" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("cmd", ["mesh-info", "study"])
+@pytest.mark.parametrize("size, shown", [("1e200", "1e+200"), ("1e5", "100000")])
+def test_domain_beyond_grid_bound_is_config_error(cmd, size, shown, tmp_path,
+                                                  capsys):
+    # a 1e5 square would ask for a level-0 grid of 1e10 unit cells, and a
+    # 1e200 one would overflow the polygon arithmetic
+    domain = tmp_path / "sq.txt"
+    domain.write_text(SQUARE.replace("1", size))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--domain-file", str(domain), *LEVEL_1[cmd]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: domain extent {shown} exceeds the level-0 "
+                          "grid bound")
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -161,6 +161,12 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             PolygonDomain(verts, (D,) * 4)
 
+    def test_extent_bounded_by_level_0_grid(self):
+        square = unit_square().vertices - 0.5
+        PolygonDomain(128.0 * square, (D,) * 4)
+        with pytest.raises(DomainError, match="extent 64.5 exceeds"):
+            PolygonDomain(129.0 * square, (D,) * 4)
+
     def test_contains(self):
         dom = builtin_domain("III", "B1")
         pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [3.0, 0.5]])

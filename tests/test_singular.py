@@ -16,9 +16,11 @@ from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
                                 SingularBasis, chi, corner_bases,
                                 chi_derivs, corner_loads, inner_chi_s_pair,
                                 load_chi_s, load_singular)
+import fixed_order_oracle
 import graded_oracle
 import pair_oracle
 from conftest import mesh_hierarchy
+from fixed_order_oracle import FixedOrderOptions
 from per_basis_oracle import load_chi_s_per_basis, load_singular_per_basis
 from worklist_oracle import load_singular_worklist
 
@@ -253,7 +255,7 @@ class TestFanRule:
         # levels 0 and 2 cross a cutoff circle, so the angular split matters
         dom = builtin_domain("III", "B1")
         basis = lshape_basis(CutoffSpec(tau=0.25, R=1.2))
-        fine = GradedQuadratureOptions(n_gauss=10, n_feature=20, n_radial=48,
+        fine = GradedQuadratureOptions(order_target=40.0, n_radial=48,
                                        n_angular=48)
         for m in mesh_hierarchy(dom, 2):
             for load in (load_singular, load_chi_s):
@@ -320,7 +322,7 @@ def _fan_disk_area(a, b, r):
 
 
 # the reference rule: every part of the default rule at far higher order
-REF = GradedQuadratureOptions(n_gauss=10, n_feature=40, n_radial=48,
+REF = GradedQuadratureOptions(order_target=40.0, near_ratio=4.0, n_radial=48,
                               n_angular=48, max_depth=10)
 
 
@@ -406,15 +408,30 @@ class TestOneQuadraturePass:
         dom = builtin_domain("IV", "B3")
         for m in mesh_hierarchy(dom, 2):
             corner_loads(m, corner_bases(dom, 0))
-        # 24, 12 and 8 nodes on the fans, 6 for the collapsed rule; the
-        # corner segments take closed forms
-        assert sorted(calls) == [6, 8, 12, 24]
+        # 24, 12 and 8 nodes on the fans, 8 to 11 for the collapsed rule
+        # (11 at h/dist = 1/2); the corner segments take closed forms
+        assert sorted(calls) == [8, 9, 10, 11, 12, 24]
         x, w = singular._gauss(24)
         with pytest.raises(ValueError):
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
         singular._gauss.cache_clear()
+
+
+def _assert_corner_loads_match(oracle, name, bc, cutoff, top_level):
+    """corner_loads against ``oracle`` on corner 0 of a built-in domain at
+    levels 0..top_level, within 1e-13 relative per row."""
+    dom = builtin_domain(name, bc)
+    bases = corner_bases(dom, 0, cutoff)
+    for m in mesh_hierarchy(dom, top_level):
+        got = corner_loads(m, bases)
+        ref = oracle(m, bases)
+        for load, got_rows, ref_rows in zip(("load_singular", "load_chi_s"),
+                                            got, ref):
+            for i, (g, r) in enumerate(zip(got_rows, ref_rows)):
+                err = np.max(np.abs(g - r)) / np.max(np.abs(r))
+                assert err <= 1e-13, (m.level, load, i, err)
 
 
 class TestPointFormOracle:
@@ -425,21 +442,13 @@ class TestPointFormOracle:
     @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"),
                                          ("III", "B1"), ("I", "B3")])
     def test_corner_loads_match(self, name, bc, cutoff):
-        dom = builtin_domain(name, bc)
-        bases = corner_bases(dom, 0, cutoff)
-        for m in mesh_hierarchy(dom, 6):
-            got = corner_loads(m, bases)
-            ref = graded_oracle.corner_loads(m, bases)
-            for load, got_rows, ref_rows in zip(("load_singular", "load_chi_s"),
-                                                got, ref):
-                for i, (g, r) in enumerate(zip(got_rows, ref_rows)):
-                    err = np.max(np.abs(g - r)) / np.max(np.abs(r))
-                    assert err <= 1e-13, (m.level, load, i, err)
+        _assert_corner_loads_match(graded_oracle.corner_loads, name, bc,
+                                   cutoff, 6)
 
     def test_pair_fallback_matches(self):
         # the cutoff disk leaves the corner sector, so no closed form holds;
         # the point-form graded 2-D rule over the mesh is the reference
-        opts = GradedQuadratureOptions()
+        opts = FixedOrderOptions()
         for name, bc in (("III", "B5"), ("IV", "B3"), ("III", "B1")):
             dom = builtin_domain(name, bc)
             bases = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
@@ -450,6 +459,19 @@ class TestPointFormOracle:
                         ref = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
                         assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), \
                             (dom.name, m.level)
+
+
+class TestFixedOrderOracle:
+    """The per-leaf order against the fixed-order rule it replaced
+    (tests/fixed_order_oracle.py): the same pass with every collapsed leaf
+    graded by the near and band tests at the order n_gauss = 6."""
+
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)])
+    @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"),
+                                         ("III", "B1"), ("I", "B3")])
+    def test_corner_loads_match(self, name, bc, cutoff):
+        _assert_corner_loads_match(fixed_order_oracle.corner_loads, name, bc,
+                                   cutoff, 5)
 
 
 class TestPassPreamble:
@@ -473,15 +495,12 @@ class TestPassPreamble:
                 assert np.array_equal(g, r), m.level
 
 
-def _fails_grading(q, corners, h, band, opts):
-    """Whether each cell (n, 3, 2) of diameter h (n,) fails the near or the
-    band test of the collapsed rule's grading."""
+def _fails_near_test(q, corners, h, opts):
+    """Whether each cell (n, 3, 2) of diameter h (n,) fails the collapsed
+    rule's near test near_ratio*h <= dist."""
     d = np.min([singular._segment_dist(q, corners[:, i], corners[:, (i + 1) % 3])
                 for i in range(3)], axis=0)
-    inner, outer = band
-    in_band = (d < outer + h) & (d + h > inner - h)
-    return (opts.near_ratio * h > d) \
-        | in_band & (h > (outer - inner) / opts.n_feature)
+    return opts.near_ratio * h > d
 
 
 def _parent(bary, depth):
@@ -497,17 +516,16 @@ def _parent(bary, depth):
 
 class TestGradedCells:
     """The collapsed rule's cells split child by child until each passes
-    the near and band tests."""
+    the near test, and each leaf takes the order its h/dist asks for."""
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi),
            st.floats(0.02, 1.0), st.floats(0.0, 2 * math.pi),
-           st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2),
-           st.sampled_from([CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)]))
+           st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2))
     @settings(max_examples=60, deadline=None)
-    def test_leaves_tile_and_pass(self, dist, angle, size, turn, skew, cutoff):
-        # a triangle near q or in the cutoff band, of diameter about size,
-        # not holding q; a mesh cell's distance to q is at least a fraction
-        # of its diameter
+    def test_leaves_tile_and_pass(self, dist, angle, size, turn, skew):
+        # a triangle near q or far from it, of diameter about size, not
+        # holding q; a mesh cell's distance to q is at least a fraction of
+        # its diameter
         q = np.zeros(2)
         center = dist * np.array([math.cos(angle), math.sin(angle)])
         t = turn + 2 * math.pi / 3 * np.arange(3) + np.r_[0.0, skew]
@@ -519,15 +537,15 @@ class TestGradedCells:
         d = np.min(singular._segment_dist(q, corners, corners + edges))
         assume(d > 0.05 * h)
         opts = GradedQuadratureOptions()
-        band = (cutoff.inner, cutoff.R)
-        depths, leaves = [], []
-        for depth, cell, sub in singular._graded_cells(
+        depths, leaves, orders = [], [], []
+        for depth, cell, sub, order in singular._graded_cells(
                 q, corners[None], np.array([0]), np.array([d]), np.array([h]),
-                band, opts):
+                opts):
             depths += [depth] * len(cell)
             leaves += list(np.eye(3)[None].repeat(len(cell), 0) if sub is None
                            else sub)
-        depths, leaves = np.array(depths), np.array(leaves)
+            orders += list(order)
+        depths, leaves, orders = np.array(depths), np.array(leaves), np.array(orders)
         # each leaf's share of the cell is its rule weight's, 4**-depth, and
         # the distinct leaves add up to the whole cell
         e1, e2 = leaves[:, 1] - leaves[:, 0], leaves[:, 2] - leaves[:, 0]
@@ -537,21 +555,53 @@ class TestGradedCells:
         area = 0.5 * abs(edges[0, 0] * edges[1, 1] - edges[0, 1] * edges[1, 0])
         assert math.fsum(area * 4.0**-depths) == pytest.approx(area, rel=1e-14)
         x = leaves @ corners
-        shallow = depths < opts.max_depth
-        assert not _fails_grading(q, x[shallow], h / 2.0**depths[shallow], band,
-                                  opts).any()
+        hs = h / 2.0**depths
+        assert not _fails_near_test(q, x, hs, opts).any()
         deep = depths > 0
         parents = np.array([_parent(b, k) for b, k in
                             zip(leaves[deep], depths[deep])]).reshape(-1, 3, 3)
-        assert _fails_grading(q, parents @ corners, h / 2.0**(depths[deep] - 1),
-                              band, opts).all()
+        assert _fails_near_test(q, parents @ corners, 2 * hs[deep], opts).all()
         # no more leaves than the uniform refinement to the deepest need
-        inner, outer = band
-        feat = (outer - inner) / opts.n_feature
-        in_band = d < outer + h and d + h > inner - h
-        uniform = max(math.ceil(math.log2(h / feat)) if in_band and h > feat else 0,
-                      math.ceil(math.log2(opts.near_ratio * h / d)), 0)
-        assert len(leaves) <= 4 ** min(uniform, opts.max_depth)
+        uniform = max(math.ceil(math.log2(opts.near_ratio * h / d)), 0)
+        assert len(leaves) <= 4 ** uniform
+        # the order never rises as h/dist falls, and h/dist <= 1/near_ratio
+        # bounds it
+        ds = np.min([singular._segment_dist(q, x[:, i], x[:, (i + 1) % 3])
+                     for i in range(3)], axis=0)
+        by_ratio = orders[np.argsort(hs / ds, kind="stable")]
+        assert np.all(np.diff(by_ratio) >= 0)
+        assert orders.max() <= math.ceil(opts.order_target
+                                         / math.asinh(2 * opts.near_ratio))
+
+    def test_leaf_failing_at_max_depth_raises(self):
+        # the level-1 cells next to the corner need two splits to pass
+        dom = builtin_domain("IV", "B3")
+        m = mesh_hierarchy(dom, 1)[-1]
+        bases = corner_bases(dom, 0)
+        corner_loads(m, bases, GradedQuadratureOptions(max_depth=2))
+        with pytest.raises(singular.QuadratureError, match="max_depth 1"):
+            corner_loads(m, bases, GradedQuadratureOptions(max_depth=1))
+
+
+class TestQuadratureOptions:
+    @pytest.mark.parametrize("field,value", [
+        ("order_target", 0.0), ("order_target", -1.0), ("order_target", math.nan),
+        ("order_target", math.inf), ("order_target", "22"),
+        ("near_ratio", 0.0), ("near_ratio", -6.0), ("near_ratio", 0.5),
+        ("near_ratio", math.nan), ("near_ratio", math.inf),
+        ("max_depth", -1), ("max_depth", 2.5), ("max_depth", True),
+        ("n_radial", 0), ("n_radial", 24.0), ("n_angular", 0), ("n_angular", -24)])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"GradedQuadratureOptions.{field} "):
+            GradedQuadratureOptions(**{field: value})
+
+    def test_one_node_fans_run(self):
+        # the thin fans take a half or a third of the nodes, at least one
+        dom = builtin_domain("IV", "B3")
+        m = mesh_hierarchy(dom, 2)[-1]
+        opts = GradedQuadratureOptions(n_radial=1, n_angular=1)
+        for rows in corner_loads(m, corner_bases(dom, 0), opts):
+            assert np.all(np.isfinite(rows)) and np.any(rows)
 
 
 class TestEvaluationCounts:
@@ -561,9 +611,9 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("name,bc,level,expected", [
         ("IV", "B3", 2, {"fan rays": 4368, "radial nodes": 37968,
-                         "collapsed points": 170604}),
+                         "collapsed points": 39564}),
         ("III", "B5", 4, {"fan rays": 17064, "radial nodes": 191664,
-                          "collapsed points": 226584})])
+                          "collapsed points": 166746})])
     def test_pinned(self, name, bc, level, expected, monkeypatch):
         counts = collections.Counter()
         graded = singular._graded_integrate
@@ -652,7 +702,7 @@ class TestSeparablePair:
         dom = builtin_domain(name, bc)
         bases = corner_bases(dom, 0)
         m = mesh_hierarchy(dom, 1)[-1]
-        opts = GradedQuadratureOptions()
+        opts = FixedOrderOptions()
         for i, a in enumerate(bases):
             for b in bases[i:]:
                 graded = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
