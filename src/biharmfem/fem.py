@@ -19,21 +19,9 @@ class SolveError(RuntimeError):
     """A linear solve failed its residual or compatibility check."""
 
 
-def _tri_geometry(mesh: TriMesh):
-    """Edge vectors opposite each local node (T, 3, 2) and areas (T,);
-    raises on a degenerate or inverted triangle."""
-    tri = mesh.triangles
-    e = mesh.nodes[tri[:, [2, 0, 1]]]
-    e -= mesh.nodes[tri[:, [1, 2, 0]]]
-    area = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
-    if np.any(area <= 0):
-        raise ValueError("degenerate or inverted triangle")
-    return e, area
-
-
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Exact P1 stiffness matrix (gradient inner products per triangle)."""
-    e, area = _tri_geometry(mesh)
+    e, area = mesh.triangle_geometry()
     # grad(phi_i) = rot90(e_i) / (2A); K_ij = (e_i . e_j) / (4A)
     K = np.matmul(e, e.transpose(0, 2, 1))
     del e
@@ -43,7 +31,7 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """Exact P1 mass matrix: (A/12) * [[2,1,1],[1,2,1],[1,1,2]] per triangle."""
-    area = _tri_geometry(mesh)[1]
+    area = mesh.triangle_geometry()[1]
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     return _scatter(mesh, area[:, None, None] * local)
 
@@ -74,7 +62,7 @@ def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
     grid meshes).  ``quad`` overrides the rule as (bary_points, weights).
     """
     bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
-    area = _tri_geometry(mesh)[1]
+    area = mesh.triangle_geometry()[1]
     pts = np.einsum("qi,tia->tqa", bary, mesh.nodes[mesh.triangles])
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(len(area), -1)
     contrib = (fv * (w * area[:, None])) @ bary     # (T, 3)

@@ -54,18 +54,29 @@ def _snap_angle(omega: float) -> float:
     return omega
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    """Proper intersection test for open segments (shared endpoints ignored)."""
+def _orient(a, b, c):
+    """Sign of the turn a -> b -> c, 0 within 1e-14 (points broadcast)."""
+    v = ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+         - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+    return np.where(np.abs(v) < 1e-14, 0.0, np.sign(v))
 
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(v) < 1e-14:
-            return 0
-        return 1 if v > 0 else -1
 
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+def _check_simple(vertices):
+    """Raise on the first degenerate edge, else on the first pair of edges
+    i < j that properly cross (touching ignored; adjacent edges share an
+    end, where an orientation is exactly 0, so they never cross)."""
+    v = vertices
+    w = np.roll(v, -1, axis=0)
+    degenerate = np.flatnonzero(np.isclose(v, w).all(axis=1))
+    if len(degenerate):
+        raise DomainError(f"degenerate edge {degenerate[0]}")
+    for i in range(len(v) - 1):
+        j = np.arange(i + 1, len(v))
+        o1, o2 = _orient(v[i], w[i], v[j]), _orient(v[i], w[i], w[j])
+        o3, o4 = _orient(v[j], w[j], v[i]), _orient(v[j], w[j], w[i])
+        cross = (o1 != o2) & (o3 != o4) & (o1 * o2 * o3 * o4 != 0)
+        if cross.any():
+            raise DomainError(f"edges {i} and {j[np.argmax(cross)]} intersect")
 
 
 @dataclass(frozen=True)
@@ -96,24 +107,11 @@ class PolygonDomain:
         object.__setattr__(self, "tags", tuple(BCType(t) for t in self.tags))
         if self.area() <= 0:
             raise DomainError("vertices must be ordered counterclockwise")
-        self._check_simple()
+        _check_simple(verts)
         object.__setattr__(self, "angles", self._interior_angles())
         self._check_angles()
 
     # -- construction checks ------------------------------------------------
-
-    def _check_simple(self):
-        n = len(self.vertices)
-        for i in range(n):
-            p1, p2 = self.vertices[i], self.vertices[(i + 1) % n]
-            if np.allclose(p1, p2):
-                raise DomainError(f"degenerate edge {i}")
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                q1, q2 = self.vertices[j], self.vertices[(j + 1) % n]
-                if _segments_intersect(p1, p2, q1, q2):
-                    raise DomainError(f"edges {i} and {j} intersect")
 
     def _interior_angles(self) -> np.ndarray:
         n = len(self.vertices)
@@ -148,10 +146,6 @@ class PolygonDomain:
         """Shoelace area, signed: negative for clockwise vertices."""
         x, y = self.vertices[:, 0], self.vertices[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-    def edge(self, j: int) -> tuple[np.ndarray, np.ndarray, BCType]:
-        n = self.n_vertices
-        return self.vertices[j % n], self.vertices[(j + 1) % n], self.tags[j % n]
 
     def has_dirichlet(self) -> bool:
         return any(t == BCType.DIRICHLET for t in self.tags)

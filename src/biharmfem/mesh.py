@@ -1,10 +1,14 @@
 """Conforming triangulations with nested uniform refinement.
 
 The initial mesh tiles the domain with unit grid squares, each split into
-two triangles (or one, for squares cut in half by a diagonal domain edge).
-Uniform refinement is 4-way (red): every triangle is split at its edge
-midpoints, so the coarse nodes are a prefix of the fine nodes and piecewise
-linear prolongation between levels is exact.
+two triangles (or one, for squares cut in half by a diagonal domain edge),
+built as arrays over all cells of the vertices' bounding box at once.
+Nodes and edges are numbered in the order they first appear, by one
+helper.  Uniform refinement is 4-way (red): every triangle is split at its
+edge midpoints, so the coarse nodes are a prefix of the fine nodes and
+piecewise linear prolongation between levels is exact.
+``TriMesh.triangle_geometry`` gives the edge vectors and areas of the
+triangles that assembly and the mesh checks read.
 """
 
 from __future__ import annotations
@@ -51,16 +55,20 @@ class TriMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    def triangle_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge vectors opposite each local node (T, 3, 2) and areas (T,);
+        raises on a degenerate or inverted triangle."""
+        tri = self.triangles
+        e = self.nodes[tri[:, [2, 0, 1]]]
+        e -= self.nodes[tri[:, [1, 2, 0]]]
+        area = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+        if np.any(area <= 0):
+            raise MeshError("degenerate or inverted triangle "
+                            "(non-positive area)")
+        return e, area
 
     def max_edge_length(self) -> float:
-        p = self.nodes[self.triangles]
-        lengths = [np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1) for i in range(3)]
-        return float(np.max(lengths))
+        return float(np.linalg.norm(self.triangle_geometry()[0], axis=2).max())
 
     def _dirichlet_mask(self) -> np.ndarray:
         """Nodes on the closure of any Dirichlet edge (junction nodes are
@@ -74,8 +82,7 @@ class TriMesh:
     def check_conforming(self) -> None:
         """Raise unless every interior edge is shared by exactly two
         triangles and every boundary edge by one, with positive areas."""
-        if np.any(self.areas() <= 0):
-            raise MeshError("triangle with non-positive area")
+        self.triangle_geometry()
         edges, tri_edges, boundary = _edges(self.triangles, self.boundary_edges)
         counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
         expected = np.full(len(edges), 2)
@@ -91,14 +98,10 @@ class TriMesh:
                         f"triangles, expected {expected[k]}")
 
 
-def _point_on_segment(p, a, b, tol=1e-10) -> bool:
-    ab = b - a
-    ap = p - a
-    cross = ab[0] * ap[1] - ab[1] * ap[0]
-    if abs(cross) > tol * max(1.0, np.linalg.norm(ab)):
-        return False
-    t = np.dot(ap, ab) / np.dot(ab, ab)
-    return -tol <= t <= 1 + tol
+# candidate triangles of a unit cell as corner offsets, counterclockwise:
+# split along its diagonal of slope +1 or of slope -1
+_RISING = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+_FALLING = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]]])
 
 
 def initial_mesh(domain: PolygonDomain) -> TriMesh:
@@ -109,47 +112,27 @@ def initial_mesh(domain: PolygonDomain) -> TriMesh:
     slanted cuts of the built-in domains, so a cut cell contributes exactly
     one of its two candidate triangles.  Requires all domain vertices on the
     integer grid with edges horizontal, vertical, or along cell diagonals.
+    The candidates of the cells in x-major order are kept if their
+    centroid is inside the domain; nodes are numbered by first appearance.
     """
     verts = domain.vertices
     if not np.allclose(verts, np.round(verts), atol=1e-12):
         raise MeshError("domain vertices must lie on the integer unit grid")
-    xmin, ymin = np.floor(verts.min(axis=0)).astype(int)
-    xmax, ymax = np.ceil(verts.max(axis=0)).astype(int)
-
-    node_ids: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[float, float]] = []
-
-    def nid(ix, iy):
-        key = (ix, iy)
-        if key not in node_ids:
-            node_ids[key] = len(nodes)
-            nodes.append((float(ix), float(iy)))
-        return node_ids[key]
-
-    triangles = []
-    centroids = []
-    for ix in range(xmin, xmax):
-        for iy in range(ymin, ymax):
-            cx, cy = ix + 0.5, iy + 0.5
-            if cx * cy > 0:
-                cand = [((ix, iy), (ix + 1, iy), (ix + 1, iy + 1)),
-                        ((ix, iy), (ix + 1, iy + 1), (ix, iy + 1))]
-            else:
-                cand = [((ix, iy), (ix + 1, iy), (ix, iy + 1)),
-                        ((ix + 1, iy), (ix + 1, iy + 1), (ix, iy + 1))]
-            for tri in cand:
-                c = np.mean(np.array(tri, dtype=float), axis=0)
-                triangles.append(tri)
-                centroids.append(c)
-    keep = domain.contains(np.array(centroids))
-    tri_nodes = []
-    for tri, k in zip(triangles, keep):
-        if k:
-            tri_nodes.append([nid(*v) for v in tri])
-    if not tri_nodes:
+    lo = np.floor(verts.min(axis=0)).astype(int)
+    hi = np.ceil(verts.max(axis=0)).astype(int)
+    cells = np.mgrid[lo[0]:hi[0], lo[1]:hi[1]].reshape(2, -1).T
+    # the center (ix + 1/2, iy + 1/2) has x*y > 0
+    rising = (2 * cells[:, 0] + 1) * (2 * cells[:, 1] + 1) > 0
+    cand = cells[:, None, None] + np.where(rising[:, None, None, None],
+                                           _RISING, _FALLING)
+    cand = cand.reshape(-1, 3, 2)
+    corners = cand[domain.contains(cand.mean(axis=1))].reshape(-1, 2)
+    if not len(corners):
         raise MeshError("no triangles inside the domain")
-    nodes_arr = np.array(nodes, dtype=float)
-    tris_arr = np.array(tri_nodes, dtype=np.int64)
+    first, numbers = _first_appearance(
+        (corners[:, 0] - lo[0]) * (hi[1] - lo[1] + 1) + corners[:, 1] - lo[1])
+    nodes_arr = corners[first].astype(float)
+    tris_arr = numbers.reshape(-1, 3)
 
     covered = 0.5 * len(tris_arr)
     if abs(covered - domain.area()) > 1e-9:
@@ -164,6 +147,15 @@ def initial_mesh(domain: PolygonDomain) -> TriMesh:
     return mesh
 
 
+def _first_appearance(keys):
+    """Number the distinct keys in the order they first appear: the
+    position of each number's first appearance, and every key's number."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return np.sort(first), rank[inverse]
+
+
 def _edges(triangles, boundary_edges):
     """Number the edges of a triangulation and its boundary rows.
 
@@ -174,29 +166,44 @@ def _edges(triangles, boundary_edges):
     """
     tri_pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     pairs = np.sort(np.vstack([tri_pairs, boundary_edges[:, :2]]), axis=1)
-    keys = pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    numbers = rank[inverse]
-    return (pairs[np.sort(first)], numbers[:len(tri_pairs)].reshape(-1, 3),
+    first, numbers = _first_appearance(
+        pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1])
+    return (pairs[first], numbers[:len(tri_pairs)].reshape(-1, 3),
             numbers[len(tri_pairs):])
 
 
+def _on_segment(points, a, b, tol=1e-10):
+    """Whether each point (..., 2) lies within ``tol`` on its segment a-b,
+    whose ends broadcast against the points."""
+    ab, ap = b - a, points - a
+    length2 = ab[..., 0] ** 2 + ab[..., 1] ** 2
+    t = (ap[..., 0] * ab[..., 0] + ap[..., 1] * ab[..., 1]) / length2
+    cross = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0]
+    return ((np.abs(cross) <= tol * np.maximum(1.0, np.sqrt(length2)))
+            & (-tol <= t) & (t <= 1 + tol))
+
+
 def _find_boundary_edges(domain, nodes, triangles) -> np.ndarray:
+    """Sorted rows (a, b, j) for the edges that only one triangle has: j is
+    the first domain edge that holds the edge's midpoint, and it must hold
+    both ends too (a cell cut along the diagonal it does not have can leave
+    an edge across the cut whose midpoint is on it)."""
     edges, tri_edges, _ = _edges(triangles, np.zeros((0, 3), dtype=np.int64))
-    rows = []
-    for a, b in edges[np.bincount(tri_edges.ravel()) == 1].tolist():
-        mid = 0.5 * (nodes[a] + nodes[b])
-        for j in range(domain.n_vertices):
-            p, q, _ = domain.edge(j)
-            if _point_on_segment(mid, p, q):
-                rows.append((a, b, j))
-                break
-        else:
-            raise MeshError(f"boundary edge ({a}, {b}) lies on no domain edge")
-    rows.sort()
-    return np.array(rows, dtype=np.int64)
+    ends = edges[np.bincount(tri_edges.ravel()) == 1]
+    mid = 0.5 * (nodes[ends[:, 0]] + nodes[ends[:, 1]])
+    owner = np.full(len(ends), -1)
+    starts, stops = domain.vertices, np.roll(domain.vertices, -1, axis=0)
+    for j, (a, b) in enumerate(zip(starts, stops)):
+        owner[_on_segment(mid, a, b) & (owner < 0)] = j
+    bad = owner < 0
+    if not bad.any():
+        bad = ~_on_segment(nodes[ends], starts[owner, None],
+                           stops[owner, None]).all(axis=1)
+    if bad.any():
+        a, b = ends[np.argmax(bad)]
+        raise MeshError(f"boundary edge ({a}, {b}) lies on no domain edge")
+    rows = np.column_stack([ends, owner])
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def refine_uniform(mesh: TriMesh) -> TriMesh:

@@ -4,8 +4,11 @@ import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biharmfem.cli import main
+from conftest import skyline_domains
 
 
 class TestHelp:
@@ -240,3 +243,42 @@ def test_domain_beyond_grid_bound_is_config_error(cmd, size, shown, tmp_path,
                           "grid bound")
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _file_lines(dom):
+    return ([f"{x:g} {y:g}" for x, y in dom.vertices]
+            + [t.value for t in dom.tags])
+
+
+# one line of a domain file: a small vertex, a tag, or something else
+domain_lines = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+        lambda v: f"{v[0]} {v[1]}"),
+    st.sampled_from(["D", "N", "# note", "", "D N", "1 2 3", "nan 0",
+                     "0 inf", "1e400 0", "0.5 1", "70 0", "x y", "1_0 2"]),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6))
+
+
+@st.composite
+def domain_texts(draw):
+    """Domain-file text: a small grid polygon's file or random lines, with
+    up to two lines replaced or inserted."""
+    lines = draw(st.one_of(
+        skyline_domains(max_columns=3, max_height=4).map(_file_lines),
+        st.lists(domain_lines, max_size=12)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        lines[k:k + draw(st.integers(0, 1))] = [draw(domain_lines)]
+    return "\n".join(lines) + "\n"
+
+
+@given(text=domain_texts(), command=st.sampled_from([
+    ["mesh-info", "--level", "0"], ["mesh-info", "--level", "2"],
+    ["study", "--levels", "2"]]))
+@settings(max_examples=100, deadline=None)
+def test_domain_file_fuzz_exits_with_a_code(text, command, tmp_path_factory):
+    # outside input reaches the domain checks and the level-0 grid: every
+    # run ends with exit code 0, 1 or 2 and no exception escapes
+    path = tmp_path_factory.getbasetemp() / "fuzz_domain.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main([*command, "--domain-file", str(path)]) in (0, 1, 2)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biharmfem import geometry
 from biharmfem.geometry import (BCType, DomainError, PolygonDomain,
                                 VertexClass, builtin_domain, classify_vertex,
                                 perp_dimension, read_domain_file,
                                 singular_exponents)
 from biharmfem.singular import corner_bases
 from conftest import unit_square
+from refine_oracle import check_simple_loop
 
 D, N = BCType.DIRICHLET, BCType.NEUMANN
 
@@ -167,10 +169,68 @@ class TestDomainValidation:
         with pytest.raises(DomainError, match="extent 64.5 exceeds"):
             PolygonDomain(129.0 * square, (D,) * 4)
 
+    def test_degenerate_edge_named_before_a_crossing(self):
+        # edges 0 and 2 cross, edge 3 has length 0
+        verts = np.array([[0, 0], [1, 1], [1, 0], [0, 1], [0, 1]], float)
+        with pytest.raises(DomainError, match="edges 0 and 2 intersect"):
+            check_simple_loop(verts)
+        with pytest.raises(DomainError, match="degenerate edge 3"):
+            geometry._check_simple(verts)
+
     def test_contains(self):
         dom = builtin_domain("III", "B1")
         pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [3.0, 0.5]])
         assert list(dom.contains(pts)) == [True, False, True, False]
+
+
+def _verdict(build):
+    """The message of the DomainError that ``build()`` raises, else None."""
+    try:
+        build()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+# small polygons on a half-integer lattice: repeated vertices give
+# degenerate edges, and most of them cross themselves
+lattice_polygons = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    min_size=3, max_size=9).map(lambda v: 0.5 * np.array(v, dtype=float))
+
+
+class TestSimplePolygonOracle:
+    """The simple-polygon check against the vertex-pair loop it replaced
+    (tests/refine_oracle.py)."""
+
+    @given(lattice_polygons)
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict(self, verts):
+        want = _verdict(lambda: check_simple_loop(verts))
+        got = _verdict(lambda: geometry._check_simple(verts))
+        assert (got is None) == (want is None)
+        if got != want:
+            # both faults: the loop met a crossing of an edge before the
+            # first degenerate edge, which the array check names first
+            assert got.startswith("degenerate edge") and "intersect" in want
+            assert int(want.split()[1]) < int(got.split()[-1])
+
+    @given(lattice_polygons, st.lists(st.sampled_from(BCType), min_size=9,
+                                      max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_same_domain_verdict(self, verts, tags):
+        # counterclockwise, so that most reach the simple-polygon check
+        x, y = verts.T
+        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0:
+            verts = verts[::-1]
+        tags = tuple(tags[:len(verts)])
+        got = _verdict(lambda: PolygonDomain(verts, tags))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_check_simple", check_simple_loop)
+            want = _verdict(lambda: PolygonDomain(verts, tags))
+        assert (got is None) == (want is None)
+        if got != want:
+            assert got.startswith("degenerate edge") and "intersect" in want
 
 
 class TestSingularSpecFrame:

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharmfem import fem
-from biharmfem.geometry import (BC_TYPES, BCType, BUILTIN_NAMES,
-                                DomainError, PolygonDomain, builtin_domain,
-                                read_domain_file)
+from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, GRID_BOUND,
+                                BCType, DomainError, PolygonDomain,
+                                builtin_domain, read_domain_file)
 from biharmfem.mesh import (MeshError, TriMesh, initial_mesh,
                             nested_dissection, prolongate, restrict)
-from conftest import mesh_hierarchy, unit_square
+from conftest import (comb_domain, mesh_hierarchy, skyline_domains,
+                      unit_square)
 from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
-                           refine_uniform_dict)
+                           initial_mesh_loop, refine_uniform_dict)
 
 
 def node_at(m, point):
@@ -31,19 +32,31 @@ class TestInitialMesh:
     def test_domain_iii_counts_and_area(self):
         m = initial_mesh(builtin_domain("III", "B1"))
         assert m.n_triangles == 24
-        assert m.areas().sum() == pytest.approx(12.0, abs=1e-12)
+        assert m.triangle_geometry()[1].sum() == pytest.approx(12.0,
+                                                                abs=1e-12)
 
     def test_areas_partition_every_builtin(self):
         for name, bc in [("I", "B3"), ("II", "B1"), ("III", "B1"), ("IV", "B1")]:
             dom = builtin_domain(name, bc)
             m = initial_mesh(dom)
-            assert m.areas().sum() == pytest.approx(dom.area(), abs=1e-12)
+            assert m.triangle_geometry()[1].sum() == pytest.approx(
+                dom.area(), abs=1e-12)
             m.check_conforming()
 
     def test_corner_vertex_is_a_node(self):
         for name in ("I", "II", "III", "IV"):
             m = initial_mesh(builtin_domain(name, "B3"))
             assert node_at(m, (0.0, 0.0)) >= 0
+
+    def test_cut_along_the_other_diagonal_rejected(self):
+        # the edge (1, 1) -> (0, 2) crosses its cell along the diagonal the
+        # cell does not have; both candidates' centroids lie on it, and the
+        # one taken has an edge whose midpoint, but not its ends, lies on it
+        dom = PolygonDomain(np.array([[0, 0], [2, 0], [2, 2], [1, 2], [1, 1],
+                                      [0, 2]], dtype=float),
+                            (BCType.DIRICHLET,) * 6)
+        with pytest.raises(MeshError, match="lies on no domain edge"):
+            initial_mesh(dom)
 
     def test_off_grid_domain_rejected(self):
         dom = PolygonDomain(0.5 * unit_square().vertices,
@@ -64,9 +77,10 @@ class TestRefinement:
             assert f.n_nodes == c.n_nodes + len(edges)
 
     def test_area_preserved(self, lshape_b1_meshes):
-        a0 = lshape_b1_meshes[0].areas().sum()
+        a0 = lshape_b1_meshes[0].triangle_geometry()[1].sum()
         for m in lshape_b1_meshes[1:]:
-            assert m.areas().sum() == pytest.approx(a0, rel=1e-13)
+            assert m.triangle_geometry()[1].sum() == pytest.approx(
+                a0, rel=1e-13)
 
     def test_nested_nodes(self, lshape_b1_meshes):
         for c, f in zip(lshape_b1_meshes, lshape_b1_meshes[1:]):
@@ -86,7 +100,7 @@ class TestRefinement:
         fine = mesh_hierarchy(dom, 2)[-1]
         for a, b, j in fine.boundary_edges:
             mid = 0.5 * (fine.nodes[a] + fine.nodes[b])
-            p, q, tag = dom.edge(int(j))
+            p, q = dom.vertices[[j, (j + 1) % dom.n_vertices]]
             # the midpoint must lie on the tagged domain edge
             t = np.dot(mid - p, q - p) / np.dot(q - p, q - p)
             assert -1e-12 <= t <= 1 + 1e-12
@@ -263,29 +277,84 @@ def _file_domain(tmp_path):
     return read_domain_file(path)
 
 
+def assert_same_mesh(mesh, oracle):
+    """Every array of the two meshes equal, dtypes included."""
+    for field in MESH_FIELDS:
+        got, want = getattr(mesh, field), getattr(oracle, field)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype, (mesh.level, field)
+            assert np.array_equal(got, want), (mesh.level, field)
+
+
+def _square(half):
+    v = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float) * half
+    return PolygonDomain(v, (BCType.DIRICHLET,) * 4)
+
+
 class TestRefinementOracle:
     @pytest.mark.parametrize("builtin", [("I", "B4"), ("II", "B2"),
                                          ("III", "B5"), ("IV", "B3"), None],
                              ids=["I-B4", "II-B2", "III-B5", "IV-B3", "file"])
     def test_matches_dict_refinement(self, builtin, tmp_path):
+        # levels 0-5 against the per-cell grid, then the dict refinement
         dom = builtin_domain(*builtin) if builtin else _file_domain(tmp_path)
         meshes = mesh_hierarchy(dom, 5)
-        oracles = [meshes[0]]
+        oracles = [initial_mesh_loop(dom)]
         for _ in range(5):
             oracles.append(refine_uniform_dict(oracles[-1]))
         assert np.array_equal(
             meshes[0].boundary_edges,
             find_boundary_edges_dict(dom, meshes[0].nodes, meshes[0].triangles))
-        for level, (mesh, oracle) in enumerate(zip(meshes, oracles)):
+        for mesh, oracle in zip(meshes, oracles):
             assert np.array_equal(mesh.dirichlet_nodes,
                                   dirichlet_mask_loop(oracle))
-            for field in MESH_FIELDS:
-                got, want = getattr(mesh, field), getattr(oracle, field)
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.dtype == want.dtype, (level, field)
-                    assert np.array_equal(got, want), (level, field)
+            assert_same_mesh(mesh, oracle)
+
+
+class TestInitialMeshOracle:
+    """The level-0 grid built as arrays against the loop over unit cells it
+    replaced (tests/refine_oracle.py)."""
+
+    # the file domain is compared in TestRefinementOracle
+    @pytest.mark.parametrize(
+        "make", [functools.partial(builtin_domain, *b) for b in BUILTINS]
+        + [functools.partial(_square, GRID_BOUND),
+           functools.partial(comb_domain, 8)],
+        ids=[f"{n}-{b}" for n, b in BUILTINS] + ["square128", "comb34"])
+    def test_matches_loop(self, make):
+        dom = make()
+        assert_same_mesh(initial_mesh(dom), initial_mesh_loop(dom))
+
+    @given(skyline_domains())
+    @settings(max_examples=60, deadline=None)
+    def test_skyline_polygons(self, dom):
+        try:
+            oracle = initial_mesh_loop(dom)
+        except MeshError as exc:
+            with pytest.raises(type(exc)) as got:
+                initial_mesh(dom)
+            assert str(got.value) == str(exc)
+            return
+        meshes = mesh_hierarchy(dom, 2)
+        assert_same_mesh(meshes[0], oracle)
+        for coarse, fine in zip(meshes, meshes[1:]):
+            assert_same_mesh(fine, refine_uniform_dict(coarse))
+        for m in meshes:
+            m.check_conforming()
+            assert m.triangle_geometry()[1].sum() == pytest.approx(
+                dom.area(), abs=1e-12)
+            # refined rows keep their orientation: compare sorted pairs
+            rows = m.boundary_edges.copy()
+            rows[:, :2].sort(axis=1)
+            rows = rows[np.lexsort(rows.T[::-1])]
+            assert np.array_equal(rows, find_boundary_edges_dict(
+                dom, m.nodes, m.triangles))
+            A = fem.assemble_stiffness(m)
+            assert (A != A.T).nnz == 0
+            scale = abs(A).max(axis=1).toarray().ravel()
+            assert np.all(np.abs(A.sum(axis=1).A1) <= 1e-12 * scale)
 
 
 def _interior_triangle(m):
