@@ -1,0 +1,202 @@
+"""Multifrontal Cholesky factor over a nested-dissection tree.
+
+The unknowns come in elimination order, each with the box of
+``mesh.nested_dissection`` whose separator holds it.  A front is one
+separator, or, ``LEAF_DEPTHS`` levels above the deepest box, a whole box
+with everything below it (a leaf); a front's parent is the front of the
+nearest ancestor box.  Its pivots P are a contiguous run of the order,
+and its update set U, the later unknowns its columns of L reach, is the
+union of its own entries' rows and its children's update sets (nested
+dissection: George 1973; multifrontal method: Duff & Reid 1983).
+
+The symbolic phase and the numeric factor loop over the tree's depths,
+deepest first, never over single fronts: the fronts of one depth are
+padded to a common size (a padded pivot carries a 1 on the diagonal) and
+go through one stacked ``np.linalg.cholesky`` and stacked ``matmul``, in
+chunks of at most ``CHUNK`` front entries.  With the front
+[[F11, F21^T], [F21, F22]] (F22 holds the children's updates extended to
+U), a front keeps H = W [I, -F21^T] with W = F11^-1, and passes
+S = F22 - F21 W F21^T to its parent.  A solve is two sweeps of batched
+matrix-vector products: forward b_U += H_U^T b_P, deepest first; backward
+x_P = H [b_P; x_U], root first.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Each depth costs about a hundred numpy calls whatever its size, so the
+# deepest box levels merge into leaves; larger leaves would add fill.
+# CHUNK bounds the front entries factored at once, and so the factor's
+# transient memory.
+LEAF_DEPTHS = 2
+CHUNK = 1 << 21
+
+
+def _depth(keys: np.ndarray) -> np.ndarray:
+    """The depth of each box key: its bit length less one."""
+    return np.frexp(keys.astype(float))[1] - 1
+
+
+class Cholesky:
+    """A = L L^T of a symmetric positive definite matrix, kept front by
+    front; ``solve`` applies A^-1.
+
+    ``rows``, ``cols`` and ``vals`` are A's distinct entries on and below
+    the diagonal (rows >= cols) in elimination order.  ``box`` holds each
+    unknown's nested-dissection box as a key with a leading 1 bit (a child
+    box is 2 * key + side).  ``nnz`` counts the nonzeros of L, its
+    diagonal included.  Raises ``np.linalg.LinAlgError`` if A is not
+    positive definite."""
+
+    def __init__(self, rows, cols, vals, box):
+        n = self.n = len(box)
+        dep = _depth(box)
+        cut = max(int(dep.max()) - LEAF_DEPTHS, 0)
+        key = box >> np.maximum(dep - cut, 0)
+        self.starts = np.flatnonzero(np.diff(key, prepend=0))
+        size = self.size = np.diff(self.starts, append=n)
+        owner = self.owner = np.repeat(np.arange(len(size)), size)
+        parent = _parents(key[self.starts])
+        depth = _depth(key[self.starts])
+        top = int(depth.max())
+        # update-set keys front * n + unknown, by the front's depth
+        reached = [[] for _ in range(top + 1)]
+
+        def reach(f, x):
+            for d in np.flatnonzero(np.bincount(depth[f])):
+                at = depth[f] == d
+                reached[d].append(f[at] * n + x[at])
+
+        col_front = owner[cols]
+        cross = owner[rows] != col_front
+        reach(col_front[cross], rows[cross])
+        # the entries of each depth's fronts, deepest first
+        rank = (top - depth[col_front]).astype(np.int8)
+        by_depth = np.argsort(rank, kind="stable")
+        rows, cols, vals = rows[by_depth], cols[by_depth], vals[by_depth]
+        col_front = col_front[by_depth]
+        ends = np.r_[0, np.cumsum(np.bincount(rank, minlength=top + 1))]
+        up_depth = np.where(parent >= 0, depth[parent], -1)
+        self.groups, self.u = [], np.zeros(len(size), dtype=np.int64)
+        pending = [[] for _ in range(top + 1)]
+        for d in range(top, -1, -1):
+            fronts = np.flatnonzero(depth == d)
+            if not len(fronts):
+                continue
+            u_keys = _distinct(np.concatenate([np.zeros(0, np.int64),
+                                               *reached[d]]))
+            u_front, u_node = np.divmod(u_keys, n)
+            up = parent[u_front]
+            carry = (up >= 0) & (owner[u_node] != up)
+            reach(up[carry], u_node[carry])
+            mine = slice(ends[top - d], ends[top - d + 1])
+            m = size[fronts].max() + np.bincount(u_front).max(initial=0)
+            k = min(len(fronts), -(-len(fronts) * m * m // CHUNK))
+            chunks = np.array_split(fronts, k) if k > 1 else [fronts]
+            for chunk in chunks:
+                part, kids = mine, pending[d]
+                if len(chunks) > 1:
+                    lo, hi = chunk[0], chunk[-1]
+                    part = mine.start + np.flatnonzero(
+                        (col_front[mine] >= lo) & (col_front[mine] <= hi))
+                    kids = [(S[sel], U[sel], up[sel]) for S, U, up in kids
+                            for sel in [(up >= lo) & (up <= hi)]]
+                S, U = self._front(chunk, u_keys, u_front, u_node, rows[part],
+                                   cols[part], vals[part], kids)
+                to = up_depth[chunk]
+                if to.min() == to.max() >= 0:
+                    pending[to[0]].append((S, U, parent[chunk]))
+                    continue
+                for t in np.flatnonzero(np.bincount(to + 1)) - 1:
+                    if t >= 0:
+                        go = to == t
+                        pending[t].append((S[go], U[go], parent[chunk[go]]))
+            pending[d] = []
+        self.nnz = int((size * (size + 1) // 2 + self.u * size).sum())
+
+    def _front(self, fronts, u_keys, u_front, u_node, rows, cols, vals,
+               children):
+        """Factor some fronts of one depth, given their entries and their
+        children's (S, U, parent); return their own S and U, padded with
+        n."""
+        n, nf, starts, owner = self.n, len(fronts), self.starts, self.owner
+        p = self.size[fronts]
+        first = np.searchsorted(u_front, fronts)
+        u = self.u[fronts] = np.searchsorted(u_front, fronts, side="right") - first
+        pm, um = p.max(), u.max()
+        m = pm + um
+        local = np.zeros(len(starts), dtype=np.int64)
+        local[fronts] = np.arange(nf)
+
+        def slot(f, x):
+            """The row of unknown x in the front f."""
+            return np.where(owner[x] == f, x - starts[f],
+                            pm + np.searchsorted(u_keys, f * n + x)
+                            - first[local[f]])
+
+        F = np.zeros((nf, m, m))
+        flat = F.reshape(-1)
+        f = owner[cols]
+        flat[(local[f] * m + slot(f, rows)) * m + cols - starts[f]] = vals
+        pad = np.arange(pm) >= p[:, None]
+        g, j = pad.nonzero()
+        F[g, j, j] = 1.0
+        for S, U, up in children:
+            # the padding of S is exact zeros: add it anywhere
+            loc, real = np.zeros_like(U), U < n
+            loc[real] = slot(up.repeat(U.shape[1]).reshape(U.shape)[real],
+                             U[real])
+            base = (local[up] * m * m)[:, None, None]
+            np.add.at(flat, (base + loc[:, :, None] * m + loc[:, None, :]).ravel(),
+                      S.ravel())
+        L_inv = np.linalg.inv(np.linalg.cholesky(F[:, :pm, :pm]))
+        F21 = F[:, pm:, :pm]
+        H = np.empty((nf, pm, m))
+        H[:, :, :pm] = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
+        H[:, :, pm:] = -np.matmul(H[:, :, :pm], F21.transpose(0, 2, 1))
+        S = F[:, pm:, pm:] + np.matmul(F21, H[:, :, pm:])
+        index = np.full((nf, m), n)
+        index[:, :pm] = np.where(pad, n, starts[fronts, None] + np.arange(pm))
+        index[:, pm:][np.arange(um) < u[:, None]] = \
+            u_node[first[0]:first[-1] + u[-1]]
+        self.groups.append((index, H))
+        return S, index[:, pm:]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b, in elimination order; the padding reads and writes the
+        zero at x[n] through zero entries of H (or the identity)."""
+        x = np.append(np.asarray(b, dtype=float), 0.0)
+        for index, H in self.groups:
+            pm = H.shape[1]
+            np.add.at(x, index[:, pm:],
+                      np.matmul(x[index[:, :pm]][:, None, :], H[:, :, pm:])[:, 0])
+        for index, H in reversed(self.groups):
+            x[index[:, :H.shape[1]]] = np.matmul(H, x[index][:, :, None])[:, :, 0]
+        return x[:self.n]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted (``np.unique`` hashes integers, many
+    times slower)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _parents(keys: np.ndarray) -> np.ndarray:
+    """The index of each front's parent among ``keys``, the front of its
+    nearest ancestor box (-1 for none); one round per missing ancestor."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    parent = np.full(len(keys), -1)
+    todo, up = np.arange(len(keys)), keys >> 1
+    while len(todo):
+        todo = todo[up[todo] > 0]
+        at = np.minimum(np.searchsorted(ranked, up[todo]), len(keys) - 1)
+        hit = ranked[at] == up[todo]
+        parent[todo[hit]] = order[at[hit]]
+        todo = todo[~hit]
+        up[todo] >>= 1
+    return parent

@@ -1,47 +1,76 @@
 """P1 assembly, direct Poisson solves, and discrete norms.
 
+A matrix is kept as its diagonal and one value per mesh edge
+(``EdgeMatrix``), so A @ x is two gathers and two ``np.bincount`` calls.
 A Poisson solve factors the stiffness once, restricted to its unknowns
-(the free nodes, or every node with a mean-zero border) and eliminated in
-their nested-dissection order, with SuperLU on the diagonal (no pivoting).
-It takes and returns full-length nodal vectors and checks the relative
-residual of every solve on the unknowns' rows."""
+(the free nodes, or every node but one grounded node on a pure-Neumann
+level), by a multifrontal Cholesky over the level's nested-dissection tree
+(``cholesky.Cholesky``).  It takes and returns full-length nodal vectors
+and checks the relative residual of every solve on the unknowns' rows."""
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from dataclasses import dataclass
 
+import numpy as np
+
+from .cholesky import Cholesky
 from .mesh import TriMesh
 
 
 class SolveError(RuntimeError):
-    """A linear solve failed its residual or compatibility check."""
+    """A linear solve failed its residual, compatibility or
+    positive-definiteness check."""
 
 
-def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
+@dataclass(frozen=True)
+class EdgeMatrix:
+    """A symmetric matrix with the pattern of a graph: its ``diag`` and
+    the value ``off[k]`` of the pair of entries (i, j) and (j, i) for the
+    edge ``(i, j) = ends[:, k]``."""
+
+    diag: np.ndarray    # (N,)
+    ends: np.ndarray    # (2, E)
+    off: np.ndarray     # (E,)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.diag), len(self.diag)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        i, j = self.ends
+        n = len(self.diag)
+        return (self.diag * x + np.bincount(i, self.off * x[j], n)
+                + np.bincount(j, self.off * x[i], n))
+
+
+def assemble_stiffness(mesh: TriMesh) -> EdgeMatrix:
     """Exact P1 stiffness matrix (gradient inner products per triangle)."""
     e, area = mesh.triangle_geometry()
     # grad(phi_i) = rot90(e_i) / (2A); K_ij = (e_i . e_j) / (4A)
-    K = np.matmul(e, e.transpose(0, 2, 1))
-    del e
+    K = e[:, :, None, 0] * e[:, None, :, 0] + e[:, :, None, 1] * e[:, None, :, 1]
     K /= (4.0 * area)[:, None, None]
-    return _scatter(mesh, K)
+    return _edge_sums(mesh, K)
 
 
-def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
+def assemble_mass(mesh: TriMesh) -> EdgeMatrix:
     """Exact P1 mass matrix: (A/12) * [[2,1,1],[1,2,1],[1,1,2]] per triangle."""
     area = mesh.triangle_geometry()[1]
     local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _scatter(mesh, area[:, None, None] * local)
+    return _edge_sums(mesh, area[:, None, None] * local)
 
 
-def _scatter(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
-    # int32 indices: scipy would copy int64 ones to int32
-    rows = np.repeat(mesh.triangles.astype(np.int32), 3, axis=1).ravel()
-    cols = rows.reshape(-1, 3, 3).transpose(0, 2, 1).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+def _edge_sums(mesh: TriMesh, local: np.ndarray) -> EdgeMatrix:
+    """Sum the (T, 3, 3) element matrices onto the mesh's nodes and edges;
+    a triangle's edges (ab, bc, ca) take its local pairs (0, 1), (1, 2),
+    (2, 0)."""
+    edges, tri_edges, _ = mesh.edge_table
+    k = np.arange(3)
+    diag = np.bincount(mesh.triangles.ravel(), local[:, k, k].ravel(),
+                       mesh.n_nodes)
+    off = np.bincount(tri_edges.ravel(), local[:, k, (k + 1) % 3].ravel(),
+                      len(edges))
+    return EdgeMatrix(diag, edges.T, off)
 
 
 # Interior 3-point rule on the reference triangle: degree-2 exact, with no
@@ -63,7 +92,7 @@ def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
     """
     bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
     area = mesh.triangle_geometry()[1]
-    pts = np.einsum("qi,tia->tqa", bary, mesh.nodes[mesh.triangles])
+    pts = bary @ mesh.nodes[mesh.triangles]         # (T, q, 2)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(len(area), -1)
     contrib = (fv * (w * area[:, None])) @ bary     # (T, 3)
     return np.bincount(mesh.triangles.ravel(), contrib.ravel(),
@@ -71,51 +100,58 @@ def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
 
 
 class DirectSolver:
-    """x = solver(b) for the sparse symmetric matrix A, from one LU factor.
+    """x = solver(b) for the symmetric matrix A, from one Cholesky factor.
 
     ``order`` lists the unknowns, a subset of A's rows, in elimination
-    order: for a mesh matrix the free nodes in ``mesh.nested_dissection``
-    order, or every node on a pure-Neumann level.  SuperLU factors
-    A[order][:, order] in that order on its diagonal: A is SPD on the
-    unknowns, so no pivoting is needed.  Vectors are full-length; the
-    solution is zero off ``order`` and the right-hand side is read on it.
-    With ``mass`` M, A is the pure-Neumann stiffness (kernel = constants),
-    ``order`` holds every node and the factor is of the bordered matrix
-    [[A, M 1], [(M 1)^T, 0]]: a compatible right-hand side (components sum
-    to zero) gives multiplier 0 and the solution with zero discrete mean
-    against M; an incompatible one is rejected.  The border is ordered just
-    before A's last node, not last: A alone is singular, so after all of
-    A's nodes the last pivot would be roundoff.
+    order, and ``box`` their nested-dissection boxes: for a mesh matrix,
+    ``mesh.nested_dissection`` of the free nodes, or of every node on a
+    pure-Neumann level.  A must be positive definite on the unknowns; a
+    factor that meets a non-positive pivot raises ``SolveError``.  Vectors
+    are full-length; the solution is zero off ``order`` and the right-hand
+    side is read on it.  With ``mass`` M, A is the pure-Neumann stiffness
+    (kernel = constants) and ``order`` holds every node: the last one in
+    the order is grounded (its value fixed at 0, which leaves the rest
+    positive definite), and the solution is shifted to zero discrete mean
+    against M.  A compatible right-hand side (components sum to zero)
+    meets the grounded row as well; an incompatible one is rejected.
 
     Every solve must reach the relative residual ``tol`` on the rows of
-    ``order``; ``lu`` is the factor and ``residual_max`` the worst relative
-    residual so far.
+    ``order``; ``factor`` is the Cholesky factor and ``residual_max`` the
+    worst relative residual so far.
     """
 
-    def __init__(self, A: sp.csr_matrix, tol: float, order: np.ndarray,
-                 mass: sp.csr_matrix | None = None):
-        self.A, self.tol, self.mean_zero = A, tol, mass is not None
+    def __init__(self, A: EdgeMatrix, tol: float, order: np.ndarray,
+                 box: np.ndarray, mass: EdgeMatrix | None = None):
+        self.A, self.tol = A, tol
         self.residual_max = 0.0
         n = A.shape[0]
-        K, self._order = A, np.asarray(order)
-        if len(self._order) == 0:
+        if len(order) == 0:
             raise ValueError("all nodes are constrained")
         self._unknown = np.zeros(n, dtype=bool)
-        self._unknown[self._order] = True
-        if self.mean_zero:
-            m1 = (mass @ np.ones(n))[:, None]
-            K = sp.bmat([[A, m1], [m1.T, None]])
-            self._order = np.concatenate([self._order[:-1], [n],
-                                          self._order[-1:]])
-        K = sp.csr_matrix(K)[self._order][:, self._order].tocsc()
-        self.lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0,
-                            options={"SymmetricMode": True})
+        self._unknown[order] = True
+        self._m1 = None if mass is None else mass @ np.ones(n)
+        if mass is not None:
+            order, box = order[:-1], box[:-1]
+        self._order = order
+        pos = np.full(n, -1)
+        pos[order] = np.arange(len(order))
+        i, j = pos[A.ends]
+        both = (i >= 0) & (j >= 0)
+        i, j = i[both], j[both]
+        rows = np.concatenate([np.arange(len(order)), np.maximum(i, j)])
+        cols = np.concatenate([np.arange(len(order)), np.minimum(i, j)])
+        try:
+            self.factor = Cholesky(rows, cols,
+                                   np.concatenate([A.diag[order], A.off[both]]),
+                                   box)
+        except np.linalg.LinAlgError as err:
+            raise SolveError(f"matrix is not positive definite on the "
+                             f"unknowns ({err})") from None
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         n = self.A.shape[0]
-        rhs = b
-        if self.mean_zero:
+        if self._m1 is not None:
             norm_b = np.linalg.norm(b)
             total = abs(b.sum())
             if total > 1e-10 * norm_b:
@@ -124,14 +160,14 @@ class DirectSolver:
                     f"1e-10*|b| = {1e-10 * norm_b:.3e}"
                 )
             b = b - b.sum() / n  # clean the roundoff component along the kernel
-            rhs = np.append(b, 0.0)
-        x = np.zeros(len(rhs))
-        x[self._order] = self.lu.solve(rhs[self._order])
-        x = x[:n]
+        x = np.zeros(n)
+        x[self._order] = self.factor.solve(b[self._order])
+        if self._m1 is not None:
+            x -= (self._m1 @ x) / self._m1.sum()
         norm_b = np.linalg.norm(b[self._unknown])
         res = np.linalg.norm((b - self.A @ x)[self._unknown])
         if not res <= self.tol * norm_b:
-            what = "mean-zero solve" if self.mean_zero else "direct solve"
+            what = "direct solve" if self._m1 is None else "mean-zero solve"
             raise SolveError(f"{what} relative residual {res / norm_b:.3e} "
                              f"exceeds the tolerance {self.tol:.3e}")
         self.residual_max = max(self.residual_max,
@@ -139,7 +175,7 @@ class DirectSolver:
         return x
 
 
-def h1_seminorm_diff(v1: np.ndarray, v2: np.ndarray, stiffness: sp.csr_matrix) -> float:
+def h1_seminorm_diff(v1: np.ndarray, v2: np.ndarray, stiffness: EdgeMatrix) -> float:
     """sqrt(d^T A d) for d = v1 - v2 on a common mesh."""
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)

@@ -63,8 +63,12 @@ def _orient(a, b, c):
 
 def _check_simple(vertices):
     """Raise on the first degenerate edge, else on the first pair of edges
-    i < j that properly cross (touching ignored; adjacent edges share an
-    end, where an orientation is exactly 0, so they never cross)."""
+    i < j that properly cross (adjacent edges share an end, where an
+    orientation is exactly 0, so they never cross), else on the first
+    vertex k within 1e-10 of an edge j that does not end at it: a repeated
+    vertex or a vertex on another edge makes the boundary touch itself.
+    Each check loops over one side and is vectorised over the other, so
+    memory stays linear in the vertex count."""
     v = vertices
     w = np.roll(v, -1, axis=0)
     degenerate = np.flatnonzero(np.isclose(v, w).all(axis=1))
@@ -77,6 +81,22 @@ def _check_simple(vertices):
         cross = (o1 != o2) & (o3 != o4) & (o1 * o2 * o3 * o4 != 0)
         if cross.any():
             raise DomainError(f"edges {i} and {j[np.argmax(cross)]} intersect")
+    edge = np.arange(len(v))
+    for k in edge:
+        touch = on_segment(v[k], v, w) & (edge != k) & (np.roll(edge, -1) != k)
+        if touch.any():
+            raise DomainError(f"vertex {k} touches edge {np.argmax(touch)}")
+
+
+def on_segment(points, a, b, tol=1e-10):
+    """Whether each point (..., 2) lies within ``tol`` on its segment a-b,
+    whose ends broadcast against the points."""
+    ab, ap = b - a, points - a
+    length2 = ab[..., 0] ** 2 + ab[..., 1] ** 2
+    t = (ap[..., 0] * ab[..., 0] + ap[..., 1] * ab[..., 1]) / length2
+    cross = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0]
+    return ((np.abs(cross) <= tol * np.maximum(1.0, np.sqrt(length2)))
+            & (-tol <= t) & (t <= 1 + tol))
 
 
 @dataclass(frozen=True)

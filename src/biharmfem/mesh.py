@@ -7,17 +7,19 @@ Nodes and edges are numbered in the order they first appear, by one
 helper.  Uniform refinement is 4-way (red): every triangle is split at its
 edge midpoints, so the coarse nodes are a prefix of the fine nodes and
 piecewise linear prolongation between levels is exact.
-``TriMesh.triangle_geometry`` gives the edge vectors and areas of the
-triangles that assembly and the mesh checks read.
+``TriMesh.triangle_geometry`` and ``TriMesh.edge_table``, each computed
+once per mesh, give the edge vectors and areas of the triangles and the
+numbered edges that assembly, refinement and the mesh checks read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import BCType, PolygonDomain
+from .geometry import BCType, PolygonDomain, on_segment
 
 
 class MeshError(ValueError):
@@ -56,8 +58,13 @@ class TriMesh:
         return len(self.triangles)
 
     def triangle_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge vectors opposite each local node (T, 3, 2) and areas (T,);
-        raises on a degenerate or inverted triangle."""
+        """Edge vectors opposite each local node (T, 3, 2) and areas (T,),
+        computed once per mesh and read-only; raises on a degenerate or
+        inverted triangle."""
+        return self._geometry
+
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
         tri = self.triangles
         e = self.nodes[tri[:, [2, 0, 1]]]
         e -= self.nodes[tri[:, [1, 2, 0]]]
@@ -65,7 +72,18 @@ class TriMesh:
         if np.any(area <= 0):
             raise MeshError("degenerate or inverted triangle "
                             "(non-positive area)")
+        e.flags.writeable = area.flags.writeable = False
         return e, area
+
+    @cached_property
+    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_edges`` of the triangles and boundary rows, computed once per
+        mesh: the (E, 2) edges, the (T, 3) edge numbers of the triangles
+        and the (B,) edge numbers of the boundary rows."""
+        table = _edges(self.triangles, self.boundary_edges)
+        for a in table:
+            a.flags.writeable = False
+        return table
 
     def max_edge_length(self) -> float:
         return float(np.linalg.norm(self.triangle_geometry()[0], axis=2).max())
@@ -83,7 +101,7 @@ class TriMesh:
         """Raise unless every interior edge is shared by exactly two
         triangles and every boundary edge by one, with positive areas."""
         self.triangle_geometry()
-        edges, tri_edges, boundary = _edges(self.triangles, self.boundary_edges)
+        edges, tri_edges, boundary = self.edge_table
         counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
         expected = np.full(len(edges), 2)
         expected[boundary] = 1
@@ -161,26 +179,16 @@ def _edges(triangles, boundary_edges):
 
     Edges are sorted node pairs, numbered in the order they first appear in
     the triangles' (ab, bc, ca) edges, then in the boundary rows' (a, b).
-    Returns the (E, 2) edges, the (T, 3) edge numbers of the triangles and
-    the (B,) edge numbers of the boundary rows.
+    Returns the (E, 2) edges, stored by column, the (T, 3) edge numbers of
+    the triangles and the (B,) edge numbers of the boundary rows.
     """
     tri_pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     pairs = np.sort(np.vstack([tri_pairs, boundary_edges[:, :2]]), axis=1)
     first, numbers = _first_appearance(
         pairs[:, 0] * (pairs.max(initial=0) + 1) + pairs[:, 1])
-    return (pairs[first], numbers[:len(tri_pairs)].reshape(-1, 3),
+    return (np.asfortranarray(pairs[first]),
+            numbers[:len(tri_pairs)].reshape(-1, 3),
             numbers[len(tri_pairs):])
-
-
-def _on_segment(points, a, b, tol=1e-10):
-    """Whether each point (..., 2) lies within ``tol`` on its segment a-b,
-    whose ends broadcast against the points."""
-    ab, ap = b - a, points - a
-    length2 = ab[..., 0] ** 2 + ab[..., 1] ** 2
-    t = (ap[..., 0] * ab[..., 0] + ap[..., 1] * ab[..., 1]) / length2
-    cross = ab[..., 0] * ap[..., 1] - ab[..., 1] * ap[..., 0]
-    return ((np.abs(cross) <= tol * np.maximum(1.0, np.sqrt(length2)))
-            & (-tol <= t) & (t <= 1 + tol))
 
 
 def _find_boundary_edges(domain, nodes, triangles) -> np.ndarray:
@@ -194,11 +202,11 @@ def _find_boundary_edges(domain, nodes, triangles) -> np.ndarray:
     owner = np.full(len(ends), -1)
     starts, stops = domain.vertices, np.roll(domain.vertices, -1, axis=0)
     for j, (a, b) in enumerate(zip(starts, stops)):
-        owner[_on_segment(mid, a, b) & (owner < 0)] = j
+        owner[on_segment(mid, a, b) & (owner < 0)] = j
     bad = owner < 0
     if not bad.any():
-        bad = ~_on_segment(nodes[ends], starts[owner, None],
-                           stops[owner, None]).all(axis=1)
+        bad = ~on_segment(nodes[ends], starts[owner, None],
+                          stops[owner, None]).all(axis=1)
     if bad.any():
         a, b = ends[np.argmax(bad)]
         raise MeshError(f"boundary edge ({a}, {b}) lies on no domain edge")
@@ -212,7 +220,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     The midpoint of coarse edge k (numbered by ``_edges``) is fine node
     ``mesh.n_nodes + k``.
     """
-    edges, tri_edges, boundary = _edges(mesh.triangles, mesh.boundary_edges)
+    edges, tri_edges, boundary = mesh.edge_table
     a, b, c = mesh.triangles.T
     ab, bc, ca = (mesh.n_nodes + tri_edges).T
     tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
@@ -251,9 +259,12 @@ def prolongate(fine: TriMesh, coarse_values: np.ndarray) -> np.ndarray:
 
 
 def nested_dissection(mesh: TriMesh, nodes: np.ndarray | None = None
-                      ) -> np.ndarray:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Positions into ``nodes`` (all nodes by default) in nested-dissection
-    order, for the sparse factor of a matrix with the mesh's edge graph.
+    order, for the sparse factor of a matrix with the mesh's edge graph,
+    and the separator tree: the box whose separator holds each ordered
+    node, as a key with a leading 1 bit (the root box is 1, the halves of
+    box k are 2k and 2k + 1).
 
     A node of a level-L mesh lies on the grid of spacing 2^-L (the initial
     mesh tiles unit cells, red refinement halves them) and an edge joins
@@ -272,6 +283,7 @@ def nested_dissection(mesh: TriMesh, nodes: np.ndarray | None = None
     lo, hi = np.zeros_like(ij), np.repeat(top[:, None], ij.shape[1], axis=1)
     width = top.astype(float)
     unplaced = np.ones(ij.shape[1], dtype=bool)
+    box = np.ones(ij.shape[1], dtype=np.int64)
     digits = []
     while unplaced.any():
         axis = int(width[1] > width[0])
@@ -283,7 +295,9 @@ def nested_dissection(mesh: TriMesh, nodes: np.ndarray | None = None
         np.putmask(high, c < mid, mid - 1)
         np.putmask(low, above, mid + 1)
         unplaced &= ~on
-    return np.lexsort(digits[::-1])
+        np.putmask(box, unplaced, 2 * box + above)
+    order = np.lexsort(digits[::-1])
+    return order, box[order]
 
 
 def restrict(fine: TriMesh, values: np.ndarray, coarse: TriMesh) -> np.ndarray:

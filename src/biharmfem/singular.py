@@ -417,7 +417,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     cells = np.flatnonzero(support & ~fan)
     for depth, cell, sub, order in _graded_cells(q, tri_pts, cells, dist, h,
                                                  opts):
-        for n in np.unique(order):
+        for n in np.flatnonzero(np.bincount(order)):
             lam, w = _collapsed_rule(int(n))
             pick = np.flatnonzero(order == n)
             step = max(1, _CELL_POINTS // len(w))

@@ -18,11 +18,12 @@ with zero integral), so both the naive and the corrected solve accept
 every boundary condition.  ``solve_modified_neumann`` is ``solve_modified``
 restricted to all-Neumann domains.
 
-Each level factors its stiffness once, restricted to the unknowns of its
-Poisson solve (the free nodes, or every node on a pure-Neumann level) and
-eliminated in their nested-dissection order (``mesh.nested_dissection``),
-and reports the factor's fill and the worst relative residual of its
-solves with every result.
+Each level factors its stiffness once by a multifrontal Cholesky over the
+nested-dissection tree of the unknowns of its Poisson solve
+(``mesh.nested_dissection``): the free nodes, or every node but one
+grounded node on a pure-Neumann level.  It reports the factor's fill (the
+nonzeros of L, its diagonal included) and the worst relative residual of
+its solves with every result.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class LevelContext:
     Poisson solve must reach, and the assembly, factorization,
     singular-quadrature and Poisson-solution caches shared between solves;
     ``factor_nnz`` and ``residual_max`` report the Poisson factor's fill
-    and the worst relative residual of its solves.  ``finest``, the
+    (the nonzeros of its Cholesky factor L, diagonal included) and the
+    worst relative residual of its solves.  ``finest``, the
     context of a finer level of the same hierarchy, supplies the singular
     loads, integrated once on its mesh and restricted to this one, and the
     pair integrals, which depend on the domain only."""
@@ -92,10 +94,11 @@ class LevelContext:
             return np.zeros(self.mesh.n_nodes)
         if "dirichlet" not in self._cache:
             free = np.flatnonzero(~self.mesh.dirichlet_nodes)
+            order, box = nested_dissection(self.mesh, free)
             # every formulation needs M: assemble it before the factor
             A, _ = self.stiffness, self.mass
-            self._cache["dirichlet"] = fem.DirectSolver(
-                A, self.tol, free[nested_dissection(self.mesh, free)])
+            self._cache["dirichlet"] = fem.DirectSolver(A, self.tol,
+                                                        free[order], box)
         return self._cache["dirichlet"](rhs)
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
@@ -103,7 +106,7 @@ class LevelContext:
         compatible right-hand side, with the level's cached factor."""
         if "neumann" not in self._cache:
             self._cache["neumann"] = fem.DirectSolver(
-                self.stiffness, self.tol, nested_dissection(self.mesh),
+                self.stiffness, self.tol, *nested_dissection(self.mesh),
                 mass=self.mass)
         return self._cache["neumann"](rhs)
 
@@ -113,9 +116,9 @@ class LevelContext:
 
     @property
     def factor_nnz(self) -> int:
-        """nnz(L+U) of the level's Poisson factor, 0 before the first
-        solve."""
-        return sum(s.lu.nnz for s in self._factors())
+        """The nonzeros of the level's Cholesky factor L, its diagonal
+        included; 0 before the first solve."""
+        return sum(s.factor.nnz for s in self._factors())
 
     @property
     def residual_max(self) -> float:

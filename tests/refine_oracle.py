@@ -42,7 +42,8 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
 
 def check_simple_loop(vertices):
     """Edge by edge: raise on a degenerate edge, or on the first later
-    non-adjacent edge that crosses it."""
+    non-adjacent edge that crosses it; then vertex by vertex, on the first
+    edge not ending at the vertex that holds it."""
     n = len(vertices)
     for i in range(n):
         p1, p2 = vertices[i], vertices[(i + 1) % n]
@@ -54,6 +55,11 @@ def check_simple_loop(vertices):
             q1, q2 = vertices[j], vertices[(j + 1) % n]
             if segments_intersect(p1, p2, q1, q2):
                 raise DomainError(f"edges {i} and {j} intersect")
+    for k in range(n):
+        for j in range(n):
+            if k not in (j, (j + 1) % n) and point_on_segment(
+                    vertices[k], vertices[j], vertices[(j + 1) % n]):
+                raise DomainError(f"vertex {k} touches edge {j}")
 
 
 def initial_mesh_loop(domain):

@@ -51,6 +51,15 @@ class TestMeshInfoCommand:
     def test_bad_domain_is_config_error(self, capsys):
         assert main(["mesh-info", "--domain", "VII"]) == 1
 
+    def test_pinched_domain_is_config_error(self, tmp_path, capsys):
+        # two unit squares sharing the point (1, 1)
+        domain = tmp_path / "pinched.txt"
+        domain.write_text("0 0\n1 0\n1 1\n2 1\n2 2\n1 2\n1 1\n0 1\n"
+                          + "D\n" * 8)
+        assert main(["mesh-info", "--domain-file", str(domain),
+                     "--level", "1"]) == 1
+        assert "vertex 2 touches edge 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd", ["mesh-info", "solve"])
     def test_negative_level_is_config_error(self, cmd, capsys):
         assert main([cmd, "--domain", "III", "--level", "-1"]) == 1

@@ -6,36 +6,54 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
 from scipy.integrate import dblquad
 
-from biharmfem import fem
-from biharmfem.geometry import BCType, BUILTIN_NAMES, PolygonDomain, builtin_domain
-from biharmfem.mesh import TriMesh, nested_dissection
+from biharmfem import cholesky, fem
+from biharmfem.cholesky import Cholesky
+from biharmfem.geometry import (BCType, BUILTIN_NAMES, DomainError,
+                                PolygonDomain, builtin_domain)
+from biharmfem.mesh import MeshError, TriMesh, nested_dissection
 from biharmfem.singular import _collapsed_rule
 from biharmfem.solver import LevelContext
 from biharmfem.sources import const1, quadrant_step, square_eigen
 import assembly_oracle
-from conftest import mesh_hierarchy, unit_square
+from conftest import mesh_hierarchy, skyline_domains, unit_square
+from superlu_oracle import SuperLUSolver, to_scipy
 
 TOL = 1e-10     # relative residual every direct solve must reach
 
 
 def identity(n):
-    """The ordering passed for a matrix that is not a mesh matrix."""
-    return np.arange(n)
+    """The ordering and the single box passed for a matrix that is not a
+    mesh matrix: one dense front."""
+    return np.arange(n), np.ones(n, dtype=np.int64)
+
+
+def dense(A):
+    """A dense symmetric matrix as an ``fem.EdgeMatrix``."""
+    A = np.asarray(A, dtype=float)
+    i, j = np.nonzero(np.tril(A, -1))
+    return fem.EdgeMatrix(np.diag(A).copy(), np.stack([i, j]), A[i, j])
+
+
+def plus(A, B):
+    """The sum of two ``fem.EdgeMatrix`` of one mesh."""
+    return fem.EdgeMatrix(A.diag + B.diag, A.ends, A.off + B.off)
 
 
 def dirichlet_solver(m, A, tol=TOL):
     """The Dirichlet solver of m, as ``LevelContext.solve_dirichlet``
     builds it: the free nodes in nested-dissection order."""
     free = np.flatnonzero(~m.dirichlet_nodes)
-    return fem.DirectSolver(A, tol, free[nested_dissection(m, free)])
+    order, box = nested_dissection(m, free)
+    return fem.DirectSolver(A, tol, free[order], box)
 
 
 def mean_zero_solver(m, A, M):
-    """The bordered pure-Neumann solver of m, as
+    """The grounded pure-Neumann solver of m, as
     ``LevelContext.solve_neumann`` builds it."""
-    return fem.DirectSolver(A, TOL, nested_dissection(m), mass=M)
+    return fem.DirectSolver(A, TOL, *nested_dissection(m), mass=M)
 
 
 def single_triangle_mesh(p0=(0.0, 0.0), p1=(1.0, 0.0), p2=(0.0, 1.0)):
@@ -47,7 +65,7 @@ def single_triangle_mesh(p0=(0.0, 0.0), p1=(1.0, 0.0), p2=(0.0, 1.0)):
 
 class TestStiffness:
     def test_unit_right_triangle_local_matrix(self):
-        K = fem.assemble_stiffness(single_triangle_mesh()).toarray()
+        K = to_scipy(fem.assemble_stiffness(single_triangle_mesh())).toarray()
         expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                    [-1.0, 1.0, 0.0],
                                    [-1.0, 0.0, 1.0]])
@@ -71,7 +89,7 @@ class TestStiffness:
         perm = np.random.default_rng(2).permutation(m.n_triangles)
         m2 = TriMesh(m.domain, m.nodes, m.triangles[perm], m.boundary_edges)
         K2 = fem.assemble_stiffness(m2)
-        assert abs(K1 - K2).max() < 1e-14
+        assert abs(to_scipy(K1) - to_scipy(K2)).max() < 1e-14
 
 
 class TestMass:
@@ -82,11 +100,11 @@ class TestMass:
 
     def test_single_triangle_diagonal(self):
         m = single_triangle_mesh(p2=(0.0, 2.0))  # area 1
-        M = fem.assemble_mass(m).toarray()
+        M = to_scipy(fem.assemble_mass(m)).toarray()
         assert np.allclose(np.diag(M), 1.0 / 6.0)
 
     def test_positive_definite(self, lshape_b1_meshes):
-        M = fem.assemble_mass(lshape_b1_meshes[1]).toarray()
+        M = to_scipy(fem.assemble_mass(lshape_b1_meshes[1])).toarray()
         assert np.linalg.eigvalsh(M).min() > 0
 
 
@@ -130,10 +148,6 @@ class TestLoad:
             assert b[node] == pytest.approx(hat_integral(int(node)), abs=1e-8)
 
 
-def csr_bytes(A):
-    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-
-
 class TestAssemblyOracle:
     """The P1 assembly against the einsum, int64-COO and per-point np.add.at
     code it replaced (tests/assembly_oracle.py)."""
@@ -144,7 +158,8 @@ class TestAssemblyOracle:
             for fn in ("assemble_stiffness", "assemble_mass"):
                 got = getattr(fem, fn)(m)
                 ref = getattr(assembly_oracle, fn)(m)
-                assert got.format == "csr" and got.shape == ref.shape
+                assert isinstance(got, fem.EdgeMatrix) and got.shape == ref.shape
+                got = to_scipy(got)
                 for part in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, part),
                                           getattr(ref, part)), (m.level, fn)
@@ -161,17 +176,21 @@ class TestAssemblyOracle:
 
     @pytest.mark.parametrize("fn", ["assemble_stiffness", "assemble_mass"])
     def test_traced_peak_bounded_by_result(self, fn):
-        # about 6.9x the matrix's bytes at level 5, at the CSR conversion
-        # of the element matrices with int32 COO indices; an int64 index
-        # copy or a (T, 3, 3) temporary live during the scatter exceeds 7.5x
+        # with the mesh's geometry and edge table at hand, assembly holds
+        # the (T, 3, 3) element matrices and at most one temporary of their
+        # size: 2.06x (stiffness) and 1.89x (mass) one stack at level 5; a
+        # third stack alive at once exceeds 2.25x
         m = mesh_hierarchy(builtin_domain("IV", "B3"), 5)[-1]
+        m.triangle_geometry(), m.edge_table
         tracemalloc.start()
         try:
             A = getattr(fem, fn)(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.5 * csr_bytes(A), peak / csr_bytes(A)
+        stack = 9 * 8 * m.n_triangles
+        assert peak <= 2.25 * stack, peak / stack
+        assert A.diag.nbytes + A.off.nbytes < stack / 4
 
     def test_inverted_triangle_rejected(self):
         m = single_triangle_mesh()
@@ -188,10 +207,10 @@ class TestDirichlet:
     def test_no_constraints_leaves_system_unchanged(self, lshape_b1_meshes):
         # every node an unknown: the whole (here nonsingular) matrix
         m = lshape_b1_meshes[1]
-        K = fem.assemble_stiffness(m) + fem.assemble_mass(m)
+        K = plus(fem.assemble_stiffness(m), fem.assemble_mass(m))
         b = np.arange(m.n_nodes, dtype=float)
-        x = fem.DirectSolver(K, TOL, nested_dissection(m))(b)
-        ref = np.linalg.solve(K.toarray(), b)
+        x = fem.DirectSolver(K, TOL, *nested_dissection(m))(b)
+        ref = np.linalg.solve(to_scipy(K).toarray(), b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(b, np.arange(m.n_nodes))
 
@@ -202,7 +221,7 @@ class TestDirichlet:
         assert m.dirichlet_nodes.all()
         free = np.flatnonzero(~m.dirichlet_nodes)
         with pytest.raises(ValueError, match="all nodes are constrained"):
-            fem.DirectSolver(K, TOL, free)
+            fem.DirectSolver(K, TOL, free, free)
 
     def test_reduced_system_solvable(self, lshape_b1_meshes):
         m = lshape_b1_meshes[2]
@@ -217,8 +236,8 @@ class TestDirichlet:
 
 class TestSolveSpd:
     def test_one_by_one(self):
-        A = sp.csr_matrix(np.array([[4.0]]))
-        assert fem.DirectSolver(A, TOL, identity(1))(np.array([2.0]))[0] \
+        A = dense([[4.0]])
+        assert fem.DirectSolver(A, TOL, *identity(1))(np.array([2.0]))[0] \
             == pytest.approx(0.5)
 
     def test_matches_dense_factorization(self):
@@ -226,12 +245,12 @@ class TestSolveSpd:
         B = rng.standard_normal((10, 10))
         A = B @ B.T + 10 * np.eye(10)
         b = rng.standard_normal(10)
-        x = fem.DirectSolver(sp.csr_matrix(A), TOL, identity(10))(b)
+        x = fem.DirectSolver(dense(A), TOL, *identity(10))(b)
         assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-9
 
     def test_zero_rhs(self):
-        A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-        assert np.all(fem.DirectSolver(A, TOL, identity(3))(np.zeros(3)) == 0)
+        A = dense(np.diag([1.0, 2.0, 3.0]))
+        assert np.all(fem.DirectSolver(A, TOL, *identity(3))(np.zeros(3)) == 0)
 
     def test_poisson_manufactured_first_order_h1(self):
         # -lap u = 2 pi^2 sin(pi x) sin(pi y), u = sin(pi x) sin(pi y)
@@ -284,15 +303,15 @@ def _meshes(name, bc):
 
 
 def _bordered(A, M):
-    m1 = (M @ np.ones(A.shape[0]))[:, None]
-    return sp.bmat([[A, m1], [m1.T, None]], format="csc")
+    m1 = (to_scipy(M) @ np.ones(A.shape[0]))[:, None]
+    return sp.bmat([[to_scipy(A), m1], [m1.T, None]], format="csc")
 
 
 def _system(name, bc, level):
     """The solver of a built-in level as ``LevelContext`` builds it, the
-    matrix it factors in node order (the stiffness on the free nodes, or
-    bordered on B5), the full-length right-hand side of the quadrant-step
-    load (compatible on B5) and the unknowns."""
+    matrix of the same system in node order (the stiffness on the free
+    nodes, or bordered on B5), the full-length right-hand side of the
+    quadrant-step load (compatible on B5) and the unknowns."""
     m = _meshes(name, bc)[level]
     b = fem.assemble_load(m, quadrant_step)
     A = fem.assemble_stiffness(m)
@@ -301,11 +320,11 @@ def _system(name, bc, level):
         return (mean_zero_solver(m, A, M), _bordered(A, M),
                 b - b.sum() / len(b), np.arange(m.n_nodes))
     free = np.flatnonzero(~m.dirichlet_nodes)
-    return dirichlet_solver(m, A), A[free][:, free], b, free
+    return dirichlet_solver(m, A), to_scipy(A)[free][:, free], b, free
 
 
 class TestDirectSolveAgainstDense:
-    """The sparse LU solves against dense LAPACK solves of the same
+    """The Cholesky solves against dense LAPACK solves of the same
     systems (level 5 does not fit a dense matrix)."""
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
@@ -327,10 +346,9 @@ class TestDirectSolveAgainstDense:
 
 
 class TestNestedDissectionFactor:
-    """The nested-dissection factor against the factor it replaced, kept
-    here as the oracle: ``splu`` with its default COLAMD ordering and
-    partial pivoting, on the Dirichlet-reduced III/B1 and IV/B3 stiffness
-    and the bordered III/B5 matrix."""
+    """The nested-dissection Cholesky factor against SuperLU with its
+    default COLAMD ordering and partial pivoting, on the Dirichlet-reduced
+    III/B1 and IV/B3 stiffness and the bordered III/B5 matrix."""
 
     @pytest.mark.parametrize("level", range(6))
     @pytest.mark.parametrize("name, bc", SYSTEMS)
@@ -341,27 +359,39 @@ class TestNestedDissectionFactor:
         ref = oracle.solve(rhs)[:len(free)]
         x = solver(b)[free]
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-        # no row pivoting: every pivot is on the diagonal
-        assert np.array_equal(solver.lu.perm_r, np.arange(matrix.shape[0]))
+        # L and L^T together hold no more than COLAMD's L and U
+        n = solver.factor.n
         if level >= 4:
-            assert solver.lu.nnz <= oracle.nnz
+            assert 2 * solver.factor.nnz - n <= oracle.nnz
 
     @pytest.mark.parametrize("level", range(5))
     def test_bordered_pivots_are_not_roundoff(self, level):
-        # A alone is singular: with the border after all of its nodes, the
-        # last pivot of A is roundoff
+        # the pure-Neumann stiffness is singular: factored over every node
+        # its last pivot is roundoff (or negative); grounding the last node
+        # leaves a last pivot of the order of the matrix's entries.  The
+        # last pivot is 1 / W[-1, -1] of the root front, W = F11^-1, which
+        # has no update set: its H is W.
         m = _meshes("III", "B5")[level]
-        solver = mean_zero_solver(m, fem.assemble_stiffness(m),
-                                  fem.assemble_mass(m))
-        pivots = np.abs(solver.lu.U.diagonal())
-        assert pivots.min() >= 1e-8 * pivots.max()
+        A, M = fem.assemble_stiffness(m), fem.assemble_mass(m)
+        grounded = mean_zero_solver(m, A, M).factor
+        assert 1.0 / grounded.groups[-1][1][0, -1, -1] >= 1e-8 * A.diag.max()
+        order, box = nested_dissection(m)
+        K = to_scipy(A)[order][:, order].tocoo()
+        low = K.row >= K.col
+        try:
+            whole = Cholesky(K.row[low], K.col[low], K.data[low], box)
+        except np.linalg.LinAlgError:
+            return
+        assert abs(1.0 / whole.groups[-1][1][0, -1, -1]) \
+            < 1e-8 * A.diag.max()
 
 
 class TestSubsetFactor:
     """The free nodes' factor taken straight from the stiffness against
-    the path it replaced, written out here as the oracle: the reduced copy
-    A[free][:, free], factored in its free-relative nested-dissection
-    order, with the solution scattered back to full length."""
+    the path it replaced, written out here as the oracle: the Cholesky
+    factor of the reduced copy A[free][:, free], in its free-relative
+    nested-dissection order, with the solution scattered back to full
+    length."""
 
     @pytest.mark.parametrize("level", range(6))
     @pytest.mark.parametrize("name, bc", [("III", "B1"), ("IV", "B3"),
@@ -371,18 +401,18 @@ class TestSubsetFactor:
         A = fem.assemble_stiffness(m)
         b = fem.assemble_load(m, quadrant_step)
         free = np.flatnonzero(~m.dirichlet_nodes)
-        order = nested_dissection(m, free)
-        A_red = A[free][:, free].tocsr()
-        oracle = spla.splu(A_red[order][:, order].tocsc(),
-                           permc_spec="NATURAL", diag_pivot_thresh=0,
-                           options={"SymmetricMode": True})
+        order, box = nested_dissection(m, free)
+        A_red = to_scipy(A)[free][:, free].tocsr()
+        K = A_red[order][:, order].tocoo()
+        low = K.row >= K.col
+        oracle = Cholesky(K.row[low], K.col[low], K.data[low], box)
         x_red = np.empty(len(free))
         x_red[order] = oracle.solve(b[free][order])
         ref = np.zeros(m.n_nodes)
         ref[free] = x_red
         solver = dirichlet_solver(m, A)
         assert np.array_equal(solver(b), ref)
-        assert solver.lu.nnz == oracle.nnz
+        assert solver.factor.nnz == oracle.nnz
 
     def test_residual_check_still_raises(self, lshape_b1_meshes):
         m = lshape_b1_meshes[3]
@@ -396,6 +426,87 @@ class TestSubsetFactor:
         x = ctx.solve_dirichlet(np.ones(m.n_nodes))
         assert np.array_equal(x, np.zeros(m.n_nodes))
         assert ctx.factor_nnz == 0
+
+
+def _oracle_pair(m):
+    """The level's solver as ``LevelContext`` builds it, the SuperLU oracle
+    of the same system, and a right-hand side: a smooth load, made
+    compatible on a pure-Neumann level."""
+    A = fem.assemble_stiffness(m)
+    b = fem.assemble_load(m, square_eigen)
+    if m.domain.has_dirichlet():
+        free = np.flatnonzero(~m.dirichlet_nodes)
+        order, _ = nested_dissection(m, free)
+        return (dirichlet_solver(m, A), SuperLUSolver(to_scipy(A), free[order]),
+                b)
+    M = fem.assemble_mass(m)
+    return (mean_zero_solver(m, A, M),
+            SuperLUSolver(to_scipy(A), nested_dissection(m)[0], to_scipy(M)),
+            b - b.sum() / len(b))
+
+
+class TestCholeskyAgainstSuperLU:
+    """The Cholesky solves against the SuperLU solver they replaced
+    (tests/superlu_oracle.py), Dirichlet and pure-Neumann."""
+
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name, level):
+        for bc in ("B1", "B3", "B5"):
+            try:
+                m = _meshes(name, bc)[level]
+            except DomainError:     # a tagging the domain does not allow
+                continue
+            if not (~m.dirichlet_nodes).any():
+                continue
+            solver, oracle, b = _oracle_pair(m)
+            ref, x = oracle(b), solver(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), bc
+
+    @given(skyline_domains(max_columns=3, max_height=4))
+    @settings(max_examples=25, deadline=None)
+    def test_skylines(self, domain):
+        try:
+            meshes = mesh_hierarchy(domain, 2)
+        except MeshError:       # not representable on the level-0 grid
+            return
+        for m in meshes:
+            if not (~m.dirichlet_nodes).any():
+                continue
+            solver, oracle, b = _oracle_pair(m)
+            ref, x = oracle(b), solver(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+            if not m.domain.has_dirichlet():
+                mass = fem.assemble_mass(m)
+                assert abs(np.ones(m.n_nodes) @ (mass @ x)) \
+                    <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("chunk, level", [(1, 2), (2000, 4)])
+    def test_chunked_fronts(self, chunk, level, monkeypatch):
+        # fronts of one depth factored a few at a time, or one at a time
+        # when one front has more than CHUNK entries
+        for bc in ("B1", "B5"):
+            m = _meshes("III", bc)[level]
+            solver, oracle, b = _oracle_pair(m)
+            monkeypatch.setattr(cholesky, "CHUNK", chunk)
+            chunked, _, _ = _oracle_pair(m)
+            monkeypatch.undo()
+            assert len(chunked.factor.groups) > len(solver.factor.groups)
+            assert chunked.factor.nnz == solver.factor.nnz
+            ref, x = oracle(b), chunked(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_not_positive_definite_raises_solve_error(self, lshape_b1_meshes):
+        m = lshape_b1_meshes[3]
+        A = fem.assemble_stiffness(m)
+        free = np.flatnonzero(~m.dirichlet_nodes)
+        order, box = nested_dissection(m, free)
+        for k in (order[0], order[len(order) // 2], order[-1]):
+            diag = A.diag.copy()
+            diag[free[k]] = -diag[free[k]]
+            bad = fem.EdgeMatrix(diag, A.ends, A.off)
+            with pytest.raises(fem.SolveError, match="not positive definite"):
+                fem.DirectSolver(bad, TOL, free[order], box)
 
 
 class TestNorms:

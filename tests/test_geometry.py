@@ -158,6 +158,19 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             PolygonDomain(unit_square().vertices[::-1], (D,) * 4)
 
+    def test_touching_boundary_rejected(self):
+        # two unit squares sharing the point (1, 1): vertex 2 comes back as
+        # vertex 6, at the end of edge 5
+        pinched = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2],
+                            [1, 1], [0, 1]], dtype=float)
+        with pytest.raises(DomainError, match="vertex 2 touches edge 5"):
+            PolygonDomain(pinched, (D,) * 8)
+        # a vertex inside another edge: the notch's tip (2, 0) on edge 0
+        notched = np.array([[0, 0], [4, 0], [4, 2], [3, 2], [2, 0], [1, 2],
+                            [0, 2]], dtype=float)
+        with pytest.raises(DomainError, match="vertex 4 touches edge 0"):
+            PolygonDomain(notched, (D,) * 7)
+
     def test_self_intersection_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DomainError):

@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module.
 
 Package ``__init__.py`` files are exempt (their imports are re-exports), and
-so are ``from __future__`` imports.  The CLI does not import
-``scipy.special``, which would add tens of milliseconds to every run.
+so are ``from __future__`` imports.  No module of the package imports
+scipy, and importing the CLI loads no scipy module: importing
+``scipy.sparse`` alone costs about 0.3 s of every run.
 """
 
 import ast
@@ -48,6 +49,29 @@ def test_cli_import_leaves_out_scipy_special():
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, biharmfem.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"],
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def imported_modules(source):
+    """The top-level package of every module a source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scanner_finds_imported_packages():
+    source = ("import scipy.sparse as sp\nfrom numpy import linalg\n"
+              "from . import fem\nimport os, json\n")
+    assert imported_modules(source) == {"scipy", "numpy", "os", "json"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/biharmfem").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_does_not_import_scipy(path):
+    assert "scipy" not in imported_modules(path.read_text())

@@ -15,6 +15,7 @@ from conftest import (comb_domain, mesh_hierarchy, skyline_domains,
                       unit_square)
 from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
                            initial_mesh_loop, refine_uniform_dict)
+from superlu_oracle import to_scipy
 
 
 def node_at(m, point):
@@ -193,7 +194,7 @@ class TestRestriction:
         # the coarse hat is the fine hats weighted by the prolongation, so
         # the restricted fine mass rows are the coarse mass rows
         c, f = lshape_b1_meshes[1], lshape_b1_meshes[2]
-        Mc = fem.assemble_mass(c).toarray()
+        Mc = to_scipy(fem.assemble_mass(c)).toarray()
         Mf = fem.assemble_mass(f)
         rows = np.array([Mf @ prolongate(f, e) for e in np.eye(c.n_nodes)[:5]])
         assert np.max(np.abs(restrict(f, rows, c) - Mc[:5])) <= 1e-15
@@ -240,10 +241,10 @@ class TestNestedDissection:
         # them on an all-Neumann domain
         if m.domain.has_dirichlet():
             nodes = np.flatnonzero(~m.dirichlet_nodes)
-            order = nested_dissection(m, nodes) if len(nodes) else nodes
+            order = nested_dissection(m, nodes)[0] if len(nodes) else nodes
         else:
             nodes = np.arange(m.n_nodes)
-            order = nested_dissection(m)
+            order = nested_dissection(m)[0]
         assert np.array_equal(np.sort(order), np.arange(len(nodes)))
         # every node on the grid of spacing 2^-level, and every edge at
         # most one grid step long in each coordinate, so that a grid line
@@ -253,12 +254,40 @@ class TestNestedDissection:
         pairs = m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
         assert np.abs(ij[pairs[:, 0]] - ij[pairs[:, 1]]).max() <= 1
 
+    @pytest.mark.parametrize("builtin", BUILTINS,
+                             ids=[f"{n}-{b}" for n, b in BUILTINS])
+    def test_separator_tree(self, builtin):
+        # each box's separator is one run of the order, after every node
+        # of its two halves, and a mesh edge joins a node to its own box
+        # or to an ancestor box: two halves never touch
+        for m in bc_hierarchy(*builtin)[:5]:
+            nodes = np.flatnonzero(~m.dirichlet_nodes)
+            if not len(nodes):
+                continue
+            order, box = nested_dissection(m, nodes)
+            keys, first = np.unique(box, return_index=True)
+            assert np.count_nonzero(np.diff(box)) + 1 == len(keys)
+            depth = np.frexp(box.astype(float))[1] - 1
+            for shift in range(1, int(depth.max()) + 1):
+                up = box >> shift
+                known = np.isin(up, keys)
+                ancestor_first = first[np.searchsorted(keys, up[known])]
+                assert np.all(ancestor_first > np.flatnonzero(known))
+            pos = np.full(m.n_nodes, -1)
+            pos[nodes[order]] = np.arange(len(nodes))
+            a, b = pos[m.edge_table[0].T]
+            both = (a >= 0) & (b >= 0)
+            ka, kb = box[a[both]], box[b[both]]
+            da, db = depth[a[both]], depth[b[both]]
+            assert np.all(np.where(da <= db, kb >> np.maximum(db - da, 0) == ka,
+                                   ka >> np.maximum(da - db, 0) == kb))
+
     def test_separators_after_their_halves(self):
         # the 5 x 5 grid of the unit square at level 2: the column x = 0.5
         # comes last, and the left half ends with its own separator, the
         # row y = 0.5
         m = mesh_hierarchy(unit_square(), 2)[-1]
-        xy = m.nodes[nested_dissection(m)]
+        xy = m.nodes[nested_dissection(m)[0]]
         assert np.all(xy[-5:, 0] == 0.5)
         left = xy[:10]
         assert np.all(left[:, 0] < 0.5)
@@ -351,7 +380,7 @@ class TestInitialMeshOracle:
             rows = rows[np.lexsort(rows.T[::-1])]
             assert np.array_equal(rows, find_boundary_edges_dict(
                 dom, m.nodes, m.triangles))
-            A = fem.assemble_stiffness(m)
+            A = to_scipy(fem.assemble_stiffness(m))
             assert (A != A.T).nnz == 0
             scale = abs(A).max(axis=1).toarray().ravel()
             assert np.all(np.abs(A.sum(axis=1).A1) <= 1e-12 * scale)
