@@ -46,8 +46,9 @@ def _add_solver_flags(p):
     p.add_argument("--cutoff-radius", type=float, default=1.8,
                    help="outer cutoff radius (default 1.8)")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative residual every linear solve must reach "
-                        "(default 1e-10)")
+                   help="normwise backward error every linear solve must "
+                        "reach, |b - Ax|_inf <= tol*(|A|_inf |x|_inf + "
+                        "|b|_inf) (default 1e-10)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,8 @@ A Poisson solve factors the stiffness once, restricted to its unknowns
 (the free nodes, or every node but one grounded node on a pure-Neumann
 level), by a multifrontal Cholesky over the level's nested-dissection tree
 (``cholesky.Cholesky``).  It takes and returns full-length nodal vectors
-and checks the relative residual of every solve on the unknowns' rows."""
+and checks the normwise backward error of every solve on the unknowns'
+rows."""
 
 from __future__ import annotations
 
@@ -115,20 +116,26 @@ class DirectSolver:
     against M.  A compatible right-hand side (components sum to zero)
     meets the grounded row as well; an incompatible one is rejected.
 
-    Every solve must reach the relative residual ``tol`` on the rows of
-    ``order``; ``factor`` is the Cholesky factor and ``residual_max`` the
-    worst relative residual so far.
+    Every solve must reach the normwise backward error ``tol`` on the
+    unknowns' rows, ||b - Ax||_inf <= tol * (||A||_inf ||x||_inf +
+    ||b||_inf), with A restricted to the unknowns; ``factor`` is the
+    Cholesky factor and ``backward_error_max`` the worst backward error so
+    far.
     """
 
     def __init__(self, A: EdgeMatrix, tol: float, order: np.ndarray,
                  box: np.ndarray, mass: EdgeMatrix | None = None):
         self.A, self.tol = A, tol
-        self.residual_max = 0.0
+        self.backward_error_max = 0.0
         n = A.shape[0]
         if len(order) == 0:
             raise ValueError("all nodes are constrained")
         self._unknown = np.zeros(n, dtype=bool)
         self._unknown[order] = True
+        i, j = A.ends
+        off = np.where(self._unknown[i] & self._unknown[j], np.abs(A.off), 0.0)
+        self._norm_A = float((np.abs(A.diag) + np.bincount(i, off, n)
+                              + np.bincount(j, off, n))[self._unknown].max())
         self._m1 = None if mass is None else mass @ np.ones(n)
         if mass is not None:
             order, box = order[:-1], box[:-1]
@@ -164,14 +171,14 @@ class DirectSolver:
         x[self._order] = self.factor.solve(b[self._order])
         if self._m1 is not None:
             x -= (self._m1 @ x) / self._m1.sum()
-        norm_b = np.linalg.norm(b[self._unknown])
-        res = np.linalg.norm((b - self.A @ x)[self._unknown])
-        if not res <= self.tol * norm_b:
+        res = np.abs(b - self.A @ x)[self._unknown].max()
+        scale = self._norm_A * np.abs(x).max() + np.abs(b[self._unknown]).max()
+        error = float(res / scale) if scale else 0.0
+        if not error <= self.tol:
             what = "direct solve" if self._m1 is None else "mean-zero solve"
-            raise SolveError(f"{what} relative residual {res / norm_b:.3e} "
+            raise SolveError(f"{what} backward error {error:.3e} "
                              f"exceeds the tolerance {self.tol:.3e}")
-        self.residual_max = max(self.residual_max,
-                                float(res / norm_b) if norm_b else 0.0)
+        self.backward_error_max = max(self.backward_error_max, error)
         return x
 
 

@@ -170,9 +170,6 @@ class PolygonDomain:
     def has_dirichlet(self) -> bool:
         return any(t == BCType.DIRICHLET for t in self.tags)
 
-    def all_neumann(self) -> bool:
-        return all(t == BCType.NEUMANN for t in self.tags)
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Even-odd point-in-polygon test (vectorized, strict interior only
         reliable away from the boundary)."""

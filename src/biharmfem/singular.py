@@ -17,11 +17,11 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   hat's load since a hat is affine along the ray.  On the corner fans'
   singular segment [0, tau*R] chi = 1, so the ray moments are closed
   forms.  A straddling triangle's fans are clipped to its own radial
-  range, so they are short and thin and take fewer nodes.  Other
-  triangles use collapsed Gauss rules on red-refinement children, split
-  child by child until each is at most half as wide as its distance to q.
-  The integrand is analytic away from q, so each leaf takes the order its
-  width-to-distance ratio needs (see ``GradedQuadratureOptions``).
+  range, so they are short and thin and take fewer nodes.  Every other
+  triangle takes one collapsed Gauss rule.  The integrand is analytic away
+  from q, so the rule's order is the one the triangle's width-to-distance
+  ratio needs (see ``GradedQuadratureOptions``); a mesh triangle off q is
+  at least half as far from q as it is wide, which bounds the order.
 - The Gram pair integral of (chi*s_a)*(chi*s_b) takes the same fan rule
   over the triangles (q, a, b) of the domain's edges away from q, at two
   orders that must agree.  The fans tile the domain when it is
@@ -207,13 +207,12 @@ def _segment_dist(q, a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradedQuadratureOptions:
-    # a collapsed leaf of diameter h at distance dist from q takes the Gauss
-    # order n = ceil(order_target / ln(rho)), where rho = 2*dist/h +
-    # sqrt((2*dist/h)**2 + 1) is the leaf's Bernstein-ellipse parameter seen
-    # from q: its error decays like rho**(-2n) <= exp(-2*order_target)
+    # a triangle of diameter h at distance dist from q, off the fan rule,
+    # takes the collapsed Gauss rule of order n = ceil(order_target /
+    # ln(rho)), where rho = 2*dist/h + sqrt((2*dist/h)**2 + 1) is its
+    # Bernstein-ellipse parameter seen from q: its error decays like
+    # rho**(-2n) <= exp(-2*order_target)
     order_target: float = 22.0
-    near_ratio: float = 2.0   # split a leaf while near_ratio*h > dist
-    max_depth: int = 8        # a leaf that still fails at this depth raises
     # fan-rule nodes of the corner fans per radial segment and angular piece;
     # the thin fans of triangles away from q take 1/2 or 1/3 of them (or
     # all while h_T > dist_T/2).  The pair integral's fans take all of them,
@@ -225,9 +224,6 @@ class GradedQuadratureOptions:
         rules = {
             "order_target": (numbers.Real, lambda v: 0 < v < math.inf,
                              "finite and positive"),
-            "near_ratio": (numbers.Real, lambda v: 1 <= v < math.inf,
-                           "finite and at least 1"),
-            "max_depth": (numbers.Integral, lambda v: v >= 0, "an integer >= 0"),
             "n_radial": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
             "n_angular": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
         }
@@ -304,39 +300,6 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
             (ray1[:, None] * p[:, pi]).sum(axis=-1)
 
 
-def _graded_cells(q, corners, cell, dist, h, opts: GradedQuadratureOptions):
-    """Red-refine the triangles corners[cell] (corners: (n, 3, 2), with
-    distances ``dist`` to q and diameters ``h``), child by child while a
-    child fails the near test near_ratio*h <= dist.  Yields (depth, cell,
-    bary, order) per depth: the leaves' triangles, their corners'
-    barycentric coordinates (m, 3, 3) in it (None at depth 0) and the
-    collapsed rule's order for each leaf, ceil(order_target / asinh(2 *
-    dist/h)) (asinh(x) = ln(x + sqrt(x*x + 1))).  Raises QuadratureError
-    if a leaf still fails the near test at max_depth."""
-    dist = dist[cell]
-    bary = np.broadcast_to(np.eye(3), (len(cell), 3, 3))
-    for depth in range(opts.max_depth + 1):
-        hd = h[cell] / 2**depth
-        split = opts.near_ratio * hd > dist
-        leaf = ~split
-        order = np.ceil(opts.order_target / np.arcsinh(2.0 * dist[leaf] / hd[leaf]))
-        yield depth, cell[leaf], bary[leaf] if depth else None, order.astype(int)
-        if not split.any():
-            return
-        if depth == opts.max_depth:
-            raise QuadratureError(
-                f"{int(split.sum())} collapsed cells fail the near test "
-                f"{opts.near_ratio:g}*h <= dist at max_depth {opts.max_depth}")
-        c0, c1, c2 = np.moveaxis(bary[split], 1, 0)
-        m01, m12, m20 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c0)
-        bary = np.stack([c0, m01, m20, m01, c1, m12, m20, m12, c2,
-                         m01, m12, m20], axis=1).reshape(-1, 3, 3)
-        cell = np.repeat(cell[split], 4)
-        x = bary @ corners[cell]
-        dist = np.min([_segment_dist(q, x[:, i], x[:, (i + 1) % 3])
-                       for i in range(3)], axis=0)
-
-
 def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                       n_rows: int, gammas, radii, opts: GradedQuadratureOptions,
                       kinks: tuple = ()) -> np.ndarray:
@@ -348,15 +311,16 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     corner fans' first segment [0, radii[1]] it is one of ``gammas``, and a
     row counts there only if it is c*r**(-gamma) there (radial values 0
     otherwise).  Triangles at q or straddling a circle r = c, c in
-    ``kinks``, go through the fan rule; the rest through collapsed rules
-    on children graded toward q, each child at the order its distance to
-    q asks for."""
+    ``kinks``, go through the fan rule; the rest through one collapsed
+    rule each, at the order its distance to q asks for."""
     q = np.asarray(basis.origin)
     # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max
     vert_d = np.linalg.norm(mesh.nodes - q, axis=1)[mesh.triangles]
     near = vert_d.min(axis=1) < radii[-1] + mesh.max_edge_length()
     triangles, vert_d = mesh.triangles[near], vert_d[near]
     tri_pts = mesh.nodes[triangles]
+    edges, area = (g[near] for g in mesh.triangle_geometry())
+    h = np.linalg.norm(edges, axis=2).max(axis=1)
     dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
                    for i in range(3)], axis=0)
     r_max = vert_d.max(axis=1)
@@ -366,11 +330,6 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     fan = corner.copy()
     for c in kinks:
         fan |= support & (dist < c) & (r_max > c)
-    e1 = tri_pts[:, 1] - tri_pts[:, 0]
-    e2 = tri_pts[:, 2] - tri_pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    h = np.max([np.linalg.norm(e1, axis=1), np.linalg.norm(e2, axis=1),
-                np.linalg.norm(e2 - e1, axis=1)], axis=0)
 
     out = np.zeros((n_rows, mesh.n_nodes))
 
@@ -405,33 +364,31 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                                           max(opts.n_radial // k, 1),
                                           max(opts.n_angular // k, 1)):
                 tri = owner[sl][j]
-                # T's barycentric map applied to the moments about corner 0
+                # T's barycentric map applied to the moments about corner 0;
+                # the edges opposite corners 2 and 1 are p1 - p0 and p0 - p2
                 rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
-                l2 = (rel[:, 0] * e2[tri, 1] - rel[:, 1] * e2[tri, 0]) / det[tri]
-                l3 = (e1[tri, 0] * rel[:, 1] - e1[tri, 1] * rel[:, 0]) / det[tri]
-                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1)
-                        * np.sign(det[tri])[:, None], tri)
+                e1, e2, det = edges[tri, 2].T, edges[tri, 1].T, 2.0 * area[tri]
+                l2 = (rel[:, 1] * e2[0] - rel[:, 0] * e2[1]) / det
+                l3 = (e1[0] * rel[:, 1] - e1[1] * rel[:, 0]) / det
+                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), tri)
 
-    # collapsed rule on graded children, one shared template at depth 0;
-    # each batch holds at most _CELL_POINTS points whatever the leaves' order
+    # collapsed rule, one leaf per triangle; a triangle off q has dist >= h/2
+    # on the meshes the program builds, so the order stays at most
+    # ceil(order_target / asinh(1)).  Each batch holds at most _CELL_POINTS
+    # points whatever the leaves' order.
     cells = np.flatnonzero(support & ~fan)
-    for depth, cell, sub, order in _graded_cells(q, tri_pts, cells, dist, h,
-                                                 opts):
-        for n in np.flatnonzero(np.bincount(order)):
-            lam, w = _collapsed_rule(int(n))
-            pick = np.flatnonzero(order == n)
-            step = max(1, _CELL_POINTS // len(w))
-            for s in range(0, len(pick), step):
-                tri = cell[pick[s:s + step]]
-                bary = None if sub is None else sub[pick[s:s + step]]
-                corners = tri_pts[tri] if bary is None else bary @ tri_pts[tri]
-                r, theta = basis.local_polar((lam @ corners).reshape(-1, 2))
-                vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
-                # (n_rows, T, 3) loads of the leaf's corners
-                loads = vals * w * (0.5 * np.abs(det[tri]) / 4**depth)[:, None] @ lam
-                if bary is not None:
-                    loads = (loads[..., None] * bary).sum(axis=-2)
-                scatter(loads, tri)
+    order = np.ceil(opts.order_target
+                    / np.arcsinh(2.0 * dist[cells] / h[cells])).astype(int)
+    for n in np.flatnonzero(np.bincount(order)):
+        lam, w = _collapsed_rule(int(n))
+        pick = cells[order == n]
+        step = max(1, _CELL_POINTS // len(w))
+        for s in range(0, len(pick), step):
+            tri = pick[s:s + step]
+            r, theta = basis.local_polar((lam @ tri_pts[tri]).reshape(-1, 2))
+            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
+            # (n_rows, T, 3) loads of the triangle's corners
+            scatter(vals * w * area[tri][:, None] @ lam, tri)
     return out
 
 

@@ -22,8 +22,8 @@ Each level factors its stiffness once by a multifrontal Cholesky over the
 nested-dissection tree of the unknowns of its Poisson solve
 (``mesh.nested_dissection``): the free nodes, or every node but one
 grounded node on a pure-Neumann level.  It reports the factor's fill (the
-nonzeros of L, its diagonal included) and the worst relative residual of
-its solves with every result.
+nonzeros of L, its diagonal included) and the worst normwise backward
+error of its solves with every result.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ class CompatibilityError(ValueError):
 
 @dataclass
 class LevelContext:
-    """One mesh level: the mesh, the relative residual ``tol`` every
-    Poisson solve must reach, and the assembly, factorization,
-    singular-quadrature and Poisson-solution caches shared between solves;
-    ``factor_nnz`` and ``residual_max`` report the Poisson factor's fill
-    (the nonzeros of its Cholesky factor L, diagonal included) and the
-    worst relative residual of its solves.  ``finest``, the
+    """One mesh level: the mesh, the normwise backward error ``tol`` every
+    Poisson solve must reach (see ``fem.DirectSolver``), and the assembly,
+    factorization, singular-quadrature and Poisson-solution caches shared
+    between solves; ``factor_nnz`` and ``backward_error_max`` report the
+    Poisson factor's fill (the nonzeros of its Cholesky factor L, diagonal
+    included) and the worst backward error of its solves.  ``finest``, the
     context of a finer level of the same hierarchy, supplies the singular
     loads, integrated once on its mesh and restricted to this one, and the
     pair integrals, which depend on the domain only."""
@@ -121,10 +121,11 @@ class LevelContext:
         return sum(s.factor.nnz for s in self._factors())
 
     @property
-    def residual_max(self) -> float:
-        """The worst relative residual of the level's Poisson solves so
-        far."""
-        return max((s.residual_max for s in self._factors()), default=0.0)
+    def backward_error_max(self) -> float:
+        """The worst normwise backward error of the level's Poisson solves
+        so far."""
+        return max((s.backward_error_max for s in self._factors()),
+                   default=0.0)
 
     def once(self, key, compute):
         """compute(), computed once per level for each key; arrays come
@@ -169,7 +170,7 @@ class LevelContext:
 class ModifiedSolveResult:
     """Result of every formulation; the naive solve leaves ``zeta_h`` and
     ``coefficients`` empty.  ``diagnostics`` holds the level's
-    ``factor_nnz`` and ``residual_max`` and, for a corrected solve, the
+    ``factor_nnz`` and ``backward_error_max`` and, for a corrected solve, the
     Gram system's."""
 
     w_h: np.ndarray
@@ -246,7 +247,8 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
             )
         rhs -= rhs.sum() / len(rhs)
     u = poisson(rhs)
-    diagnostics.update(factor_nnz=ctx.factor_nnz, residual_max=ctx.residual_max)
+    diagnostics.update(factor_nnz=ctx.factor_nnz,
+                       backward_error_max=ctx.backward_error_max)
     return ModifiedSolveResult(w, u, zetas, coeffs, diagnostics)
 
 
@@ -300,6 +302,6 @@ def solve_modified_neumann(ctx: LevelContext, f,
                            cutoff: CutoffSpec | None = None
                            ) -> ModifiedSolveResult:
     """``solve_modified`` restricted to the pure-Neumann problem."""
-    if not ctx.mesh.domain.all_neumann():
+    if ctx.mesh.domain.has_dirichlet():
         raise ValueError("pure-Neumann solver requires all edges Neumann")
     return solve_modified(ctx, f, cutoff)

@@ -45,7 +45,7 @@ class StudyConfig:
     source: str = "const1"
     max_level: int = 6
     cutoff: CutoffSpec = field(default_factory=CutoffSpec)
-    tol: float = 1e-10                  # relative residual of every solve
+    tol: float = 1e-10                  # backward error of every solve
     compare_formulation: str | None = None
     out_dir: str | None = None          # study.csv and u_level<j>.vtk go here
     field_levels: tuple[int, ...] = ()

@@ -111,6 +111,14 @@ class TestStudyCommand:
         assert code == 2
         assert "solver error:" in capsys.readouterr().err
 
+    def test_backward_stable_solves_pass_tight_tol(self, capsys):
+        # the level-5 mean-zero solves read a relative residual of about
+        # 2e-12, over this tol, but a backward error near 1e-15
+        code = main(["study", "--domain", "III", "--bc", "B5", "--f",
+                     "quadrant-step", "--formulation", "modified",
+                     "--levels", "5", "--tol", "1e-12"])
+        assert code == 0, capsys.readouterr().err
+
     def test_zero_source_gives_empty_rates(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["study", "--domain", "III", "--bc", "B1", "--f", "zero",

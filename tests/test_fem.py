@@ -21,7 +21,7 @@ import assembly_oracle
 from conftest import mesh_hierarchy, skyline_domains, unit_square
 from superlu_oracle import SuperLUSolver, to_scipy
 
-TOL = 1e-10     # relative residual every direct solve must reach
+TOL = 1e-10     # normwise backward error every direct solve must reach
 
 
 def identity(n):
@@ -419,6 +419,23 @@ class TestSubsetFactor:
         solver = dirichlet_solver(m, fem.assemble_stiffness(m), tol=1e-300)
         with pytest.raises(fem.SolveError):
             solver(fem.assemble_load(m, quadrant_step))
+
+    @pytest.mark.parametrize("neumann", [False, True])
+    def test_perturbed_factor_raises(self, neumann):
+        m = _meshes("III", "B5" if neumann else "B1")[3]
+        A = fem.assemble_stiffness(m)
+        if neumann:
+            solver = mean_zero_solver(m, A, fem.assemble_mass(m))
+            b = fem.assemble_load(m, quadrant_step)
+        else:
+            solver = dirichlet_solver(m, A)
+            b = fem.assemble_load(m, const1)
+        solver(b)
+        assert 0 < solver.backward_error_max <= 1e-14
+        _, H = solver.factor.groups[0]
+        H *= 1.0 + 1e-6
+        with pytest.raises(fem.SolveError, match="backward error"):
+            solver(b)
 
     def test_all_dirichlet_level_gives_zeros_without_factor(self):
         m = mesh_hierarchy(unit_square(), 0)[0]

@@ -1,17 +1,18 @@
 import collections
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from biharmfem import singular
 from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, BCType, DomainError,
                                 PolygonDomain, builtin_domain, perp_dimension)
-from biharmfem.mesh import TriMesh, initial_mesh, restrict
+from biharmfem.mesh import MeshError, TriMesh, initial_mesh, restrict
 from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
                                 SingularBasis, chi, corner_bases,
                                 chi_derivs, corner_loads, inner_chi_s_pair,
@@ -19,7 +20,7 @@ from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
 import fixed_order_oracle
 import graded_oracle
 import pair_oracle
-from conftest import mesh_hierarchy
+from conftest import mesh_hierarchy, skyline_domains
 from fixed_order_oracle import FixedOrderOptions
 from per_basis_oracle import load_chi_s_per_basis, load_singular_per_basis
 from worklist_oracle import load_singular_worklist
@@ -322,8 +323,7 @@ def _fan_disk_area(a, b, r):
 
 
 # the reference rule: every part of the default rule at far higher order
-REF = GradedQuadratureOptions(order_target=40.0, near_ratio=4.0, n_radial=48,
-                              n_angular=48, max_depth=10)
+REF = GradedQuadratureOptions(order_target=40.0, n_radial=48, n_angular=48)
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,9 +408,10 @@ class TestOneQuadraturePass:
         dom = builtin_domain("IV", "B3")
         for m in mesh_hierarchy(dom, 2):
             corner_loads(m, corner_bases(dom, 0))
-        # 24, 12 and 8 nodes on the fans, 8 to 11 for the collapsed rule
-        # (11 at h/dist = 1/2); the corner segments take closed forms
-        assert sorted(calls) == [8, 9, 10, 11, 12, 24]
+        # 24, 12 and 8 nodes on the fans, 8 to 13, 16 and 20 for the
+        # collapsed rule (20 at h/dist = sqrt(2), the nearest triangles off
+        # q); the corner segments take closed forms
+        assert sorted(calls) == [8, 9, 10, 11, 12, 13, 16, 20, 24]
         x, w = singular._gauss(24)
         with pytest.raises(ValueError):
             x[0] = 0.0
@@ -462,16 +463,20 @@ class TestPointFormOracle:
 
 
 class TestFixedOrderOracle:
-    """The per-leaf order against the fixed-order rule it replaced
-    (tests/fixed_order_oracle.py): the same pass with every collapsed leaf
-    graded by the near and band tests at the order n_gauss = 6."""
+    """One collapsed leaf per triangle against the graded rules it replaced
+    (tests/fixed_order_oracle.py): the same pass with every collapsed
+    triangle red-refined by the near and band tests at the fixed order
+    n_gauss = 6, and by the near test alone at each leaf's own order."""
 
-    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)])
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2),
+                                        CutoffSpec(0.125, 2.5)])
     @pytest.mark.parametrize("name,bc", [("IV", "B3"), ("III", "B5"),
                                          ("III", "B1"), ("I", "B3")])
     def test_corner_loads_match(self, name, bc, cutoff):
-        _assert_corner_loads_match(fixed_order_oracle.corner_loads, name, bc,
-                                   cutoff, 5)
+        for opts in (FixedOrderOptions(), fixed_order_oracle.PER_LEAF_ORDER):
+            _assert_corner_loads_match(
+                functools.partial(fixed_order_oracle.corner_loads, opts=opts),
+                name, bc, cutoff, 5)
 
 
 class TestPassPreamble:
@@ -496,8 +501,8 @@ class TestPassPreamble:
 
 
 def _fails_near_test(q, corners, h, opts):
-    """Whether each cell (n, 3, 2) of diameter h (n,) fails the collapsed
-    rule's near test near_ratio*h <= dist."""
+    """Whether each cell (n, 3, 2) of diameter h (n,) fails the graded
+    oracle's near test near_ratio*h <= dist."""
     d = np.min([singular._segment_dist(q, corners[:, i], corners[:, (i + 1) % 3])
                 for i in range(3)], axis=0)
     return opts.near_ratio * h > d
@@ -515,8 +520,9 @@ def _parent(bary, depth):
 
 
 class TestGradedCells:
-    """The collapsed rule's cells split child by child until each passes
-    the near test, and each leaf takes the order its h/dist asks for."""
+    """The per-leaf-order oracle's cells split child by child until each
+    passes the near test, and each leaf takes the order its h/dist asks
+    for."""
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi),
            st.floats(0.02, 1.0), st.floats(0.0, 2 * math.pi),
@@ -536,14 +542,13 @@ class TestGradedCells:
         h = np.max(np.linalg.norm(edges, axis=1))
         d = np.min(singular._segment_dist(q, corners, corners + edges))
         assume(d > 0.05 * h)
-        opts = GradedQuadratureOptions()
+        opts = fixed_order_oracle.PER_LEAF_ORDER
         depths, leaves, orders = [], [], []
-        for depth, cell, sub, order in singular._graded_cells(
+        for depth, cell, sub, order in fixed_order_oracle.graded_cells(
                 q, corners[None], np.array([0]), np.array([d]), np.array([h]),
-                opts):
+                None, opts):
             depths += [depth] * len(cell)
-            leaves += list(np.eye(3)[None].repeat(len(cell), 0) if sub is None
-                           else sub)
+            leaves += list(sub)
             orders += list(order)
         depths, leaves, orders = np.array(depths), np.array(leaves), np.array(orders)
         # each leaf's share of the cell is its rule weight's, 4**-depth, and
@@ -573,23 +578,11 @@ class TestGradedCells:
         assert orders.max() <= math.ceil(opts.order_target
                                          / math.asinh(2 * opts.near_ratio))
 
-    def test_leaf_failing_at_max_depth_raises(self):
-        # the level-1 cells next to the corner need two splits to pass
-        dom = builtin_domain("IV", "B3")
-        m = mesh_hierarchy(dom, 1)[-1]
-        bases = corner_bases(dom, 0)
-        corner_loads(m, bases, GradedQuadratureOptions(max_depth=2))
-        with pytest.raises(singular.QuadratureError, match="max_depth 1"):
-            corner_loads(m, bases, GradedQuadratureOptions(max_depth=1))
-
 
 class TestQuadratureOptions:
     @pytest.mark.parametrize("field,value", [
         ("order_target", 0.0), ("order_target", -1.0), ("order_target", math.nan),
         ("order_target", math.inf), ("order_target", "22"),
-        ("near_ratio", 0.0), ("near_ratio", -6.0), ("near_ratio", 0.5),
-        ("near_ratio", math.nan), ("near_ratio", math.inf),
-        ("max_depth", -1), ("max_depth", 2.5), ("max_depth", True),
         ("n_radial", 0), ("n_radial", 24.0), ("n_angular", 0), ("n_angular", -24)])
     def test_bad_field_named(self, field, value):
         with pytest.raises(ValueError, match=f"GradedQuadratureOptions.{field} "):
@@ -611,9 +604,9 @@ class TestEvaluationCounts:
 
     @pytest.mark.parametrize("name,bc,level,expected", [
         ("IV", "B3", 2, {"fan rays": 4368, "radial nodes": 37968,
-                         "collapsed points": 39564}),
+                         "collapsed points": 27230}),
         ("III", "B5", 4, {"fan rays": 17064, "radial nodes": 191664,
-                          "collapsed points": 166746})])
+                          "collapsed points": 158130})])
     def test_pinned(self, name, bc, level, expected, monkeypatch):
         counts = collections.Counter()
         graded = singular._graded_integrate
@@ -675,6 +668,93 @@ def singular_builtins():
             if d_perp:
                 out.append((dom, contributing[0]))
     return out
+
+
+def _pass_and_moments(mesh, bases):
+    """corner_loads of ``bases`` as one (2k, n_nodes) array, the collapsed
+    rule's orders, and each row's integral m0 and first moment m1 about q
+    over the domain: ``singular._fan_moments`` of the pass's own integrands
+    over the triangles (q, a, b) of the domain's edges a -> b away from q,
+    the fans ``inner_chi_s_pair`` takes, at twice the corner fans' nodes."""
+    seen, orders = {}, set()
+    graded, rule = singular._graded_integrate, singular._collapsed_rule
+
+    def spy(mesh, basis, radial, angular, n_rows, gammas, radii, opts, **kw):
+        seen.update(basis=basis, radial=radial, angular=angular,
+                    gammas=gammas, radii=radii)
+        return graded(mesh, basis, radial, angular, n_rows, gammas, radii,
+                      opts, **kw)
+
+    def rule_spy(n):
+        orders.add(n)
+        return rule(n)
+    with mock.patch.object(singular, "_graded_integrate", spy), \
+            mock.patch.object(singular, "_collapsed_rule", rule_spy):
+        rows = np.concatenate(corner_loads(mesh, bases))
+    q = np.array(bases[0].origin)
+    a = mesh.domain.vertices
+    b = np.roll(a, -1, axis=0)
+    away = (np.linalg.norm(a - q, axis=1) > 1e-12) \
+        & (np.linalg.norm(b - q, axis=1) > 1e-12)
+    radii = np.tile(seen["radii"], (int(away.sum()), 1))
+    opts = GradedQuadratureOptions()
+    m0, m1 = 0.0, 0.0
+    for _, f0, f1 in singular._fan_moments(
+            seen["basis"], a[away], b[away], radii, seen["radial"],
+            seen["angular"], seen["gammas"], 2 * opts.n_radial,
+            2 * opts.n_angular):
+        m0, m1 = m0 + f0.sum(axis=-1), m1 + f1.sum(axis=-1)
+    return rows, orders, m0, m1
+
+
+def _assert_moments(mesh, q, rows, m0, m1):
+    """Each row's sum is m0 and its first moment about q is m1, within
+    1e-12 of the row's largest moment."""
+    scale = np.maximum(np.abs(m0), np.abs(m1).max(axis=1))
+    assert np.all(np.abs(rows.sum(axis=1) - m0) <= 1e-12 * scale), mesh.level
+    got = rows @ (mesh.nodes - q)
+    assert np.all(np.abs(got - m1).max(axis=1) <= 1e-12 * scale), mesh.level
+
+
+class TestLoadMoments:
+    """P1 hats reproduce 1 and x, so every ``corner_loads`` row sums to its
+    integrand's integral m0 over the domain and its first moment about q
+    is the integrand's m1; the fan rule over the domain's edges gives both
+    without the mesh.  Restriction keeps both, and no collapsed leaf's
+    order passes ceil(order_target / asinh(1)), its bound at dist = h/2."""
+
+    def check(self, meshes, j, cutoff):
+        bases = corner_bases(meshes[0].domain, j, cutoff)
+        q = np.array(bases[0].origin)
+        bound = math.ceil(GradedQuadratureOptions().order_target / math.asinh(1))
+        for m in meshes:
+            rows, orders, m0, m1 = _pass_and_moments(m, bases)
+            assert max(orders, default=0) <= bound, (m.level, max(orders))
+            _assert_moments(m, q, rows, m0, m1)
+        for m in meshes[:-1]:
+            _assert_moments(m, q, restrict(meshes[-1], rows, m), m0, m1)
+
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)])
+    def test_builtins(self, cutoff):
+        for dom, j in singular_builtins():
+            self.check(mesh_hierarchy(dom, 2), j, cutoff)
+
+    @given(skyline_domains(),
+           st.sampled_from([CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)]))
+    # most skylines have two or more reflex vertices, each singular, and
+    # are filtered out
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    def test_skyline_polygons(self, dom, cutoff):
+        # the domains the solver takes: one singular vertex, and a level-0
+        # grid that represents the domain
+        _, contributing = perp_dimension(dom)
+        assume(len(contributing) == 1)
+        try:
+            meshes = mesh_hierarchy(dom, 2)
+        except MeshError:
+            assume(False)
+        self.check(meshes, contributing[0], cutoff)
 
 
 class TestSeparablePair:
