@@ -71,12 +71,10 @@ class Cholesky:
         col_front = owner[cols]
         cross = owner[rows] != col_front
         reach(col_front[cross], rows[cross])
-        # the entries of each depth's fronts, deepest first
-        rank = (top - depth[col_front]).astype(np.int8)
-        by_depth = np.argsort(rank, kind="stable")
-        rows, cols, vals = rows[by_depth], cols[by_depth], vals[by_depth]
-        col_front = col_front[by_depth]
-        ends = np.r_[0, np.cumsum(np.bincount(rank, minlength=top + 1))]
+        # the depth of each entry's front: each depth picks its own entries
+        # from those handed in, with no sorted copy of them
+        col_depth = depth[col_front].astype(np.int8)
+        del col_front, cross
         up_depth = np.where(parent >= 0, depth[parent], -1)
         self.groups, self.u = [], np.zeros(len(size), dtype=np.int64)
         pending = [[] for _ in range(top + 1)]
@@ -86,11 +84,12 @@ class Cholesky:
                 continue
             u_keys = _distinct(np.concatenate([np.zeros(0, np.int64),
                                                *reached[d]]))
+            reached[d] = None       # used: free the keys
             u_front, u_node = np.divmod(u_keys, n)
             up = parent[u_front]
             carry = (up >= 0) & (owner[u_node] != up)
             reach(up[carry], u_node[carry])
-            mine = slice(ends[top - d], ends[top - d + 1])
+            mine = np.flatnonzero(col_depth == d)
             m = size[fronts].max() + np.bincount(u_front).max(initial=0)
             k = min(len(fronts), -(-len(fronts) * m * m // CHUNK))
             chunks = np.array_split(fronts, k) if k > 1 else [fronts]
@@ -98,8 +97,8 @@ class Cholesky:
                 part, kids = mine, pending[d]
                 if len(chunks) > 1:
                     lo, hi = chunk[0], chunk[-1]
-                    part = mine.start + np.flatnonzero(
-                        (col_front[mine] >= lo) & (col_front[mine] <= hi))
+                    f = owner[cols[mine]]
+                    part = mine[(f >= lo) & (f <= hi)]
                     kids = [(S[sel], U[sel], up[sel]) for S, U, up in kids
                             for sel in [(up >= lo) & (up <= hi)]]
                 S, U = self._front(chunk, u_keys, u_front, u_node, rows[part],

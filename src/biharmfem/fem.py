@@ -48,29 +48,38 @@ class EdgeMatrix:
 def assemble_stiffness(mesh: TriMesh) -> EdgeMatrix:
     """Exact P1 stiffness matrix (gradient inner products per triangle)."""
     e, area = mesh.triangle_geometry()
-    # grad(phi_i) = rot90(e_i) / (2A); K_ij = (e_i . e_j) / (4A)
-    K = e[:, :, None, 0] * e[:, None, :, 0] + e[:, :, None, 1] * e[:, None, :, 1]
-    K /= (4.0 * area)[:, None, None]
-    return _edge_sums(mesh, K)
+    scale = 4.0 * area
+
+    def entries(shift):
+        # grad(phi_i) = rot90(e_i) / (2A); K_ij = (e_i . e_j) / (4A), here
+        # for (i, j) = (k, k + shift)
+        K = np.empty((len(area), 3))
+        for k in range(3):
+            a, b = e[:, k], e[:, (k + shift) % 3]
+            np.multiply(a[:, 0], b[:, 0], out=K[:, k])
+            K[:, k] += a[:, 1] * b[:, 1]
+        K /= scale[:, None]
+        return K
+
+    return _edge_sums(mesh, entries)
 
 
 def assemble_mass(mesh: TriMesh) -> EdgeMatrix:
     """Exact P1 mass matrix: (A/12) * [[2,1,1],[1,2,1],[1,1,2]] per triangle."""
     area = mesh.triangle_geometry()[1]
-    local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _edge_sums(mesh, area[:, None, None] * local)
+    return _edge_sums(mesh,
+                      lambda shift: np.repeat(area * ((2 - shift) / 12.0), 3))
 
 
-def _edge_sums(mesh: TriMesh, local: np.ndarray) -> EdgeMatrix:
-    """Sum the (T, 3, 3) element matrices onto the mesh's nodes and edges;
-    a triangle's edges (ab, bc, ca) take its local pairs (0, 1), (1, 2),
-    (2, 0)."""
+def _edge_sums(mesh: TriMesh, entries) -> EdgeMatrix:
+    """Sum element matrices onto the mesh's nodes and edges, one
+    ``np.bincount`` each: ``entries(0)`` gives the (T, 3) diagonal entries
+    of every triangle, ``entries(1)`` those of its local pairs (0, 1),
+    (1, 2), (2, 0), which its edges (ab, bc, ca) take."""
     edges, tri_edges, _ = mesh.edge_table
-    k = np.arange(3)
-    diag = np.bincount(mesh.triangles.ravel(), local[:, k, k].ravel(),
+    diag = np.bincount(mesh.triangles.ravel(), entries(0).ravel(),
                        mesh.n_nodes)
-    off = np.bincount(tri_edges.ravel(), local[:, k, (k + 1) % 3].ravel(),
-                      len(edges))
+    off = np.bincount(tri_edges.ravel(), entries(1).ravel(), len(edges))
     return EdgeMatrix(diag, edges.T, off)
 
 
@@ -132,25 +141,13 @@ class DirectSolver:
             raise ValueError("all nodes are constrained")
         self._unknown = np.zeros(n, dtype=bool)
         self._unknown[order] = True
-        i, j = A.ends
-        off = np.where(self._unknown[i] & self._unknown[j], np.abs(A.off), 0.0)
-        self._norm_A = float((np.abs(A.diag) + np.bincount(i, off, n)
-                              + np.bincount(j, off, n))[self._unknown].max())
+        self._norm_A = _norm_on(A, self._unknown)
         self._m1 = None if mass is None else mass @ np.ones(n)
         if mass is not None:
             order, box = order[:-1], box[:-1]
         self._order = order
-        pos = np.full(n, -1)
-        pos[order] = np.arange(len(order))
-        i, j = pos[A.ends]
-        both = (i >= 0) & (j >= 0)
-        i, j = i[both], j[both]
-        rows = np.concatenate([np.arange(len(order)), np.maximum(i, j)])
-        cols = np.concatenate([np.arange(len(order)), np.minimum(i, j)])
         try:
-            self.factor = Cholesky(rows, cols,
-                                   np.concatenate([A.diag[order], A.off[both]]),
-                                   box)
+            self.factor = Cholesky(*_lower_entries(A, order), box)
         except np.linalg.LinAlgError as err:
             raise SolveError(f"matrix is not positive definite on the "
                              f"unknowns ({err})") from None
@@ -180,6 +177,31 @@ class DirectSolver:
                              f"exceeds the tolerance {self.tol:.3e}")
         self.backward_error_max = max(self.backward_error_max, error)
         return x
+
+
+def _norm_on(A: EdgeMatrix, rows: np.ndarray) -> float:
+    """||A||_inf of A restricted to the rows and columns where ``rows``
+    is True."""
+    i, j = A.ends
+    off = np.where(rows[i] & rows[j], np.abs(A.off), 0.0)
+    n = len(A.diag)
+    return float((np.abs(A.diag) + np.bincount(i, off, n)
+                  + np.bincount(j, off, n))[rows].max())
+
+
+def _lower_entries(A: EdgeMatrix, order: np.ndarray):
+    """The nonzero entries of A[order][:, order] on and below the
+    diagonal, as rows, columns and values: an exactly zero coupling (the
+    hypotenuse of a right triangle pair) makes no entry."""
+    pos = np.full(len(A.diag), -1)
+    pos[order] = np.arange(len(order))
+    i, j = pos[A.ends]
+    keep = np.flatnonzero((i >= 0) & (j >= 0) & (A.off != 0))
+    i, j = i[keep], j[keep]
+    diag = np.arange(len(order))
+    return (np.concatenate([diag, np.maximum(i, j)]),
+            np.concatenate([diag, np.minimum(i, j)]),
+            np.concatenate([A.diag[order], A.off[keep]]))
 
 
 def h1_seminorm_diff(v1: np.ndarray, v2: np.ndarray, stiffness: EdgeMatrix) -> float:

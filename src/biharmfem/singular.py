@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import PolygonDomain, classify_vertex, singular_exponents
+from .geometry import (GRID_BOUND, PolygonDomain, classify_vertex,
+                       singular_exponents)
 from .mesh import TriMesh
 
 _FAN_CHUNK = 256      # fan triangles per batch of quadrature points
@@ -66,6 +67,14 @@ class CutoffSpec:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"R must be finite and positive, got {self.R}")
+        # coordinates up to GRID_BOUND are rounded to about this: a
+        # narrower transition band cannot be sampled (and the scale of
+        # chi'' overflows before the band width reaches 1e-154)
+        floor = GRID_BOUND * 2.0**-52
+        if self.R * (1.0 - self.tau) < floor:
+            raise ValueError(f"the cutoff band R*(1 - tau) = "
+                             f"{self.R * (1.0 - self.tau):.3g} is narrower "
+                             f"than {floor:.3g}")
 
     @property
     def inner(self) -> float:

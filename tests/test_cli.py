@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import re
 import warnings
@@ -8,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biharmfem.cli import main
+from biharmfem.geometry import BC_TYPES, BUILTIN_NAMES
+from biharmfem.sources import SOURCES
+from biharmfem.study import FORMULATIONS
 from conftest import skyline_domains
 
 
@@ -228,6 +233,17 @@ def test_non_finite_setting_is_config_error(cmd, flag, value, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("cmd", ["study", "solve"])
+@pytest.mark.parametrize("tau, radius", [("0.125", "1e-300"),
+                                         ("0.9999999999999999", "1")])
+def test_unresolvable_cutoff_band_is_config_error(cmd, tau, radius, capsys):
+    # a transition band narrower than the rounding of the coordinates;
+    # R = 1e-300 overflowed the scale of chi'' with a traceback
+    assert main([cmd, "--domain", "III", *LEVEL_1[cmd], "--cutoff-tau", tau,
+                 "--cutoff-radius", radius]) == 1
+    assert "cutoff band" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", sorted(LEVEL_1))
 @pytest.mark.parametrize("coordinate, shown", [("nan", "nan"), ("1e400", "inf")])
 def test_non_finite_vertex_is_config_error(cmd, coordinate, shown, tmp_path,
@@ -299,3 +315,75 @@ def test_domain_file_fuzz_exits_with_a_code(text, command, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "fuzz_domain.txt"
     path.write_text(text, encoding="utf-8")
     assert main([*command, "--domain-file", str(path)]) in (0, 1, 2)
+
+
+def _mostly(usual, odd):
+    """usual about 7 times in 8, else odd."""
+    return st.sampled_from([usual] * 7 + [odd]).flatmap(lambda s: s)
+
+
+def _number(lo, hi, *usual):
+    """A number in [lo, hi] or a usual one, else any float in [-1, 4] or
+    one that is zero, negative, tiny, not finite or not a number."""
+    return _mostly(
+        st.one_of(st.sampled_from(usual), st.floats(lo, hi)).map(repr),
+        st.one_of(st.floats(-1.0, 4.0).map(repr),
+                  st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "x"])))
+
+
+@st.composite
+def cli_argvs(draw, out_dir):
+    """An argv for ``study``, ``solve`` or ``mesh-info`` at levels <= 3
+    (``solve`` and ``mesh-info`` default to 3 and 0): domain,
+    formulations, source, tolerance, cutoffs and, for a study, --compare,
+    --out and --field-levels; each option is present half the time and
+    then out of its range about one time in eight."""
+    command = draw(st.sampled_from(["study", "solve", "mesh-info"]))
+    argv = [command]
+
+    def option(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, draw(values)])
+
+    def choice(valid, odd):
+        return _mostly(st.sampled_from(valid), st.just(odd))
+
+    option("--domain", choice(BUILTIN_NAMES, "V"))
+    option("--bc", choice(BC_TYPES, "B9"))
+    level = _mostly(st.integers(0, 3), st.just(-1)).map(str)
+    if command == "mesh-info":
+        option("--level", level)
+        return argv
+    option("--formulation", choice(FORMULATIONS, "exact"))
+    option("--f", choice(sorted(SOURCES), "sine"))
+    option("--tol", _number(1e-13, 1e-6, 1e-10, 1e-12))
+    option("--cutoff-tau", _number(0.05, 0.95, 0.125, 0.25))
+    option("--cutoff-radius", _number(0.5, 3.0, 1.8, 1.2))
+    if command == "solve":
+        option("--level", level)
+        return argv
+    levels = draw(_mostly(st.integers(2, 3), st.integers(-1, 1)))
+    argv.extend(["--levels", str(levels)])      # the default is 6
+    option("--compare", choice(FORMULATIONS, "exact"))
+    if draw(st.booleans()):
+        argv.extend(["--out", str(out_dir)])
+    if draw(st.booleans()):
+        fields = _mostly(st.integers(0, max(levels, 0)), st.just(levels + 1))
+        argv.extend(["--field-levels",
+                     *map(str, draw(st.lists(fields, max_size=3)))])
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_argument_fuzz_exits_with_a_code(data, tmp_path_factory):
+    # every combination of the options ends with exit code 0, 1 or 2,
+    # with its messages on stdout/stderr and no exception escaping
+    argv = data.draw(cli_argvs(tmp_path_factory.getbasetemp() / "fuzz_out"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from biharmfem import fem
 from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, GRID_BOUND,
                                 BCType, DomainError, PolygonDomain,
                                 builtin_domain, read_domain_file)
-from biharmfem.mesh import (MeshError, TriMesh, initial_mesh,
-                            nested_dissection, prolongate, restrict)
+from biharmfem.mesh import (MeshError, TriMesh, _edges, _refined_edges,
+                            initial_mesh, nested_dissection, prolongate,
+                            refine_uniform, restrict)
 from conftest import (comb_domain, mesh_hierarchy, skyline_domains,
                       unit_square)
 from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
@@ -384,6 +386,70 @@ class TestInitialMeshOracle:
             assert (A != A.T).nnz == 0
             scale = abs(A).max(axis=1).toarray().ravel()
             assert np.all(np.abs(A.sum(axis=1).A1) <= 1e-12 * scale)
+
+
+def assert_same_table(got, want, level):
+    for g, w, what in zip(got, want, ("edges", "tri_edges", "boundary")):
+        assert g.dtype == w.dtype and g.shape == w.shape, (level, what)
+        assert np.array_equal(g, w), (level, what)
+
+
+class TestRefinedEdges:
+    """The edge table ``refine_uniform`` numbers from the coarse one in one
+    pass (``mesh._refined_edges``) against ``_edges`` of the fine
+    triangles and boundary rows, which it replaces on refined meshes."""
+
+    def check(self, meshes):
+        for m in meshes[1:]:
+            assert m._refined
+            assert_same_table(m.edge_table,
+                              _edges(m.triangles, m.boundary_edges), m.level)
+
+    @pytest.mark.parametrize("make", [
+        *(functools.partial(builtin_domain, name, "B3")
+          for name in BUILTIN_NAMES),
+        functools.partial(comb_domain, 3), _file_domain],
+        ids=[*BUILTIN_NAMES, "comb14", "file"])
+    def test_matches_sorted_numbering(self, make, tmp_path):
+        dom = make(tmp_path) if make is _file_domain else make()
+        self.check(mesh_hierarchy(dom, 5 if make is not _file_domain else 3))
+
+    @given(skyline_domains())
+    @settings(max_examples=60, deadline=None)
+    def test_skyline_polygons(self, dom):
+        try:
+            meshes = mesh_hierarchy(dom, 3)
+        except MeshError:       # not representable on the level-0 grid
+            return
+        self.check(meshes)
+
+    def test_hand_built_mesh_numbers_its_own_edges(self):
+        # a mesh with a parent that refine_uniform did not make: its
+        # triangles in another order take _edges's numbering of that order
+        coarse = mesh_hierarchy(builtin_domain("III", "B1"), 1)[-1]
+        fine = refine_uniform(coarse)
+        rev = TriMesh(fine.domain, fine.nodes, fine.triangles[::-1].copy(),
+                      fine.boundary_edges, fine.level, coarse,
+                      fine.edge_parents)
+        assert not rev._refined
+        assert_same_table(rev.edge_table,
+                          _edges(rev.triangles, rev.boundary_edges), 2)
+        assert not np.array_equal(rev.edge_table[0], fine.edge_table[0])
+
+    def test_traced_peak_within_twice_the_table(self):
+        # with the parent's tables at hand, the pass holds no (T, 12) node
+        # table and no sort: 1.6x the bytes it returns at level 5, where
+        # _edges's sort peaks at 5.6x
+        fine = mesh_hierarchy(builtin_domain("III", "B1"), 5)[-1]
+        fine.parent.edge_table
+        tracemalloc.start()
+        try:
+            table = _refined_edges(fine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in table)
+        assert peak <= 2 * size, peak / size
 
 
 def _interior_triangle(m):
