@@ -17,7 +17,7 @@ from .fem import SolveError
 from .geometry import (BC_TYPES, BUILTIN_NAMES, DomainError, builtin_domain,
                        perp_dimension, resolve_domain)
 from .mesh import MeshError, initial_mesh, refine_uniform
-from .singular import CutoffSpec, QuadratureError
+from .singular import CutoffSpec
 from .solver import CompatibilityError, LevelContext, SingularVertexError
 from .sources import SOURCES, get_source
 from .study import (FORMULATIONS, StudyConfig, _run_formulation, format_row,
@@ -43,8 +43,8 @@ def _add_solver_flags(p):
                         "modified on all-Neumann domains only")
     p.add_argument("--cutoff-tau", type=float, default=0.125,
                    help="inner radius fraction of the cutoff (default 0.125)")
-    p.add_argument("--cutoff-radius", type=float, default=1.8,
-                   help="outer cutoff radius (default 1.8)")
+    p.add_argument("--cutoff-radius", type=float, default=1.8, help="outer "
+                   "cutoff radius, below the corner's clearance (default 1.8)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="normwise backward error every linear solve must "
                         "reach, |b - Ax|_inf <= tol*(|A|_inf |x|_inf + "
@@ -191,8 +191,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SolveError, CompatibilityError, SingularVertexError,
-            QuadratureError) as exc:
+    except (SolveError, CompatibilityError, SingularVertexError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, MeshError, ValueError, OSError) as exc:

@@ -22,10 +22,9 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   from q, so the rule's order is the one the triangle's width-to-distance
   ratio needs (see ``GradedQuadratureOptions``); a mesh triangle off q is
   at least half as far from q as it is wide, which bounds the order.
-- The Gram pair integral of (chi*s_a)*(chi*s_b) takes the same fan rule
-  over the triangles (q, a, b) of the domain's edges away from q, at two
-  orders that must agree.  The fans tile the domain when it is
-  star-shaped from q, which holds for every domain the solver takes.
+- The Gram pair integral of (chi*s_a)*(chi*s_b) separates while R is
+  below the corner's ``clearance``: a closed-form angular product times
+  a radial integral, closed form on [0, tau*R], one Gauss rule on the band.
 
 A study integrates a corner's loads once, on its finest mesh; each coarser
 level's ``solver.LevelContext`` restricts them (``mesh.restrict``), since
@@ -51,10 +50,6 @@ _FAN_CHUNK = 256      # fan triangles per batch of quadrature points
 _CELL_POINTS = 512 * 36   # collapsed-rule points per batch
 
 
-class QuadratureError(RuntimeError):
-    """Singular quadrature failed to reach its accuracy target."""
-
-
 @dataclass(frozen=True)
 class CutoffSpec:
     """Radial cutoff parameters: 1 on [0, tau*R], 0 on [R, inf)."""
@@ -63,8 +58,9 @@ class CutoffSpec:
     R: float = 1.8
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        # below 0.001 the band rule of inner_chi_s_pair rounds past 1e-12
+        if not 1e-3 <= self.tau < 1.0:
+            raise ValueError(f"tau must lie in [0.001, 1), got {self.tau}")
         if not 0.0 < self.R < math.inf:
             raise ValueError(f"R must be finite and positive, got {self.R}")
         # coordinates up to GRID_BOUND are rounded to about this: a
@@ -214,6 +210,14 @@ def _segment_dist(q, a, b) -> np.ndarray:
     return np.linalg.norm(proj - q, axis=1)
 
 
+def clearance(domain: PolygonDomain, q) -> float:
+    """Distance from the vertex q to the nearest edge not ending at q: a
+    disk r < R below it meets the domain in exactly the corner's sector."""
+    a, b = domain.vertices, np.roll(domain.vertices, -1, axis=0)
+    away = (a != q).any(axis=1) & (b != q).any(axis=1)
+    return float(_segment_dist(np.asarray(q), a[away], b[away]).min())
+
+
 @dataclass(frozen=True)
 class GradedQuadratureOptions:
     # a triangle of diameter h at distance dist from q, off the fan rule,
@@ -222,10 +226,8 @@ class GradedQuadratureOptions:
     # Bernstein-ellipse parameter seen from q: its error decays like
     # rho**(-2n) <= exp(-2*order_target)
     order_target: float = 22.0
-    # fan-rule nodes of the corner fans per radial segment and angular piece;
-    # the thin fans of triangles away from q take 1/2 or 1/3 of them (or
-    # all while h_T > dist_T/2).  The pair integral's fans take all of them,
-    # and twice that for its self-check.
+    # fan-rule nodes per radial segment and angular piece of the corner fans;
+    # fans of triangles away from q take 1/2 or 1/3 (all while h_T > dist_T/2)
     n_radial: int = 24
     n_angular: int = 24
 
@@ -437,57 +439,48 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
 
 def load_singular(mesh: TriMesh, basis: SingularBasis,
                   opts: GradedQuadratureOptions | None = None) -> np.ndarray:
-    """Load vector of lap(chi*s) against the P1 hats (annulus-supported):
-    the one-basis view of ``corner_loads``."""
+    """The load of lap(chi*s): the one-basis view of ``corner_loads``."""
     return corner_loads(mesh, [basis], opts)[0][0]
 
 
 def load_chi_s(mesh: TriMesh, basis: SingularBasis,
                opts: GradedQuadratureOptions | None = None) -> np.ndarray:
-    """Load vector of chi*s against the P1 hats (graded at the corner): the
-    one-basis view of ``corner_loads``."""
+    """The load of chi*s: the one-basis view of ``corner_loads``."""
     return corner_loads(mesh, [basis], opts)[1][0]
 
 
-def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
-                     opts: GradedQuadratureOptions | None = None) -> float:
-    """Integral of (chi*s_a)(chi*s_b) over the domain of ``mesh`` (the mesh
-    itself is not used): the sum of the fan rule over the triangles
-    (q, a, b) of the domain's edges a -> b away from q, at the corner fans'
-    n_radial x n_angular nodes and at twice that, which must agree.  The
-    fans tile the domain when it is star-shaped from q.  Every reflex vertex
-    is singular and the solver takes one singular vertex, so that holds
-    for each domain it integrates; elsewhere a fan leaves the domain and
-    crosses the branch cut of theta, and the two orders disagree."""
-    opts = opts or GradedQuadratureOptions()
-    if any(getattr(basis_a, name) != getattr(basis_b, name)
-           for name in ("origin", "frame_angle", "omega", "cutoff")):
+def angular_product(basis_a: SingularBasis, basis_b: SingularBasis) -> float:
+    """Integral of Phi_a * Phi_b over (0, omega), with
+    Phi = cos(beta*theta - phase), phase pi/2 for sin."""
+    omega = basis_a.omega
+
+    def int_cos(k, phase):      # integral of cos(k*theta - phase)
+        return (math.cos(phase) * omega * np.sinc(k * omega / math.pi)
+                + math.sin(phase) * 0.5 * k * omega**2
+                * np.sinc(k * omega / (2.0 * math.pi))**2)
+
+    pa, pb = (0.5 * math.pi * (b.trig == "sin") for b in (basis_a, basis_b))
+    ba, bb = basis_a.beta, basis_b.beta
+    return float(0.5 * (int_cos(ba - bb, pa - pb) + int_cos(ba + bb, pa + pb)))
+
+
+def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis,
+                     basis_b: SingularBasis) -> float:
+    """Integral of (chi*s_a)(chi*s_b) over the domain of ``mesh``, R below
+    the corner's clearance: the angular product times the integral of
+    chi**2 * r**(1 - gamma), gamma = beta_a + beta_b, closed on [0, tau*R];
+    the band's Gauss rule takes 5 nodes for chi**2 (degree 10) and
+    order_target / ln(rho), rho the band's Bernstein parameter of r = 0."""
+    if len({(b.origin, b.frame_angle, b.omega, b.cutoff)
+            for b in (basis_a, basis_b)}) > 1:
         raise ValueError("inner_chi_s_pair takes the bases of one corner")
     spec, gamma = basis_a.cutoff, basis_a.beta + basis_b.beta
-
-    def radial(r, _gamma):      # one integrand, singular like r**(-gamma)
-        return (chi(r, spec) ** 2 * r ** (-gamma))[None]
-
-    def angular(theta):
-        return (basis_a.angular(theta) * basis_b.angular(theta))[None]
-
-    q = np.array(basis_a.origin)
-    a = mesh.domain.vertices
-    b = np.roll(a, -1, axis=0)                  # edge i runs a[i] -> b[i]
-    away = (np.linalg.norm(a - q, axis=1) > 1e-12) \
-        & (np.linalg.norm(b - q, axis=1) > 1e-12)
-    radii = np.tile((0.0, spec.inner, spec.R), (int(away.sum()), 1))
-    coarse, fine = (
-        sum(float(m0.sum()) for _, m0, _ in _fan_moments(
-            basis_a, a[away], b[away], radii, radial, angular, (gamma,),
-            k * opts.n_radial, k * opts.n_angular))
-        for k in (1, 2))
-    # absolute floor of 1: distinct angular modes are orthogonal over the
-    # sector, so entries can vanish identically while the natural scale of
-    # the quadrature stays O(1)
-    scale = max(abs(fine), 1.0)
-    if abs(fine - coarse) > 1e-8 * scale:
-        raise QuadratureError(
-            f"pair quadrature disagreement {abs(fine - coarse) / scale:.3e} "
-            "exceeds 1e-8 (is the domain star-shaped from the corner?)")
-    return fine
+    if spec.R >= clearance(mesh.domain, basis_a.origin):
+        raise ValueError("the pair integral does not separate: R >= clearance")
+    log_rho = math.acosh((1.0 + spec.tau) / (1.0 - spec.tau))
+    x, w = _gauss(5 + math.ceil(GradedQuadratureOptions.order_target / log_rho))
+    half = 0.5 * (spec.R - spec.inner)
+    r = spec.inner + half * (x + 1.0)
+    band = half * float(w @ (chi(r, spec) ** 2 * r ** (1.0 - gamma)))
+    return (spec.inner ** (2.0 - gamma) / (2.0 - gamma) + band) \
+        * angular_product(basis_a, basis_b)

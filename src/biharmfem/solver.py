@@ -38,8 +38,9 @@ from . import fem
 from .fem import SolveError
 from .geometry import PolygonDomain, perp_dimension
 from .mesh import TriMesh, nested_dissection, restrict
-from .singular import (CutoffSpec, SingularBasis, corner_bases, corner_loads,
-                       inner_chi_s_pair, load_chi_s, load_singular)
+from .singular import (CutoffSpec, SingularBasis, clearance, corner_bases,
+                       corner_loads, inner_chi_s_pair, load_chi_s,
+                       load_singular)
 
 GRAM_DET_RTOL = 1e-14
 
@@ -183,7 +184,8 @@ class ModifiedSolveResult:
 def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None
                     ) -> list[SingularBasis]:
     """The corrective basis of the domain; errors on multiple singular
-    vertices, warns when the contributor is not the largest angle."""
+    vertices and on R >= the corner's ``clearance``, warns when the
+    contributor is not the largest angle."""
     d_perp, contributing = perp_dimension(domain)
     if not contributing:
         return []
@@ -199,6 +201,11 @@ def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None
             f"singular contribution at vertex {j}, which is not the largest "
             "interior angle", stacklevel=3
         )
+    R, reach = (cutoff or CutoffSpec()).R, clearance(domain, domain.vertices[j])
+    if R >= reach:      # chi*s would break the boundary condition there
+        raise ValueError(
+            f"cutoff radius {R:g} reaches the clearance {reach:.6g} of singular "
+            f"vertex {j}; choose --cutoff-radius below {reach:.6g}")
     return corner_bases(domain, j, cutoff)
 
 

@@ -8,7 +8,7 @@ child of a graded cell to the depth its cell needs (4**depth children),
 at the fixed order and grading of ``fixed_order_oracle.FixedOrderOptions``.
 ``corner_loads`` is the singular module's caller of that rule, on the same
 integrands; ``pair_graded`` is the graded 2-D pair rule that the fan rule
-over the domain's edges (``singular.inner_chi_s_pair``) replaced.
+over the domain's edges (now ``pair_oracle.pair_fan_rule``) replaced.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import functools
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from biharmfem.singular import (QuadratureError, _collapsed_rule,
-                                _segment_dist, chi_derivs)
+from biharmfem.singular import _collapsed_rule, _segment_dist, chi_derivs
 from fixed_order_oracle import FixedOrderOptions
 
 _FAN_CHUNK = 256      # fan triangles per batch of quadrature points
@@ -261,7 +260,7 @@ def pair_graded(mesh: TriMesh, basis_a: SingularBasis, basis_b: SingularBasis,
     # the quadrature stays O(1)
     scale = max(abs(fine), 1.0)
     if abs(fine - coarse) > 10 * target * scale:
-        raise QuadratureError(
+        raise AssertionError(
             f"pair quadrature disagreement {abs(fine - coarse) / scale:.3e} "
             f"exceeds target {target:.1e}")
     return float(fine)

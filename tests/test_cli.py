@@ -177,6 +177,49 @@ class TestStudyCommand:
         assert (out / "u_level1.vtk").exists()
 
 
+# one singular vertex each, 1 from an edge that does not end at it: the
+# all-Dirichlet hexagon's (3, 1) and the pure-Neumann pentagon's (1, 1)
+HEXAGON = "0 0\n5 0\n5 1\n3 1\n3 2\n0 2\n" + "D\n" * 6
+PENTAGON = "0 0\n3 0\n3 3\n1 1\n0 1\n" + "N\n" * 5
+
+
+class TestCutoffClearance:
+    """A cutoff disk that reaches an edge not at the singular vertex is a
+    configuration error, before any solve: the correction would break the
+    boundary condition on that edge."""
+
+    @pytest.mark.parametrize("cmd", ["study", "solve"])
+    @pytest.mark.parametrize("text", [HEXAGON, PENTAGON],
+                             ids=["hexagon", "pentagon"])
+    def test_default_cutoff_past_the_clearance_is_config_error(
+            self, cmd, text, tmp_path, capsys):
+        domain = tmp_path / "domain.txt"
+        domain.write_text(text)
+        level = ["--levels", "2"] if cmd == "study" else ["--level", "1"]
+        assert main([cmd, "--domain-file", str(domain), *level]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cutoff radius 1.8 reaches the "
+                              "clearance 1 of singular vertex 3")
+        assert "--cutoff-radius below 1" in err
+
+    def test_cutoff_within_the_clearance_runs(self, tmp_path, capsys):
+        domain = tmp_path / "hexagon.txt"
+        domain.write_text(HEXAGON)
+        assert main(["study", "--domain-file", str(domain), "--levels", "2",
+                     "--cutoff-radius", "0.6"]) == 0, capsys.readouterr().err
+
+    def test_small_cutoff_tau_runs(self, capsys):
+        # the pair integral's two-order check used to refuse tau = 0.01
+        assert main(["study", "--domain", "IV", "--bc", "B3", "--levels", "2",
+                     "--cutoff-tau", "0.01"]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["0.000999", "1e-300"])
+    def test_cutoff_tau_below_its_floor_is_config_error(self, tau, capsys):
+        assert main(["study", "--domain", "IV", "--bc", "B3", "--levels", "2",
+                     "--cutoff-tau", tau]) == 1
+        assert "tau must lie in [0.001, 1)" in capsys.readouterr().err
+
+
 # a unit square: 9 nodes at level 1, against 65 for the built-in III
 SQUARE = "0 0\n1 0\n1 1\n0 1\nD\nD\nD\nD\n"
 LEVEL_1 = {"mesh-info": ["--level", "1"],

@@ -7,6 +7,10 @@ singular vertex, at levels 1 and 2:
 - the Gram matrix of a corrected solve is symmetric positive definite and
   its solve's relative residual ``gram_residual`` is small.
 
+and, on III/B1, IV/B3 and three skylines with one singular vertex, levels
+3-5: the corrected solutions at two cutoffs within the corner's clearance
+converge to each other.
+
 The sources are x - x_c and y - y_c about the domain's centroid: their
 integral is zero, so the pure-Neumann domains take them too, and the load
 rule integrates them exactly.
@@ -18,11 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from biharmfem.geometry import BUILTIN_NAMES, BC_TYPES, DomainError, \
-    builtin_domain, perp_dimension
+from biharmfem.geometry import BUILTIN_NAMES, BC_TYPES, BCType, DomainError, \
+    PolygonDomain, builtin_domain, perp_dimension
 from biharmfem.mesh import MeshError
-from biharmfem.singular import CutoffSpec, QuadratureError
-from biharmfem.solver import LevelContext
+from biharmfem.singular import CutoffSpec
+from biharmfem.solver import LevelContext, solve_modified
+from biharmfem.sources import get_source
 from biharmfem.study import _run_formulation
 from conftest import mesh_hierarchy, skyline_domains
 
@@ -113,14 +118,39 @@ def test_skyline_polygons(domain):
         mesh_hierarchy(domain, 0)
     except MeshError:           # not representable on the level-0 grid
         assume(False)
-    # on a pure-Neumann domain the correction is compatible only if the
-    # cutoff disk meets no edge but the corner's own two; a non-adjacent
-    # edge of a grid polygon is at least 1/sqrt(2) from a vertex
-    cutoff = CutoffSpec() if domain.has_dirichlet() \
-        else CutoffSpec(tau=0.25, R=0.6)
-    try:
-        check_properties(domain, cutoff)
-    except QuadratureError:
-        # the pair integral's own check refuses the domain (exit 2), so
-        # there is no solution to check: 1 of 300 skylines
-        assume(False)
+    # the cutoff disk must stay clear of every edge not at the corner; a
+    # grid polygon's vertex is at least 1/sqrt(2) from such an edge
+    check_properties(domain, CutoffSpec(tau=0.25, R=0.6))
+
+
+def _dirichlet(name, vertices):
+    return PolygonDomain(np.array(vertices, dtype=float),
+                         (BCType.DIRICHLET,) * len(vertices), name=name)
+
+
+# the max-norm gap between the two cutoffs' u_h shrinks by at least this
+# factor per level at levels 3-5 (3.5-4.0 seen); with the clearance check
+# bypassed, the hexagon at R = 1.8 against 1.2 keeps a gap of 4.7e-3
+CUTOFF_GAP_RATIO = 3.0
+SKYLINE_CUTOFFS = (CutoffSpec(tau=0.25, R=0.6), CutoffSpec(tau=0.25, R=0.9))
+
+
+@pytest.mark.parametrize("domain, cutoffs", [
+    (builtin_domain("III", "B1"), (CutoffSpec(), CutoffSpec(R=1.2))),
+    (builtin_domain("IV", "B3"), (CutoffSpec(), CutoffSpec(R=1.2))),
+    # skylines whose singular vertex has a clearance of 1
+    (_dirichlet("hexagon", [(0, 0), (5, 0), (5, 1), (3, 1), (3, 2), (0, 2)]),
+     SKYLINE_CUTOFFS),
+    (_dirichlet("L", [(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)]),
+     SKYLINE_CUTOFFS),
+    (_dirichlet("slant", [(0, 0), (4, 0), (4, 3), (2, 1), (0, 1)]),
+     SKYLINE_CUTOFFS)], ids=["III/B1", "IV/B3", "hexagon", "L", "slant"])
+def test_solution_is_independent_of_the_cutoff(domain, cutoffs):
+    f = get_source("const1")
+    gaps = []
+    for m in mesh_hierarchy(domain, 5)[3:]:
+        ctx = LevelContext(m)
+        u_a, u_b = (solve_modified(ctx, f, c).u_h for c in cutoffs)
+        gaps.append(np.abs(u_a - u_b).max())
+    assert all(CUTOFF_GAP_RATIO * fine <= coarse
+               for coarse, fine in zip(gaps, gaps[1:])), gaps

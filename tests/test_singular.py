@@ -31,6 +31,14 @@ def lshape_basis(cutoff=None):
     return corner_bases(dom, 0, cutoff)[0]
 
 
+def hexagon():
+    """The all-Dirichlet hexagon whose corner (3, 1) is 1 from the bottom
+    edge: a clearance of 1, below the default cutoff radius."""
+    return PolygonDomain(np.array([(0, 0), (5, 0), (5, 1), (3, 1), (3, 2),
+                                   (0, 2)], dtype=float),
+                         (BCType.DIRICHLET,) * 6)
+
+
 def neumann_basis():
     dom = builtin_domain("III", "B5")
     return corner_bases(dom, 0)[0]
@@ -446,21 +454,6 @@ class TestPointFormOracle:
         _assert_corner_loads_match(graded_oracle.corner_loads, name, bc,
                                    cutoff, 6)
 
-    def test_pair_fallback_matches(self):
-        # the cutoff disk leaves the corner sector, so no closed form holds;
-        # the point-form graded 2-D rule over the mesh is the reference
-        opts = FixedOrderOptions()
-        for name, bc in (("III", "B5"), ("IV", "B3"), ("III", "B1")):
-            dom = builtin_domain(name, bc)
-            bases = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
-            for m in mesh_hierarchy(dom, 3):
-                for i, a in enumerate(bases):
-                    for b in bases[i:]:
-                        got = inner_chi_s_pair(m, a, b)
-                        ref = graded_oracle.pair_graded(m, a, b, opts, 1e-8)
-                        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), \
-                            (dom.name, m.level)
-
 
 class TestFixedOrderOracle:
     """One collapsed leaf per triangle against the graded rules it replaced
@@ -675,7 +668,8 @@ def _pass_and_moments(mesh, bases):
     rule's orders, and each row's integral m0 and first moment m1 about q
     over the domain: ``singular._fan_moments`` of the pass's own integrands
     over the triangles (q, a, b) of the domain's edges a -> b away from q,
-    the fans ``inner_chi_s_pair`` takes, at twice the corner fans' nodes."""
+    the fans of ``pair_oracle.pair_fan_rule``, at twice the corner fans'
+    nodes."""
     seen, orders = {}, set()
     graded, rule = singular._graded_integrate, singular._collapsed_rule
 
@@ -758,9 +752,9 @@ class TestLoadMoments:
 
 
 class TestSeparablePair:
-    """The fan-rule pair integral against its separable closed form
-    (tests/pair_oracle.py), which holds when the cutoff disk meets the
-    domain only inside the corner sector, as on every built-in domain."""
+    """The separable pair integral against the fan rule over the domain's
+    edges that it replaced (tests/pair_oracle.py), and the clearance that
+    makes it separate."""
 
     @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2),
                                         CutoffSpec(tau=0.3, R=1.0)])
@@ -772,9 +766,20 @@ class TestSeparablePair:
             m = mesh_hierarchy(dom, 0)[0]
             for i, a in enumerate(bases):
                 for b in bases[i:]:
-                    ref = pair_oracle.pair_closed_form(dom, a, b)
+                    ref = pair_oracle.pair_fan_rule(dom, a, b)
                     got = inner_chi_s_pair(m, a, b)
                     assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0), dom.name
+
+    def test_hexagon_self_pair(self):
+        # the corner (3, 1) is 1 from the bottom edge, which is 5 long: its
+        # fan needs more than 24 angular nodes (24 give 1.817753197618758)
+        dom = hexagon()
+        (basis,) = corner_bases(dom, 3, CutoffSpec(0.125, 0.8))
+        got = inner_chi_s_pair(initial_mesh(dom), basis, basis)
+        assert got == pytest.approx(1.817753174278387, rel=1e-15)
+        for n_angular in (96, 192, 384):
+            ref = pair_oracle.pair_fan_rule(dom, basis, basis, 48, n_angular)
+            assert abs(got - ref) <= 1e-13 * ref, n_angular
 
     @pytest.mark.parametrize("name,bc", [("III", "B1"), ("I", "B3"), ("IV", "B3")])
     def test_matches_graded_rule(self, name, bc):
@@ -791,7 +796,7 @@ class TestSeparablePair:
 
     def test_value_depends_on_the_domain_only(self):
         dom = builtin_domain("IV", "B3")
-        b1, b2 = corner_bases(dom, 0, CutoffSpec(0.125, 2.5))
+        b1, b2 = corner_bases(dom, 0, CutoffSpec(0.125, 1.8))
         values = {inner_chi_s_pair(m, b1, b2) for m in mesh_hierarchy(dom, 3)}
         assert len(values) == 1
 
@@ -814,29 +819,71 @@ class TestSeparablePair:
                 b = SingularBasis(beta_b, trig_b, np.zeros(2), 0.0, omega)
                 ref = quad(lambda t: a.angular(t) * b.angular(t), 0.0, omega,
                            epsabs=1e-15, limit=200)[0]
-                assert pair_oracle.angular_product(a, b) == pytest.approx(
+                assert singular.angular_product(a, b) == pytest.approx(
                     ref, rel=1e-13, abs=1e-14)
 
-    def test_radial_self_check_raises(self):
-        # two radial nodes per segment miss the cutoff band's quintic, and
-        # the rule at twice the nodes disagrees
+    @pytest.mark.parametrize("tau", [0.001, 0.01, 0.125, 0.5, 0.95])
+    def test_radial_factor_matches_composite_rule(self, tau):
+        # the pair of a basis with itself over the sector of III/B1's
+        # corner (clearance 2) is the radial factor times the angular
+        # product, which is positive
         m = mesh_hierarchy(builtin_domain("III", "B1"), 0)[0]
-        basis = lshape_basis()
-        with pytest.raises(singular.QuadratureError, match="disagreement"):
-            inner_chi_s_pair(m, basis, basis, GradedQuadratureOptions(n_radial=2))
+        for R in (0.6, 1.8):
+            spec = CutoffSpec(tau, R)
+            for gamma in np.linspace(0.6, 1.9, 14):
+                a = SingularBasis(gamma / 2, "sin", (0.0, 0.0), 0.0,
+                                  1.5 * math.pi, spec)
+                got = inner_chi_s_pair(m, a, a) / singular.angular_product(a, a)
+                ref = pair_oracle.radial_composite(spec, gamma)
+                assert abs(got - ref) <= 1e-13 * ref, (R, gamma)
 
     @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(0.125, 2.5)])
     def test_non_star_shaped_domain_raises(self, cutoff):
-        # from the reflex vertex q = (1, 1) of a U the fans of the far edges
-        # leave the domain and cross the branch cut of theta; the solver
-        # never integrates this domain, which has two singular vertices
+        # from the reflex vertex q = (1, 1) of a U the edges (0, 0) -> (3, 0)
+        # and (2, 3) -> (2, 1) are 1 away: the cutoff disk meets them, and
+        # the pair integral does not separate (the solver rejects this
+        # domain, which has two singular vertices, and such a cutoff)
         dom = PolygonDomain(np.array([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1),
                                       (1, 1), (1, 3), (0, 3)], dtype=float),
                             (BCType.DIRICHLET,) * 8)
         assert perp_dimension(dom) == (2, [4, 5])
+        assert singular.clearance(dom, dom.vertices[5]) == 1.0
         (basis,) = corner_bases(dom, 5, cutoff)
-        with pytest.raises(singular.QuadratureError, match="disagreement"):
+        with pytest.raises(ValueError, match="does not separate"):
             inner_chi_s_pair(initial_mesh(dom), basis, basis)
+
+
+def _assert_clearance_matches_disk_in_sector(dom, j):
+    q = dom.vertices[j]
+    reach = singular.clearance(dom, q)
+    for R in (0.3, 0.6, 2.0 ** -0.5, 0.8, 1.0, 1.2, 1.5, 1.8, 2.0, 2.5, 3.0):
+        basis = SingularBasis(0.5, "sin", q, 0.0, math.pi, CutoffSpec(R=R))
+        # disk_in_sector admits R equal to the clearance, the guard does not
+        if R != reach:
+            assert (R < reach) == pair_oracle.disk_in_sector(dom, basis), R
+
+
+class TestClearance:
+    """``singular.clearance`` against the edge-by-edge check of
+    tests/pair_oracle.py, over a grid of cutoff radii."""
+
+    def test_builtins(self):
+        for dom, j in singular_builtins():
+            assert singular.clearance(dom, dom.vertices[j]) == 2.0, dom.name
+            _assert_clearance_matches_disk_in_sector(dom, j)
+
+    @given(skyline_domains())
+    @settings(max_examples=60, deadline=None)
+    def test_skyline_polygons(self, dom):
+        for j in range(dom.n_vertices):
+            _assert_clearance_matches_disk_in_sector(dom, j)
+            # a grid polygon's roof slopes are 0 or +-1
+            assert singular.clearance(dom, dom.vertices[j]) >= 2.0 ** -0.5 - 1e-15
+
+    def test_hexagon(self):
+        dom = hexagon()
+        assert [singular.clearance(dom, v) for v in dom.vertices] \
+            == [2.0, 1.0, 1.0, 1.0, 1.0, 2.0]
 
 
 class TestInnerProducts:
