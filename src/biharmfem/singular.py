@@ -16,12 +16,19 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   piece takes one angular value and two radial moments, which give every
   hat's load since a hat is affine along the ray.  On the corner fans'
   singular segment [0, tau*R] chi = 1, so the ray moments are closed
-  forms.  A straddling triangle's fans are clipped to its own radial
-  range, so they are short and thin and take fewer nodes.  Every other
-  triangle takes one collapsed Gauss rule.  The integrand is analytic away
-  from q, so the rule's order is the one the triangle's width-to-distance
-  ratio needs (see ``GradedQuadratureOptions``); a mesh triangle off q is
-  at least half as far from q as it is wide, which bounds the order.
+  forms.  A radial segment takes more nodes where q is near it relative
+  to its length, as the corner fans' [tau*R, R] at small tau.  A
+  straddling triangle's fans are clipped to its own radial range, so they
+  are short and thin and take fewer nodes.  Every other triangle takes
+  one collapsed Gauss rule.  The integrand is analytic away from q, so the
+  rule's order is the one the triangle's width-to-distance ratio needs
+  (see ``GradedQuadratureOptions``); a mesh triangle off q is at least
+  half as far from q as it is wide, which bounds the order.  Both rules
+  form at most ``_BLOCK_VALUES`` integrand values (rows x points, 128 KiB)
+  at once, and chi takes every point without a mask, so the pass's
+  transients are a few such blocks besides its per-triangle arrays of the
+  triangles near q: a traced peak of 0.98 MiB at IV/B3 level 2 and of
+  1.73 MiB at III/B5 level 4.
 - The Gram pair integral of (chi*s_a)*(chi*s_b) separates while R is
   below the corner's ``clearance``: a closed-form angular product times
   a radial integral, closed form on [0, tau*R], one Gauss rule on the band.
@@ -46,8 +53,9 @@ from .geometry import (GRID_BOUND, PolygonDomain, classify_vertex,
                        singular_exponents)
 from .mesh import TriMesh
 
-_FAN_CHUNK = 256      # fan triangles per batch of quadrature points
-_CELL_POINTS = 512 * 36   # collapsed-rule points per batch
+# integrand values (rows x points) the pass forms at once, by either rule
+_BLOCK_VALUES = 16384
+_FAN_CHUNK = 256      # fan edges whose rays are formed at once
 
 
 @dataclass(frozen=True)
@@ -84,22 +92,21 @@ def chi(r, spec: CutoffSpec):
 
 def chi_derivs(r, spec: CutoffSpec, orders=(0, 1, 2)):
     """The requested derivatives (default chi, chi', chi'') of the piecewise
-    quintic cutoff; the quintic is evaluated on the transition band only."""
+    quintic cutoff.  The band's coordinate t is clipped to [-1, 1], where
+    the quintic gives exactly 1, 0, 0 (t = -1) and 0, 0, 0 (t = 1), so every
+    point takes the same polynomial and no mask."""
     r = np.asarray(r, dtype=float)
-    band = (r > spec.inner) & (r < spec.R)
     scale = 2.0 / (spec.R * (1.0 - spec.tau))
-    t = scale * r[band] - (1.0 + spec.tau) / (1.0 - spec.tau)
+    t = np.clip(scale * r - (1.0 + spec.tau) / (1.0 - spec.tau), -1.0, 1.0)
     t2 = t * t
     out = []
     for k in orders:
-        c = np.zeros(r.shape)
         if k == 0:
-            c[r <= spec.inner] = 1.0
-            c[band] = ((-3 / 16 * t2 + 5 / 8) * t2 - 15 / 16) * t + 0.5
+            c = ((-3 / 16 * t2 + 5 / 8) * t2 - 15 / 16) * t + 0.5
         elif k == 1:
-            c[band] = ((-15 / 16 * t2 + 15 / 8) * t2 - 15 / 16) * scale
+            c = ((-15 / 16 * t2 + 15 / 8) * t2 - 15 / 16) * scale
         else:
-            c[band] = (-15 / 4 * t2 + 15 / 4) * t * scale**2
+            c = (-15 / 4 * t2 + 15 / 4) * t * scale**2
         out.append(float(c) if c.ndim == 0 else c)
     return tuple(out)
 
@@ -130,7 +137,8 @@ class SingularBasis:
         dx = pts[:, 0] - self.origin[0]
         dy = pts[:, 1] - self.origin[1]
         r = np.hypot(dx, dy)
-        theta = np.mod(np.arctan2(dy, dx) - self.frame_angle, 2.0 * math.pi)
+        theta = np.arctan2(dy, dx) - self.frame_angle      # in [-2*pi, 2*pi]
+        theta += np.where(theta < 0.0, 2.0 * math.pi, 0.0)  # np.mod's values
         # fold roundoff on the theta = 0 edge back to a small negative angle
         slack = 0.5 * (2.0 * math.pi - self.omega)
         theta = np.where(theta > self.omega + slack, theta - 2.0 * math.pi, theta)
@@ -202,6 +210,13 @@ def _collapsed_rule(n: int):
     return lam, weights
 
 
+def _log_rho(r0, r1):
+    """ln(rho), rho the Bernstein-ellipse parameter of r = 0 seen from the
+    segment [r0, r1], 0 < r0 < r1: an n-point Gauss rule on it integrates
+    a function analytic but at r = 0 to an error like rho**(-2n)."""
+    return np.arccosh((r1 + r0) / (r1 - r0))
+
+
 def _segment_dist(q, a, b) -> np.ndarray:
     """Distance from the point q to each segment a[k] -> b[k]."""
     ab = b - a
@@ -227,7 +242,8 @@ class GradedQuadratureOptions:
     # rho**(-2n) <= exp(-2*order_target)
     order_target: float = 22.0
     # fan-rule nodes per radial segment and angular piece of the corner fans;
-    # fans of triangles away from q take 1/2 or 1/3 (all while h_T > dist_T/2)
+    # fans of triangles away from q take 1/2 or 1/3 (all while h_T > dist_T/2);
+    # a segment relatively nearer q than [R/8, R] takes more (_fan_moments)
     n_radial: int = 24
     n_angular: int = 24
 
@@ -252,14 +268,18 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     (q, a[k], b[k]), q = basis.origin, within radii[k, 0] <= r <=
     radii[k, -1], by the Duffy map x = q + u*p(v), p(v) = (1-v)*(a-q) +
     v*(b-q): v split where |p(v)| crosses a circle r = radii[k, i], u at
-    each circle; n_angular rays per piece, n_radial nodes per segment.
-    Along a ray theta is fixed, r = u*|p| and a hat is affine, so a hat's
-    integral over a (piece, segment) is hat(q)*m0 + grad(hat).m1: m0, m1
-    the sums of w*f, w*f*(x - q), signed like det(a-q, b-q).  Yields
-    (fan, m0, m1) of shapes (n,), (rows, n), (rows, 2, n): Gauss-Legendre
-    segments, then per gamma the segments from the corner (radii[k, 0] =
-    0), where each row is c*r**(-gamma) and its moments take closed
-    forms."""
+    each circle; n_angular rays per piece.  f is singular at q, so a
+    radial segment [r0, r1] (r1 its farthest ray's end) takes n_radial
+    nodes if its ``_log_rho`` is at least that of the default cutoff band
+    [R/8, R], and otherwise n_radial * ln(rho_band) / ln(rho), which keeps
+    rho**(-2n) where n_radial nodes put it on that band.  Along a ray
+    theta is fixed, r = u*|p| and a hat is affine, so a hat's integral over
+    a (piece, segment) is hat(q)*m0 + grad(hat).m1: m0, m1 the sums of w*f,
+    w*f*(x - q), signed like det(a-q, b-q).  Yields (fan, m0, m1) of shapes
+    (n,), (rows, n), (rows, 2, n): Gauss-Legendre segments, then per gamma
+    the segments from the corner (radii[k, 0] = 0), where each row is
+    c*r**(-gamma) and its moments take closed forms.  The radial values
+    go in blocks of at most _BLOCK_VALUES (rows x points), or one segment."""
     q = np.asarray(basis.origin)
     d, e = a - q, b - a
     two_area = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
@@ -284,31 +304,52 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     phi = angular(theta.reshape(rho.shape)) * (0.5 * two_area[fan, None]
                                                * dv[:, None] * wa)
 
+    def ray_moments(pi, u, w0, w1, gamma):     # u, w0, w1: (n, A, L)
+        f = radial(u * rho[pi, :, None], gamma)            # (rows, n, A, L)
+        ray0 = (w0 * f).sum(axis=-1) * phi[:, pi]
+        ray1 = (w1 * f).sum(axis=-1) * phi[:, pi]
+        return ray0.sum(axis=-1), (ray1[:, None] * p[:, pi]).sum(axis=-1)
+
+    def blocks(n_pieces, n_nodes):
+        step = max(1, _BLOCK_VALUES // (len(phi) * n_angular * n_nodes))
+        for s in range(0, n_pieces, step):
+            yield slice(s, s + step)
+
     u_at = np.minimum(radii[fan][:, None, :] / rho[..., None], 1.0)
-    xl, wl = _gauss(n_radial)
-    tl, wl = 0.5 * (xl + 1.0), 0.5 * wl
     corner = radii[fan, 0] == 0.0
     live = (u_at[..., 1:] > u_at[..., :-1]).any(axis=1)       # (P, S)
     live[corner, 0] = False     # the segment from the corner: closed form
     pi, si = np.nonzero(live)
-    u0, u1 = u_at[pi, :, si, None], u_at[pi, :, si + 1, None]  # (n, A, 1)
-    u = u0 + (u1 - u0) * tl
-    w = (u1 - u0) * wl * u
-    groups = [(pi, u, w, w * u, None)]
+    # a live segment has a ray past its inner circle, so r1 > r0
+    r0 = radii[fan[pi], si]
+    r1 = np.minimum(radii[fan[pi], si + 1], rho[pi].max(axis=1))
+    # n_radial nodes on the default band [R/8, R] set the error
+    n_seg = np.ceil(n_radial * _log_rho(1.0, 8.0) / _log_rho(r0, r1))
+    n_seg = np.maximum(n_radial, n_seg).astype(int)
+    for n in np.flatnonzero(np.bincount(n_seg)):
+        xl, wl = _gauss(int(n))
+        tl, wl = 0.5 * (xl + 1.0), 0.5 * wl
+        sub = np.flatnonzero(n_seg == n)
+        m0, m1 = np.empty((len(phi), len(sub))), np.empty((len(phi), 2, len(sub)))
+        for blk in blocks(len(sub), int(n)):
+            pb, sb = pi[sub[blk]], si[sub[blk]]
+            u0, u1 = u_at[pb, :, sb, None], u_at[pb, :, sb + 1, None]
+            u = u0 + (u1 - u0) * tl
+            w = (u1 - u0) * wl * u
+            m0[:, blk], m1[:, :, blk] = ray_moments(pb, u, w, w * u, None)
+        yield fan[pi[sub]], m0, m1
     # on the corner segment [0, U], f = c*(u*|p|)**(-gamma): the moments of
     # u*f and u*u*f are f(U/2)*2**-gamma times U**2/(2-gamma), U**3/(3-gamma)
     pi = np.flatnonzero(corner)
-    u_end = u_at[pi, :, 1, None]       # where each corner segment ends
     for gamma in gammas:
-        w = 2.0**-gamma * u_end**2
-        groups.append((pi, 0.5 * u_end, w / (2.0 - gamma),
-                       w * u_end / (3.0 - gamma), gamma))
-    for pi, u, w0, w1, gamma in groups:
-        f = radial(u * rho[pi, :, None], gamma)            # (rows, n, A, L)
-        ray0 = (w0 * f).sum(axis=-1) * phi[:, pi]
-        ray1 = (w1 * f).sum(axis=-1) * phi[:, pi]
-        yield fan[pi], ray0.sum(axis=-1), \
-            (ray1[:, None] * p[:, pi]).sum(axis=-1)
+        m0, m1 = np.empty((len(phi), len(pi))), np.empty((len(phi), 2, len(pi)))
+        for blk in blocks(len(pi), 1):
+            u_end = u_at[pi[blk], :, 1, None]   # where each corner segment ends
+            w = 2.0**-gamma * u_end**2
+            m0[:, blk], m1[:, :, blk] = ray_moments(
+                pi[blk], 0.5 * u_end, w / (2.0 - gamma),
+                w * u_end / (3.0 - gamma), gamma)
+        yield fan[pi], m0, m1
 
 
 def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
@@ -326,17 +367,18 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     rule each, at the order its distance to q asks for."""
     q = np.asarray(basis.origin)
     # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max
-    vert_d = np.linalg.norm(mesh.nodes - q, axis=1)[mesh.triangles]
-    near = vert_d.min(axis=1) < radii[-1] + mesh.max_edge_length()
-    triangles, vert_d = mesh.triangles[near], vert_d[near]
+    node_d = np.linalg.norm(mesh.nodes - q, axis=1)
+    near = node_d[mesh.triangles].min(axis=1) < radii[-1] + mesh.max_edge_length()
+    triangles = mesh.triangles[near]
     tri_pts = mesh.nodes[triangles]
-    edges, area = (g[near] for g in mesh.triangle_geometry())
-    h = np.linalg.norm(edges, axis=2).max(axis=1)
+    edges, area = mesh.triangle_geometry()
+    h = np.linalg.norm(edges[near], axis=2).max(axis=1)
+    area = area[near]
     dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
                    for i in range(3)], axis=0)
-    r_max = vert_d.max(axis=1)
+    r_max = node_d[triangles].max(axis=1)
     support = (dist < radii[-1]) & (r_max > radii[0])
-    at_corner = vert_d < 1e-12
+    at_corner = node_d[triangles] < 1e-12
     corner = support & at_corner.any(axis=1)
     fan = corner.copy()
     for c in kinks:
@@ -378,28 +420,33 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                 # T's barycentric map applied to the moments about corner 0;
                 # the edges opposite corners 2 and 1 are p1 - p0 and p0 - p2
                 rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
-                e1, e2, det = edges[tri, 2].T, edges[tri, 1].T, 2.0 * area[tri]
+                pts = tri_pts[tri]
+                e1, e2 = (pts[:, 1] - pts[:, 0]).T, (pts[:, 0] - pts[:, 2]).T
+                det = 2.0 * area[tri]
                 l2 = (rel[:, 1] * e2[0] - rel[:, 0] * e2[1]) / det
                 l3 = (e1[0] * rel[:, 1] - e1[1] * rel[:, 0]) / det
                 scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), tri)
 
     # collapsed rule, one leaf per triangle; a triangle off q has dist >= h/2
     # on the meshes the program builds, so the order stays at most
-    # ceil(order_target / asinh(1)).  Each batch holds at most _CELL_POINTS
-    # points whatever the leaves' order.
+    # ceil(order_target / asinh(1)).  Each batch forms at most _BLOCK_VALUES
+    # radial values whatever the leaves' order.
     cells = np.flatnonzero(support & ~fan)
     order = np.ceil(opts.order_target
                     / np.arcsinh(2.0 * dist[cells] / h[cells])).astype(int)
     for n in np.flatnonzero(np.bincount(order)):
         lam, w = _collapsed_rule(int(n))
+        # one (1, points) @ (points, 3) product per row and triangle: one
+        # matmul over the batch would round by where it tiles the batch
+        corner_w = lam * w[:, None]
         pick = cells[order == n]
-        step = max(1, _CELL_POINTS // len(w))
+        step = max(1, _BLOCK_VALUES // (n_rows * len(w)))
         for s in range(0, len(pick), step):
             tri = pick[s:s + step]
             r, theta = basis.local_polar((lam @ tri_pts[tri]).reshape(-1, 2))
-            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), -1)
+            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), 1, -1)
             # (n_rows, T, 3) loads of the triangle's corners
-            scatter(vals * w * area[tri][:, None] @ lam, tri)
+            scatter((vals @ corner_w)[..., 0, :] * area[tri][:, None], tri)
     return out
 
 
@@ -423,8 +470,11 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
             if gamma not in (None, basis.beta):
                 continue        # another exponent's rule at the corner
             r_beta = r ** (-basis.beta)
-            out[i] = (c2 + (1.0 - 2.0 * basis.beta) * c1 / r) * r_beta
-            out[k + i] = c0 * r_beta
+            lap = np.multiply(c1, 1.0 - 2.0 * basis.beta, out=out[i])
+            lap /= r
+            lap += c2
+            lap *= r_beta
+            np.multiply(c0, r_beta, out=out[k + i])
         return out
 
     def angular(theta):
@@ -477,8 +527,8 @@ def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis,
     spec, gamma = basis_a.cutoff, basis_a.beta + basis_b.beta
     if spec.R >= clearance(mesh.domain, basis_a.origin):
         raise ValueError("the pair integral does not separate: R >= clearance")
-    log_rho = math.acosh((1.0 + spec.tau) / (1.0 - spec.tau))
-    x, w = _gauss(5 + math.ceil(GradedQuadratureOptions.order_target / log_rho))
+    x, w = _gauss(5 + math.ceil(GradedQuadratureOptions.order_target
+                                / _log_rho(spec.tau, 1.0)))
     half = 0.5 * (spec.R - spec.inner)
     r = spec.inner + half * (x + 1.0)
     band = half * float(w @ (chi(r, spec) ** 2 * r ** (1.0 - gamma)))

@@ -116,7 +116,7 @@ def corner_loads(mesh, bases, opts: FixedOrderOptions | None = None):
             for n in np.unique(order):
                 lam, w = singular._collapsed_rule(int(n))
                 pick = np.flatnonzero(order == n)
-                step = max(1, singular._CELL_POINTS // len(w))
+                step = max(1, singular._BLOCK_VALUES // (n_rows * len(w)))
                 for s in range(0, len(pick), step):
                     leaf = pick[s:s + step]
                     tri = cell[leaf]

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,28 @@ def raw_s(basis, points):
     """The singular function r**(-beta)*Phi(theta) without the cutoff."""
     r, theta = basis.local_polar(points)
     return r ** (-basis.beta) * basis.angular(theta)
+
+
+def chi_derivs_masked(r, spec, orders=(0, 1, 2)):
+    """``chi_derivs`` as it was before it went mask-free: the quintic on the
+    open band (tau*R, R) only, 1 (chi) or 0 below it and 0 above it."""
+    r = np.asarray(r, dtype=float)
+    band = (r > spec.inner) & (r < spec.R)
+    scale = 2.0 / (spec.R * (1.0 - spec.tau))
+    t = scale * r[band] - (1.0 + spec.tau) / (1.0 - spec.tau)
+    t2 = t * t
+    out = []
+    for k in orders:
+        c = np.zeros(r.shape)
+        if k == 0:
+            c[r <= spec.inner] = 1.0
+            c[band] = ((-3 / 16 * t2 + 5 / 8) * t2 - 15 / 16) * t + 0.5
+        elif k == 1:
+            c[band] = ((-15 / 16 * t2 + 15 / 8) * t2 - 15 / 16) * scale
+        else:
+            c[band] = (-15 / 4 * t2 + 15 / 4) * t * scale**2
+        out.append(c)
+    return tuple(out)
 
 
 class TestCutoff:
@@ -109,6 +132,29 @@ class TestCutoff:
                 for k, g in zip(orders, got):
                     scale_k = np.max(np.abs(ref[k]))
                     assert np.max(np.abs(g - ref[k])) <= 1e-15 * scale_k
+
+    @pytest.mark.parametrize("spec", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2),
+                                      CutoffSpec(tau=0.001, R=1.8),
+                                      CutoffSpec(tau=0.9, R=1e-3)])
+    def test_mask_free_form_matches_masked_form(self, spec):
+        # clipping t to [-1, 1] gives the masked values bit for bit, except
+        # within an ulp of a kink, where t rounds off +-1 by an ulp
+        kinks = np.array([spec.inner, spec.R])
+        near = np.concatenate([kinks, np.nextafter(kinks, 0.0),
+                               np.nextafter(kinks, np.inf)])
+        far = np.concatenate([[0.0, 0.5 * spec.inner, 1.5 * spec.R, 1e300],
+                              np.random.default_rng(3).uniform(0.0, 1.2 * spec.R,
+                                                               5000)])
+        scale = 2.0 / (spec.R * (1.0 - spec.tau))
+        for k in (0, 1, 2):
+            (got_far, got_near), (ref_far, ref_near) = (
+                [fn(r, spec, orders=(k,))[0] for r in (far, near)]
+                for fn in (chi_derivs, chi_derivs_masked))
+            assert np.array_equal(got_far, ref_far), k
+            assert np.all(np.abs(got_near - ref_near) <= 1e-14 * scale**k), k
+        # t clipped to -1 and to 1: the quintic's exact end values
+        assert chi_derivs(0.0, spec) == (1.0, 0.0, 0.0)
+        assert chi_derivs(1e300, spec) == (0.0, 0.0, 0.0)
 
     def test_scalar_input_gives_floats(self):
         c, c1, c2 = chi_derivs(0.5 * (1.0 + 0.125) * 1.8, CutoffSpec())
@@ -623,6 +669,44 @@ class TestEvaluationCounts:
         assert dict(counts) == expected
 
 
+class TestBlockedPass:
+    """The pass forms at most ``_BLOCK_VALUES`` integrand values at once:
+    fan segments and collapsed triangles go in blocks of at most that many
+    row values, so the integrand values it holds do not grow with the
+    mesh."""
+
+    @pytest.mark.parametrize("cutoff", [CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)])
+    def test_small_budget_gives_the_same_loads(self, cutoff, monkeypatch):
+        # 300 values: one segment or triangle per block nearly everywhere
+        for dom, j in singular_builtins():
+            bases = corner_bases(dom, j, cutoff)
+            for m in mesh_hierarchy(dom, 3)[1:]:
+                ref = np.concatenate(corner_loads(m, bases))
+                with monkeypatch.context() as mp:
+                    mp.setattr(singular, "_BLOCK_VALUES", 300)
+                    got = np.concatenate(corner_loads(m, bases))
+                err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+                assert np.all(err <= 1e-15), (dom.name, m.level, err)
+
+    @pytest.mark.parametrize("name,bc,level,mib", [("IV", "B3", 2, 1.25),
+                                                    ("III", "B5", 4, 2.0)])
+    def test_traced_peak(self, name, bc, level, mib):
+        # 0.98 and 1.73 MiB; 3.48 and 5.19 MiB when each 256-edge chunk
+        # formed all its fans' radial values at once and the collapsed rule
+        # took 18,432 points per batch
+        dom = builtin_domain(name, bc)
+        m = mesh_hierarchy(dom, level)[-1]
+        bases = corner_bases(dom, 0)
+        corner_loads(m, bases)      # the mesh geometry and the Gauss rules
+        tracemalloc.start()
+        try:
+            corner_loads(m, bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20, peak / 2**20
+
+
 class TestRestrictedLoads:
     """The loads a study uses on a coarse level, restricted from the
     level-4 pass, against each level's own pass and the reference."""
@@ -669,7 +753,8 @@ def _pass_and_moments(mesh, bases):
     over the domain: ``singular._fan_moments`` of the pass's own integrands
     over the triangles (q, a, b) of the domain's edges a -> b away from q,
     the fans of ``pair_oracle.pair_fan_rule``, at twice the corner fans'
-    nodes."""
+    nodes (so twice the radial nodes of the segment rule, which at tau =
+    0.001 gives the band [tau*R, R] 561 of them)."""
     seen, orders = {}, set()
     graded, rule = singular._graded_integrate, singular._collapsed_rule
 
@@ -732,6 +817,15 @@ class TestLoadMoments:
     def test_builtins(self, cutoff):
         for dom, j in singular_builtins():
             self.check(mesh_hierarchy(dom, 2), j, cutoff)
+
+    @pytest.mark.parametrize("name,bc", [("III", "B1"), ("IV", "B3")])
+    @pytest.mark.parametrize("tau", [0.01, 0.001])
+    def test_small_tau(self, name, bc, tau):
+        # the corner fans' band segment [tau*R, r1] has q at tau*R/(r1 -
+        # tau*R) of its length: with a fixed 24 nodes the rows' sums were
+        # off by up to 8.5e-7 at tau = 0.001
+        dom = builtin_domain(name, bc)
+        self.check(mesh_hierarchy(dom, 2)[1:], 0, CutoffSpec(tau=tau, R=1.8))
 
     @given(skyline_domains(),
            st.sampled_from([CutoffSpec(), CutoffSpec(tau=0.25, R=1.2)]))
