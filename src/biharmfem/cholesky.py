@@ -6,19 +6,22 @@ separator, or, ``LEAF_DEPTHS`` levels above the deepest box, a whole box
 with everything below it (a leaf); a front's parent is the front of the
 nearest ancestor box.  Its pivots P are a contiguous run of the order,
 and its update set U, the later unknowns its columns of L reach, is the
-union of its own entries' rows and its children's update sets (nested
-dissection: George 1973; multifrontal method: Duff & Reid 1983).
+union of its own entries' rows and its children's update sets, less its
+pivots (nested dissection: George 1973; multifrontal method: Duff & Reid
+1983).
 
-The symbolic phase and the numeric factor loop over the tree's depths,
-deepest first, never over single fronts: the fronts of one depth are
-padded to a common size (a padded pivot carries a 1 on the diagonal) and
-go through one stacked ``np.linalg.cholesky`` and stacked ``matmul``, in
-chunks of at most ``CHUNK`` front entries.  With the front
-[[F11, F21^T], [F21, F22]] (F22 holds the children's updates extended to
-U), a front keeps H = W [I, -F21^T] with W = F11^-1, and passes
-S = F22 - F21 W F21^T to its parent.  A solve is two sweeps of batched
-matrix-vector products: forward b_U += H_U^T b_P, deepest first; backward
-x_P = H [b_P; x_U], root first.
+The factor loops over the tree's depths, deepest first, never over
+single fronts, and forms each depth's update sets from its fronts' own
+entries and the U each child passes up with its S: there is no separate
+symbolic phase.  The fronts of one depth are padded to a common size (a
+padded pivot carries a 1 on the diagonal) and go through one stacked
+``np.linalg.cholesky`` and stacked ``matmul``, in chunks of at most
+``CHUNK`` front entries.  With the front [[F11, F21^T], [F21, F22]]
+(F22 holds the children's updates extended to U), a front keeps
+H = W [I, -F21^T] with W = F11^-1, and passes S = F22 - F21 W F21^T to
+its parent.  A solve is two sweeps of batched matrix-vector products:
+forward b_U += H_U^T b_P, deepest first; backward x_P = H [b_P; x_U],
+root first.
 """
 
 from __future__ import annotations
@@ -60,36 +63,29 @@ class Cholesky:
         parent = _parents(key[self.starts])
         depth = _depth(key[self.starts])
         top = int(depth.max())
-        # update-set keys front * n + unknown, by the front's depth
-        reached = [[] for _ in range(top + 1)]
-
-        def reach(f, x):
-            for d in np.flatnonzero(np.bincount(depth[f])):
-                at = depth[f] == d
-                reached[d].append(f[at] * n + x[at])
-
-        col_front = owner[cols]
-        cross = owner[rows] != col_front
-        reach(col_front[cross], rows[cross])
         # the depth of each entry's front: each depth picks its own entries
         # from those handed in, with no sorted copy of them
-        col_depth = depth[col_front].astype(np.int8)
-        del col_front, cross
+        col_depth = depth[owner[cols]].astype(np.int8)
         up_depth = np.where(parent >= 0, depth[parent], -1)
         self.groups, self.u = [], np.zeros(len(size), dtype=np.int64)
+        # the (S, U, parent) of the fronts whose parent lies at each depth
         pending = [[] for _ in range(top + 1)]
         for d in range(top, -1, -1):
             fronts = np.flatnonzero(depth == d)
             if not len(fronts):
                 continue
-            u_keys = _distinct(np.concatenate([np.zeros(0, np.int64),
-                                               *reached[d]]))
-            reached[d] = None       # used: free the keys
-            u_front, u_node = np.divmod(u_keys, n)
-            up = parent[u_front]
-            carry = (up >= 0) & (owner[u_node] != up)
-            reach(up[carry], u_node[carry])
             mine = np.flatnonzero(col_depth == d)
+            f = owner[cols[mine]]
+            # update-set keys front * n + unknown: the rows of the fronts'
+            # own entries and of their children's U, less the rows they
+            # pivot; U's padding n is masked out on U itself, since the key
+            # up * n + n would read as (up + 1) * n + 0
+            keys = np.concatenate([f * n + rows[mine]]
+                                  + [(up[:, None] * n + U)[U < n]
+                                     for _, U, up in pending[d]])
+            u_keys = _distinct(keys[owner[keys % n] != keys // n])
+            del keys
+            u_front, u_node = np.divmod(u_keys, n)
             m = size[fronts].max() + np.bincount(u_front).max(initial=0)
             k = min(len(fronts), -(-len(fronts) * m * m // CHUNK))
             chunks = np.array_split(fronts, k) if k > 1 else [fronts]
@@ -97,7 +93,6 @@ class Cholesky:
                 part, kids = mine, pending[d]
                 if len(chunks) > 1:
                     lo, hi = chunk[0], chunk[-1]
-                    f = owner[cols[mine]]
                     part = mine[(f >= lo) & (f <= hi)]
                     kids = [(S[sel], U[sel], up[sel]) for S, U, up in kids
                             for sel in [(up >= lo) & (up <= hi)]]

@@ -295,9 +295,10 @@ def builtin_domain(name: str, bc_type: str) -> PolygonDomain:
 
 def read_domain_file(path) -> PolygonDomain:
     """Parse the plain-text domain format: vertex lines 'x y', then one
-    'D'/'N' tag line per edge."""
+    'D'/'N' tag line per edge.  Blank lines, and lines whose first
+    non-blank character is '#', are skipped; a '#' after data is not."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     verts, tags = [], []
     for ln in lines:
         parts = ln.split()

@@ -20,6 +20,7 @@ from biharmfem.sources import const1, quadrant_step, square_eigen
 import assembly_oracle
 from conftest import mesh_hierarchy, skyline_domains, unit_square
 from superlu_oracle import SuperLUSolver, to_scipy
+import update_set_oracle
 
 TOL = 1e-10     # normwise backward error every direct solve must reach
 
@@ -419,10 +420,10 @@ class TestSubsetFactor:
 
     def test_traced_peak_of_the_factor_step(self):
         # the factor gets A's nonzero lower entries and nothing else holds
-        # a copy of them: no sorted copy, and each depth's update-set keys
-        # are freed once used.  10.1 MiB at level 5; 13.8 MiB when the
-        # caller's copies and a sorted copy of the entries stayed alive and
-        # the zero couplings were factored
+        # a copy of them: no sorted copy, and no update-set keys kept
+        # beyond the depth that forms them.  10.0 MiB at level 5; 13.8 MiB
+        # when the caller's copies and a sorted copy of the entries stayed
+        # alive and the zero couplings were factored
         m = _meshes("III", "B1")[5]
         A = fem.assemble_stiffness(m)
         free = np.flatnonzero(~m.dirichlet_nodes)
@@ -549,6 +550,65 @@ class TestCholeskyAgainstSuperLU:
             bad = fem.EdgeMatrix(diag, A.ends, A.off)
             with pytest.raises(fem.SolveError, match="not positive definite"):
                 fem.DirectSolver(bad, TOL, free[order], box)
+
+
+def _assert_update_sets(m):
+    """Each front's update rows in the factor of m's Poisson system, as
+    ``LevelContext`` builds it, equal the key carry's; return the
+    factor."""
+    A = fem.assemble_stiffness(m)
+    if m.domain.has_dirichlet():
+        free = np.flatnonzero(~m.dirichlet_nodes)
+        order, box = nested_dissection(m, free)
+        order = free[order]
+    else:       # grounded: the last node in the order is left out
+        order, box = (a[:-1] for a in nested_dissection(m))
+    rows, cols, vals = fem._lower_entries(A, order)
+    factor = Cholesky(rows, cols, vals, box)
+    starts, sets = update_set_oracle.update_sets(rows, cols, box)
+    assert np.array_equal(factor.starts, starts)
+    assert np.array_equal(factor.u, [len(s) for s in sets])
+    seen = []
+    for index, H in factor.groups:
+        pm = H.shape[1]
+        for f, row in zip(factor.owner[index[:, 0]], index[:, pm:]):
+            u = factor.u[f]
+            assert np.array_equal(row[:u], sets[f]), f
+            assert np.all(row[u:] == factor.n)
+            seen.append(f)
+    assert sorted(seen) == list(range(len(starts)))
+    return factor
+
+
+class TestUpdateSets:
+    """Each front's update set, formed from its own entries and its
+    children's U as the factor climbs the tree, against the key carry it
+    replaced (tests/update_set_oracle.py)."""
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("name, bc", SYSTEMS)
+    def test_builtins(self, name, bc, level):
+        _assert_update_sets(_meshes(name, bc)[level])
+
+    @given(skyline_domains(max_columns=3, max_height=4))
+    @settings(max_examples=25, deadline=None)
+    def test_skylines(self, domain):
+        try:
+            meshes = mesh_hierarchy(domain, 2)
+        except MeshError:       # not representable on the level-0 grid
+            return
+        for m in meshes:
+            if (~m.dirichlet_nodes).any():
+                _assert_update_sets(m)
+
+    @pytest.mark.parametrize("chunk, level", [(1, 3), (2000, 4)])
+    @pytest.mark.parametrize("name, bc", SYSTEMS)
+    def test_chunked_fronts(self, name, bc, chunk, level, monkeypatch):
+        # fronts of one depth factored a few at a time, or one at a time
+        m = _meshes(name, bc)[level]
+        whole = _assert_update_sets(m)
+        monkeypatch.setattr(cholesky, "CHUNK", chunk)
+        assert len(_assert_update_sets(m).groups) > len(whole.groups)
 
 
 class TestNorms:

@@ -271,6 +271,22 @@ class TestDomainFile:
         assert dom.tags[4] == N
         assert dom.area() == pytest.approx(12.0)
 
+    def test_comment_lines_are_skipped(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("0 0\n2 0\n2 2\n0 2\nD\nN\nD\nD\n")
+        commented = tmp_path / "commented.txt"
+        commented.write_text("# a square\n0 0\n2 0\n  # tags follow\n2 2\n"
+                             "0 2\n\t#\nD\nN\n   # last two\nD\nD\n#\n")
+        a, b = read_domain_file(plain), read_domain_file(commented)
+        assert np.array_equal(a.vertices, b.vertices)
+        assert a.tags == b.tags
+
+    def test_comment_after_data_rejected(self, tmp_path):
+        path = tmp_path / "dom.txt"
+        path.write_text("0 0 # origin\n1 0\n1 1\n0 1\nD\nD\nD\nD\n")
+        with pytest.raises(DomainError, match="unparsable domain line"):
+            read_domain_file(path)
+
     def test_tag_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "dom.txt"
         path.write_text("0 0\n1 0\n1 1\n0 1\nD\nD\n")

@@ -5,7 +5,9 @@ singular vertex, at levels 1 and 2:
 - the solution (w, u and the coefficients) is linear in the source f;
 - with d_perp = 0, ``modified`` and ``modified-truncated`` are ``naive``;
 - the Gram matrix of a corrected solve is symmetric positive definite and
-  its solve's relative residual ``gram_residual`` is small.
+  its solve's relative residual ``gram_residual`` is small;
+- on a pure-Neumann domain the corrected solve's correction has mean 0
+  (``xi_mean``), so the u solve's right-hand side is compatible.
 
 and, on III/B1, IV/B3 and three skylines with one singular vertex, levels
 3-5: the corrected solutions at two cutoffs within the corner's clearance
@@ -26,16 +28,21 @@ from biharmfem.geometry import BUILTIN_NAMES, BC_TYPES, BCType, DomainError, \
     PolygonDomain, builtin_domain, perp_dimension
 from biharmfem.mesh import MeshError
 from biharmfem.singular import CutoffSpec
-from biharmfem.solver import LevelContext, solve_modified
+from biharmfem.solver import LevelContext, _singular_setup, solve_modified
 from biharmfem.sources import get_source
 from biharmfem.study import _run_formulation
 from conftest import mesh_hierarchy, skyline_domains
 
 # worst values seen on the built-ins and 300 skylines: a linearity gap of
 # 1.1e-15 relative to the solutions (3.3e-14 against the 1e-4 floor, on a
-# level whose solution vanishes by symmetry) and a Gram residual of 2.5e-16
+# level whose solution vanishes by symmetry) and a Gram residual of 2.5e-16.
+# On a pure-Neumann domain the correction's mean xi_mean = sum(M zeta_0) +
+# sum(chi*s load) is 0: 9.2e-15 at most, 7.3e-16 relative to
+# |M zeta_0|_1 + |chi*s load|_1 (scales 2.8-24), on the built-ins and on
+# 300 skylines with every edge Neumann, levels 1-2
 LINEARITY_TOL = 1e-12
 GRAM_RESIDUAL_TOL = 1e-13
+XI_MEAN_TOL = 1e-12
 
 
 def _builtins():
@@ -79,6 +86,7 @@ def check_properties(domain, cutoff=CutoffSpec()):
         with warnings.catch_warnings():
             # a singular vertex that is not the largest angle warns
             warnings.simplefilter("ignore")
+            bases = _singular_setup(m.domain, cutoff)
             for name in names:
                 results[name] = [_run_formulation(name, ctx, s, cutoff)
                                  for s in (f, g, fg)]
@@ -95,6 +103,12 @@ def check_properties(domain, cutoff=CutoffSpec()):
                 assert np.array_equal(gram, gram.T)
                 np.linalg.cholesky(gram)        # raises unless SPD
                 assert res.diagnostics["gram_residual"] <= GRAM_RESIDUAL_TOL
+                if not domain.has_dirichlet():
+                    chi_s = ctx.singular_loads(bases)[1][0]
+                    scale = (np.abs(ctx.mass @ res.zeta_h[0]).sum()
+                             + np.abs(chi_s).sum())
+                    xi_mean = abs(res.diagnostics["xi_mean"])
+                    assert xi_mean <= XI_MEAN_TOL * scale, (name, m.level)
         if d_perp == 0:
             for name in names[1:]:
                 for got, want in zip(results[name], results["naive"]):
