@@ -19,7 +19,13 @@ padded pivot carries a 1 on the diagonal) and go through one stacked
 ``CHUNK`` front entries.  With the front [[F11, F21^T], [F21, F22]]
 (F22 holds the children's updates extended to U), a front keeps
 H = W [I, -F21^T] with W = F11^-1, and passes S = F22 - F21 W F21^T to
-its parent.  A solve is two sweeps of batched matrix-vector products:
+its parent.  H21 = -W F21^T is written straight into H, and F22 is
+added into S = F21 H21 in place.  A child's S lives only until its
+parent has extended it: the extend-add takes each group of children off
+the pending list and indexes it a block of children at a time, and a
+chunked depth hands each chunk a slice of every group and drops a group
+once no later chunk needs it.  A solve is two sweeps of batched
+matrix-vector products:
 forward b_U += H_U^T b_P, deepest first; backward x_P = H [b_P; x_U],
 root first.
 """
@@ -31,7 +37,8 @@ import numpy as np
 # Each depth costs about a hundred numpy calls whatever its size, so the
 # deepest box levels merge into leaves; larger leaves would add fill.
 # CHUNK bounds the front entries factored at once, and so the factor's
-# transient memory.
+# transient memory; the extend-add indexes at most CHUNK // 64 update
+# entries at once.
 LEAF_DEPTHS = 2
 CHUNK = 1 << 21
 
@@ -92,21 +99,27 @@ class Cholesky:
             for chunk in chunks:
                 part, kids = mine, pending[d]
                 if len(chunks) > 1:
+                    # a group's parents ascend (the subtrees of one depth
+                    # are disjoint runs of the order), so a chunk takes one
+                    # slice of each; a group left with no later parent is
+                    # dropped, and its slices free it as they are extended
                     lo, hi = chunk[0], chunk[-1]
                     part = mine[(f >= lo) & (f <= hi)]
-                    kids = [(S[sel], U[sel], up[sel]) for S, U, up in kids
-                            for sel in [(up >= lo) & (up <= hi)]]
+                    assert all((np.diff(up) >= 0).all() for _, _, up in kids)
+                    kids = [(S[a:b], U[a:b], up[a:b]) for S, U, up in kids
+                            for a, b in [np.searchsorted(up, (lo, hi + 1))]]
+                    pending[d] = [g for g in pending[d] if g[2][-1] > hi]
                 S, U = self._front(chunk, u_keys, u_front, u_node, rows[part],
                                    cols[part], vals[part], kids)
                 to = up_depth[chunk]
                 if to.min() == to.max() >= 0:
                     pending[to[0]].append((S, U, parent[chunk]))
-                    continue
-                for t in np.flatnonzero(np.bincount(to + 1)) - 1:
-                    if t >= 0:
-                        go = to == t
-                        pending[t].append((S[go], U[go], parent[chunk[go]]))
-            pending[d] = []
+                else:
+                    for t in np.flatnonzero(np.bincount(to + 1)) - 1:
+                        if t >= 0:
+                            go = to == t
+                            pending[t].append((S[go], U[go], parent[chunk[go]]))
+                del S, U
         self.nnz = int((size * (size + 1) // 2 + self.u * size).sum())
 
     def _front(self, fronts, u_keys, u_front, u_node, rows, cols, vals,
@@ -136,20 +149,30 @@ class Cholesky:
         pad = np.arange(pm) >= p[:, None]
         g, j = pad.nonzero()
         F[g, j, j] = 1.0
-        for S, U, up in children:
-            # the padding of S is exact zeros: add it anywhere
+        while children:
+            # taken off the list, each group is freed once extended; its
+            # indices are formed a block of children at a time.  The
+            # padding of S is exact zeros: add it anywhere
+            S, U, up = children.pop(0)
             loc, real = np.zeros_like(U), U < n
             loc[real] = slot(up.repeat(U.shape[1]).reshape(U.shape)[real],
                              U[real])
-            base = (local[up] * m * m)[:, None, None]
-            np.add.at(flat, (base + loc[:, :, None] * m + loc[:, None, :]).ravel(),
-                      S.ravel())
+            base = local[up] * m * m
+            step = max(1, (CHUNK >> 6) // max(U.shape[1] ** 2, 1))
+            for i in range(0, len(S), step):
+                at = slice(i, i + step)
+                np.add.at(flat, (base[at, None, None] + loc[at, :, None] * m
+                                 + loc[at, None, :]).ravel(), S[at].ravel())
+            del S, U
         L_inv = np.linalg.inv(np.linalg.cholesky(F[:, :pm, :pm]))
         F21 = F[:, pm:, :pm]
         H = np.empty((nf, pm, m))
         H[:, :, :pm] = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
-        H[:, :, pm:] = -np.matmul(H[:, :, :pm], F21.transpose(0, 2, 1))
-        S = F[:, pm:, pm:] + np.matmul(F21, H[:, :, pm:])
+        H21 = H[:, :, pm:]
+        np.negative(np.matmul(H[:, :, :pm], F21.transpose(0, 2, 1), out=H21),
+                    out=H21)
+        S = F21 @ H21
+        S += F[:, pm:, pm:]
         index = np.full((nf, m), n)
         index[:, :pm] = np.where(pad, n, starts[fronts, None] + np.arange(pm))
         index[:, pm:][np.arange(um) < u[:, None]] = \

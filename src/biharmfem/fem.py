@@ -102,11 +102,13 @@ def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
     """
     bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
     area = mesh.triangle_geometry()[1]
-    pts = bary @ mesh.nodes[mesh.triangles]         # (T, q, 2)
+    tri = mesh.triangles
+    pts = np.empty((len(tri), len(bary), 2))
+    for d in range(2):      # one coordinate at a time: no (T, 3, 2) gather
+        np.matmul(mesh.nodes[:, d][tri], bary.T, out=pts[:, :, d])
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(len(area), -1)
     contrib = (fv * (w * area[:, None])) @ bary     # (T, 3)
-    return np.bincount(mesh.triangles.ravel(), contrib.ravel(),
-                       minlength=mesh.n_nodes)
+    return np.bincount(tri.ravel(), contrib.ravel(), minlength=mesh.n_nodes)
 
 
 class DirectSolver:

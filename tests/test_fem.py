@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from scipy.integrate import dblquad
 
 from biharmfem import cholesky, fem
 from biharmfem.cholesky import Cholesky
-from biharmfem.geometry import (BCType, BUILTIN_NAMES, DomainError,
-                                PolygonDomain, builtin_domain)
+from biharmfem.geometry import (BC_TYPES, BCType, BUILTIN_NAMES,
+                                DomainError, PolygonDomain, builtin_domain)
 from biharmfem.mesh import MeshError, TriMesh, nested_dissection
 from biharmfem.singular import _collapsed_rule
 from biharmfem.solver import LevelContext
@@ -20,6 +21,7 @@ from biharmfem.sources import const1, quadrant_step, square_eigen
 import assembly_oracle
 from conftest import mesh_hierarchy, skyline_domains, unit_square
 from superlu_oracle import SuperLUSolver, to_scipy
+import front_oracle
 import update_set_oracle
 
 TOL = 1e-10     # normwise backward error every direct solve must reach
@@ -174,6 +176,21 @@ class TestAssemblyOracle:
                     ref = assembly_oracle.assemble_load(m, f, quad)
                     err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                     assert err <= 1e-15, (m.level, f.__name__, err)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_loads_identical_to_stacked_form(self, name):
+        for bc in BC_TYPES:
+            try:
+                meshes = _meshes(name, bc)[:5]
+            except DomainError:     # a tagging the domain does not allow
+                continue
+            for m in meshes:
+                for f in (const1, quadrant_step, square_eigen):
+                    for quad in (None, _collapsed_rule(4)):
+                        got = fem.assemble_load(m, f, quad)
+                        ref = assembly_oracle.stacked_load(m, f, quad)
+                        assert got.tobytes() == ref.tobytes(), \
+                            (bc, m.level, f.__name__)
 
     @pytest.mark.parametrize("fn", ["assemble_stiffness", "assemble_mass"])
     def test_traced_peak_bounded_by_result(self, fn):
@@ -421,7 +438,8 @@ class TestSubsetFactor:
     def test_traced_peak_of_the_factor_step(self):
         # the factor gets A's nonzero lower entries and nothing else holds
         # a copy of them: no sorted copy, and no update-set keys kept
-        # beyond the depth that forms them.  10.0 MiB at level 5; 13.8 MiB
+        # beyond the depth that forms them.  8.4 MiB at level 5; 10.0 MiB
+        # when each depth kept its children's S to its end, and 13.8 MiB
         # when the caller's copies and a sorted copy of the entries stayed
         # alive and the zero couplings were factored
         m = _meshes("III", "B1")[5]
@@ -435,7 +453,7 @@ class TestSubsetFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20, peak / 2**20
+        assert peak <= 9 * 2**20, peak / 2**20
         # the exactly zero hypotenuse couplings of the grid make no entry
         assert np.count_nonzero(A.off == 0) == 12288
         assert solver.factor.nnz == 366537
@@ -552,10 +570,9 @@ class TestCholeskyAgainstSuperLU:
                 fem.DirectSolver(bad, TOL, free[order], box)
 
 
-def _assert_update_sets(m):
-    """Each front's update rows in the factor of m's Poisson system, as
-    ``LevelContext`` builds it, equal the key carry's; return the
-    factor."""
+def _factor_inputs(m):
+    """The entries and boxes ``LevelContext`` factors for m's Poisson
+    system: rows, cols, vals and box."""
     A = fem.assemble_stiffness(m)
     if m.domain.has_dirichlet():
         free = np.flatnonzero(~m.dirichlet_nodes)
@@ -563,7 +580,14 @@ def _assert_update_sets(m):
         order = free[order]
     else:       # grounded: the last node in the order is left out
         order, box = (a[:-1] for a in nested_dissection(m))
-    rows, cols, vals = fem._lower_entries(A, order)
+    return (*fem._lower_entries(A, order), box)
+
+
+def _assert_update_sets(m):
+    """Each front's update rows in the factor of m's Poisson system, as
+    ``LevelContext`` builds it, equal the key carry's; return the
+    factor."""
+    rows, cols, vals, box = _factor_inputs(m)
     factor = Cholesky(rows, cols, vals, box)
     starts, sets = update_set_oracle.update_sets(rows, cols, box)
     assert np.array_equal(factor.starts, starts)
@@ -609,6 +633,110 @@ class TestUpdateSets:
         whole = _assert_update_sets(m)
         monkeypatch.setattr(cholesky, "CHUNK", chunk)
         assert len(_assert_update_sets(m).groups) > len(whole.groups)
+
+
+def _assert_same_factor(m):
+    """The factor of m's Poisson system, as ``LevelContext`` builds it,
+    is bit-identical to the reference loop's; return it."""
+    args = _factor_inputs(m)
+    factor, ref = Cholesky(*args), front_oracle.FrontOracle(*args)
+    assert factor.nnz == ref.nnz
+    assert len(factor.groups) == len(ref.groups)
+    for (index, H), (ref_index, ref_H) in zip(factor.groups, ref.groups):
+        assert np.array_equal(index, ref_index)
+        assert H.shape == ref_H.shape and H.tobytes() == ref_H.tobytes()
+    return factor
+
+
+class TestFreedUpdateMatrices:
+    """The factor that frees each update matrix S once its parent has
+    extended it against the loop that kept a depth's S to its end
+    (tests/front_oracle.py): the same fronts bit for bit, in less
+    memory."""
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name, level):
+        for bc in BC_TYPES:
+            try:
+                m = _meshes(name, bc)[level]
+            except DomainError:     # a tagging the domain does not allow
+                continue
+            if (~m.dirichlet_nodes).any():
+                _assert_same_factor(m)
+
+    @given(skyline_domains(max_columns=3, max_height=4))
+    @settings(max_examples=25, deadline=None)
+    def test_skylines(self, domain):
+        try:
+            meshes = mesh_hierarchy(domain, 2)
+        except MeshError:       # not representable on the level-0 grid
+            return
+        for m in meshes:
+            if (~m.dirichlet_nodes).any():
+                _assert_same_factor(m)
+
+    @pytest.mark.parametrize("chunk, level", [(1, 3), (2000, 4)])
+    @pytest.mark.parametrize("name, bc", SYSTEMS)
+    def test_chunked_fronts(self, name, bc, chunk, level, monkeypatch):
+        # a chunk takes a slice of each pending group; with CHUNK = 1 the
+        # extend-add also indexes one child at a time
+        m = _meshes(name, bc)[level]
+        whole = len(Cholesky(*_factor_inputs(m)).groups)
+        monkeypatch.setattr(cholesky, "CHUNK", chunk)
+        assert len(_assert_same_factor(m).groups) > whole
+
+    @pytest.mark.parametrize("chunk, level", [(cholesky.CHUNK, 5), (2000, 4)])
+    def test_no_update_matrix_outlives_its_parents(self, chunk, level,
+                                                    monkeypatch):
+        # at every call of _front, and once the factor is built, the S of
+        # each child group handed to an earlier call is gone if every
+        # front it updates has been factored: neither the pending lists
+        # nor the depth loop keep it
+        monkeypatch.setattr(cholesky, "CHUNK", chunk)
+        done = np.zeros(0, dtype=bool)
+        handed = []     # (weakref to a group's whole S, its whole parents)
+        front = Cholesky._front
+
+        def whole(a):
+            return a if a.base is None else a.base
+
+        def check():
+            for ref, up in handed:
+                assert ref() is None or not done[up].all()
+
+        def checked(factor, fronts, *args):
+            nonlocal done
+            if not len(done):
+                done = np.zeros(len(factor.starts), dtype=bool)
+            check()
+            handed.extend([(weakref.ref(whole(S)), whole(up))
+                           for S, _, up in args[-1]])
+            out = front(factor, fronts, *args)
+            done[fronts] = True
+            check()
+            return out
+
+        monkeypatch.setattr(Cholesky, "_front", checked)
+        Cholesky(*_factor_inputs(_meshes("III", "B1")[level]))
+        assert done.all() and handed
+        assert all(ref() is None for ref, _ in handed)
+
+    @pytest.mark.parametrize("name, bc, mib", [("III", "B1", 8),
+                                               ("IV", "B3", 10)])
+    def test_traced_peak_of_the_cholesky_step(self, name, bc, mib):
+        # level 5: 7.6 MiB (III/B1) and 9.2 MiB (IV/B3); 9.1 and 11.7 MiB
+        # when a depth kept its children's S to its end, the extend-add
+        # indexed a whole group at once and H21 and S went through
+        # temporaries
+        args = _factor_inputs(_meshes(name, bc)[5])
+        tracemalloc.start()
+        try:
+            Cholesky(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20, peak / 2**20
 
 
 class TestNorms:
