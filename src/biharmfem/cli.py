@@ -154,7 +154,7 @@ def _cmd_mesh_info(args) -> int:
     print(f"level {mesh.level}: {mesh.n_nodes} nodes, "
           f"{mesh.n_triangles} triangles, "
           f"{len(mesh.boundary_edges)} boundary edges")
-    print(f"area = {mesh.triangle_geometry()[1].sum():.12g}, "
+    print(f"area = {mesh.areas.sum():.12g}, "
           f"max edge = {mesh.max_edge_length():.6g}")
     print(f"dirichlet nodes = {int(mesh.dirichlet_nodes.sum())}")
     print("conforming: yes")

@@ -47,18 +47,22 @@ class EdgeMatrix:
 
 def assemble_stiffness(mesh: TriMesh) -> EdgeMatrix:
     """Exact P1 stiffness matrix (gradient inner products per triangle)."""
-    e, area = mesh.triangle_geometry()
-    scale = 4.0 * area
+    area = mesh.areas
 
     def entries(shift):
         # grad(phi_i) = rot90(e_i) / (2A); K_ij = (e_i . e_j) / (4A), here
-        # for (i, j) = (k, k + shift)
+        # for (i, j) = (k, k + shift), with one coordinate of the edge
+        # vectors formed at a time
         K = np.empty((len(area), 3))
-        for k in range(3):
-            a, b = e[:, k], e[:, (k + shift) % 3]
-            np.multiply(a[:, 0], b[:, 0], out=K[:, k])
-            K[:, k] += a[:, 1] * b[:, 1]
-        K /= scale[:, None]
+        for axis in range(2):
+            e = mesh.edge_vectors(axis)
+            for k in range(3):
+                if axis:
+                    K[:, k] += e[:, k] * e[:, (k + shift) % 3]
+                else:
+                    np.multiply(e[:, k], e[:, (k + shift) % 3], out=K[:, k])
+            del e
+        K /= 4.0 * area[:, None]
         return K
 
     return _edge_sums(mesh, entries)
@@ -66,7 +70,7 @@ def assemble_stiffness(mesh: TriMesh) -> EdgeMatrix:
 
 def assemble_mass(mesh: TriMesh) -> EdgeMatrix:
     """Exact P1 mass matrix: (A/12) * [[2,1,1],[1,2,1],[1,1,2]] per triangle."""
-    area = mesh.triangle_geometry()[1]
+    area = mesh.areas
     return _edge_sums(mesh,
                       lambda shift: np.repeat(area * ((2 - shift) / 12.0), 3))
 
@@ -101,7 +105,7 @@ def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
     grid meshes).  ``quad`` overrides the rule as (bary_points, weights).
     """
     bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
-    area = mesh.triangle_geometry()[1]
+    area = mesh.areas
     tri = mesh.triangles
     pts = np.empty((len(tri), len(bary), 2))
     for d in range(2):      # one coordinate at a time: no (T, 3, 2) gather
@@ -149,7 +153,7 @@ class DirectSolver:
             order, box = order[:-1], box[:-1]
         self._order = order
         try:
-            self.factor = Cholesky(*_lower_entries(A, order), box)
+            self.factor = Cholesky(_lower_entries(A, order), box)
         except np.linalg.LinAlgError as err:
             raise SolveError(f"matrix is not positive definite on the "
                              f"unknowns ({err})") from None
@@ -194,16 +198,17 @@ def _norm_on(A: EdgeMatrix, rows: np.ndarray) -> float:
 def _lower_entries(A: EdgeMatrix, order: np.ndarray):
     """The nonzero entries of A[order][:, order] on and below the
     diagonal, as rows, columns and values: an exactly zero coupling (the
-    hypotenuse of a right triangle pair) makes no entry."""
+    hypotenuse of a right triangle pair) makes no entry; a list, which
+    ``Cholesky`` empties."""
     pos = np.full(len(A.diag), -1)
     pos[order] = np.arange(len(order))
     i, j = pos[A.ends]
     keep = np.flatnonzero((i >= 0) & (j >= 0) & (A.off != 0))
     i, j = i[keep], j[keep]
     diag = np.arange(len(order))
-    return (np.concatenate([diag, np.maximum(i, j)]),
+    return [np.concatenate([diag, np.maximum(i, j)]),
             np.concatenate([diag, np.minimum(i, j)]),
-            np.concatenate([A.diag[order], A.off[keep]]))
+            np.concatenate([A.diag[order], A.off[keep]])]
 
 
 def h1_seminorm_diff(v1: np.ndarray, v2: np.ndarray, stiffness: EdgeMatrix) -> float:

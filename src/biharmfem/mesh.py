@@ -7,11 +7,13 @@ Nodes and edges are numbered in the order they first appear, by one
 helper.  Uniform refinement is 4-way (red): every triangle is split at its
 edge midpoints, so the coarse nodes are a prefix of the fine nodes and
 piecewise linear prolongation between levels is exact.
-``TriMesh.triangle_geometry`` and ``TriMesh.edge_table``, each computed
-once per mesh, give the edge vectors and areas of the triangles and the
-numbered edges that assembly, refinement and the mesh checks read.  A
-refined mesh's edges are numbered from its parent's in one pass over the
-parent triangles, with no sort.
+``TriMesh.areas`` and ``TriMesh.edge_table``, each computed once per
+mesh, give the triangles' areas and the numbered edges that assembly,
+refinement and the mesh checks read.  The edge vectors are not kept:
+``TriMesh.edge_vectors`` forms one coordinate of them where they are used
+(the stiffness and the longest edge).  A refined mesh's edges are
+numbered from its parent's in one pass over the parent triangles, with no
+sort.
 """
 
 from __future__ import annotations
@@ -62,24 +64,37 @@ class TriMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def triangle_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge vectors opposite each local node (T, 3, 2) and areas (T,),
-        computed once per mesh and read-only; raises on a degenerate or
-        inverted triangle."""
-        return self._geometry
-
     @cached_property
-    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+    def areas(self) -> np.ndarray:
+        """The triangles' areas (T,), computed once per mesh and read-only;
+        raises on a degenerate or inverted triangle."""
         tri, p = self.triangles, self.nodes
-        e = np.empty((len(tri), 3, 2))
-        for k in range(3):
-            np.subtract(p[tri[:, k - 1]], p[tri[:, k - 2]], out=e[:, k])
-        area = 0.5 * (e[:, 1, 0] * e[:, 2, 1] - e[:, 1, 1] * e[:, 2, 0])
+        a = p[tri[:, 0]]
+        e1, e2 = a - p[tri[:, 2]], p[tri[:, 1]] - a
+        area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         if np.any(area <= 0):
             raise MeshError("degenerate or inverted triangle "
                             "(non-positive area)")
-        e.flags.writeable = area.flags.writeable = False
-        return e, area
+        area.flags.writeable = False
+        return area
+
+    def edge_vectors(self, axis: int) -> np.ndarray:
+        """Coordinate ``axis`` of each triangle's edge vectors, (T, 3),
+        formed on each call: column k runs from local node k + 1 to local
+        node k + 2 (mod 3), the edge opposite node k."""
+        e = self.nodes[:, axis][self.triangles]
+        x0, x1 = e[:, 0].copy(), e[:, 1].copy()
+        np.subtract(e[:, 2], x1, out=e[:, 0])
+        np.subtract(x0, e[:, 2], out=e[:, 1])
+        np.subtract(x1, x0, out=e[:, 2])
+        return e
+
+    def max_edge_length(self) -> float:
+        ex, ey = self.edge_vectors(0), self.edge_vectors(1)
+        ex *= ex
+        ey *= ey
+        ex += ey
+        return float(np.sqrt(ex.max()))
 
     @cached_property
     def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,9 +108,6 @@ class TriMesh:
         return _edges(self.triangles, self.boundary_edges) \
             if table is None else table
 
-    def max_edge_length(self) -> float:
-        return float(np.linalg.norm(self.triangle_geometry()[0], axis=2).max())
-
     def _dirichlet_mask(self) -> np.ndarray:
         """Nodes on the closure of any Dirichlet edge (junction nodes are
         Dirichlet)."""
@@ -108,7 +120,7 @@ class TriMesh:
     def check_conforming(self) -> None:
         """Raise unless every interior edge is shared by exactly two
         triangles and every boundary edge by one, with positive areas."""
-        self.triangle_geometry()
+        self.areas
         edges, tri_edges, boundary = self.edge_table
         counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
         expected = np.full(len(edges), 2)

@@ -47,7 +47,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .geometry import (GRID_BOUND, PolygonDomain, classify_vertex,
                        singular_exponents)
@@ -136,7 +135,7 @@ class SingularBasis:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         dx = pts[:, 0] - self.origin[0]
         dy = pts[:, 1] - self.origin[1]
-        r = np.hypot(dx, dy)
+        r = np.sqrt(dx * dx + dy * dy)     # np.hypot is several times slower
         theta = np.arctan2(dy, dx) - self.frame_angle      # in [-2*pi, 2*pi]
         theta += np.where(theta < 0.0, 2.0 * math.pi, 0.0)  # np.mod's values
         # fold roundoff on the theta = 0 edge back to a small negative angle
@@ -191,9 +190,32 @@ def corner_bases(domain: PolygonDomain, j: int,
 def _gauss(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1];
     computed once per n and shared, so the arrays are read-only."""
-    x, w = leggauss(n)
+    x, w = _legendre_rule(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _legendre_rule(n: int):
+    """The n-point Gauss-Legendre rule: the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix, one Newton step on P_n, and the weights
+    2 / ((1 - x^2) P_n'(x)^2) at the refined nodes, made symmetric and
+    scaled to sum to 2 (Golub & Welsch 1969)."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+
+    def derivative(x):      # P_n'(x), from P_n and P_(n-1) by recurrence
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+    p, dp = derivative(x)
+    x = x - p / dp
+    dp = derivative(x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    return x, w * (2.0 / w.sum())
 
 
 def _collapsed_rule(n: int):
@@ -371,9 +393,9 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     near = node_d[mesh.triangles].min(axis=1) < radii[-1] + mesh.max_edge_length()
     triangles = mesh.triangles[near]
     tri_pts = mesh.nodes[triangles]
-    edges, area = mesh.triangle_geometry()
-    h = np.linalg.norm(edges[near], axis=2).max(axis=1)
-    area = area[near]
+    h = np.max([np.sqrt(((tri_pts[:, k] - tri_pts[:, k - 1]) ** 2).sum(axis=1))
+                for k in range(3)], axis=0)
+    area = mesh.areas[near]
     dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
                    for i in range(3)], axis=0)
     r_max = node_d[triangles].max(axis=1)

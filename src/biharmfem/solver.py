@@ -58,9 +58,10 @@ class LevelContext:
     """One mesh level: the mesh, the normwise backward error ``tol`` every
     Poisson solve must reach (see ``fem.DirectSolver``), and the assembly,
     factorization, singular-quadrature and Poisson-solution caches shared
-    between solves; ``factor_nnz`` and ``backward_error_max`` report the
-    Poisson factor's fill (the nonzeros of its Cholesky factor L, diagonal
-    included) and the worst backward error of its solves.  ``finest``, the
+    between solves; ``factor_nnz``, ``factor_entries`` and
+    ``backward_error_max`` report the Poisson factor's fill (the nonzeros
+    of its Cholesky factor L, diagonal included), the entries it stores,
+    and the worst backward error of its solves.  ``finest``, the
     context of a finer level of the same hierarchy, supplies the singular
     loads, integrated once on its mesh and restricted to this one, and the
     pair integrals, which depend on the domain only."""
@@ -120,6 +121,12 @@ class LevelContext:
         """The nonzeros of the level's Cholesky factor L, its diagonal
         included; 0 before the first solve."""
         return sum(s.factor.nnz for s in self._factors())
+
+    @property
+    def factor_entries(self) -> int:
+        """The entries of H the level's factor stores, padding included
+        (``cholesky.Cholesky.stored``); 0 before the first solve."""
+        return sum(s.factor.stored for s in self._factors())
 
     @property
     def backward_error_max(self) -> float:
@@ -255,6 +262,7 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
         rhs -= rhs.sum() / len(rhs)
     u = poisson(rhs)
     diagnostics.update(factor_nnz=ctx.factor_nnz,
+                       factor_entries=ctx.factor_entries,
                        backward_error_max=ctx.backward_error_max)
     return ModifiedSolveResult(w, u, zetas, coeffs, diagnostics)
 

@@ -65,7 +65,7 @@ def assemble_load(mesh, f, quad=None):
 
 def stacked_load(mesh, f, quad=None):
     bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
-    area = mesh.triangle_geometry()[1]
+    area = mesh.areas
     pts = bary @ mesh.nodes[mesh.triangles]         # (T, q, 2)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(len(area), -1)
     contrib = (fv * (w * area[:, None])) @ bary     # (T, 3)

@@ -109,8 +109,8 @@ def corner_loads(mesh, bases, opts: FixedOrderOptions | None = None):
         fan = support & (vert_d < 1e-12).any(axis=1)
         for c in kinks:
             fan |= support & (dist < c) & (r_max > c)
-        edges, area = mesh.triangle_geometry()
-        h = np.linalg.norm(edges, axis=2).max(axis=1)
+        area = mesh.areas
+        h = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max(axis=1)
         for depth, cell, bary, order in graded_cells(
                 q, pts, np.flatnonzero(support & ~fan), dist, h, band, opts):
             for n in np.unique(order):

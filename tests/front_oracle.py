@@ -1,12 +1,14 @@
 """Reference factor loop, kept as a differential-test oracle for
 ``cholesky.Cholesky``: the depth loop and ``_front`` as they were before
-each update matrix S was freed once its parent had extended it.
+each update matrix S was freed once its parent had extended it and
+before each depth's fronts were padded per size class.
 
-Here every depth keeps its pending (S, U, parent) groups until the depth
-ends, a chunked depth takes its children by boolean copies, the
-extend-add indexes each group of children at once, and H21 and S are
-formed through temporaries.  The arithmetic is the same, in the same
-order, so the factor must come out bit-identical.
+Here every depth pads its fronts to its largest, keeps its pending
+(S, U, parent) groups until the depth ends, a chunked depth takes its
+children by boolean copies, the extend-add indexes each group of
+children at once, and H21 and S are formed through temporaries.  The
+fronts, nnz and update sets must come out the same; the padding and the
+order of the extend-adds move H by roundoff.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from biharmfem.cholesky import LEAF_DEPTHS, _depth, _distinct, _parents
 
 
 class FrontOracle:
-    """The fronts of ``Cholesky(rows, cols, vals, box)``: ``groups`` (the
+    """The fronts of ``Cholesky([rows, cols, vals], box)``: ``groups`` (the
     (index, H) of each call of ``_front``), ``u`` and ``nnz``, with the
     module's ``CHUNK`` read when it is built."""
 

@@ -54,6 +54,17 @@ def test_cli_import_leaves_out_scipy_special():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_numpy_polynomial():
+    # the Gauss-Legendre rules come from the Jacobi matrix, not leggauss
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, biharmfem.cli; print(sorted(m "
+         "for m in sys.modules if m.startswith('numpy.polynomial')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def imported_modules(source):
     """The top-level package of every module a source imports."""
     found = set()

@@ -35,14 +35,14 @@ class TestInitialMesh:
     def test_domain_iii_counts_and_area(self):
         m = initial_mesh(builtin_domain("III", "B1"))
         assert m.n_triangles == 24
-        assert m.triangle_geometry()[1].sum() == pytest.approx(12.0,
+        assert m.areas.sum() == pytest.approx(12.0,
                                                                 abs=1e-12)
 
     def test_areas_partition_every_builtin(self):
         for name, bc in [("I", "B3"), ("II", "B1"), ("III", "B1"), ("IV", "B1")]:
             dom = builtin_domain(name, bc)
             m = initial_mesh(dom)
-            assert m.triangle_geometry()[1].sum() == pytest.approx(
+            assert m.areas.sum() == pytest.approx(
                 dom.area(), abs=1e-12)
             m.check_conforming()
 
@@ -80,9 +80,9 @@ class TestRefinement:
             assert f.n_nodes == c.n_nodes + len(edges)
 
     def test_area_preserved(self, lshape_b1_meshes):
-        a0 = lshape_b1_meshes[0].triangle_geometry()[1].sum()
+        a0 = lshape_b1_meshes[0].areas.sum()
         for m in lshape_b1_meshes[1:]:
-            assert m.triangle_geometry()[1].sum() == pytest.approx(
+            assert m.areas.sum() == pytest.approx(
                 a0, rel=1e-13)
 
     def test_nested_nodes(self, lshape_b1_meshes):
@@ -374,7 +374,7 @@ class TestInitialMeshOracle:
             assert_same_mesh(fine, refine_uniform_dict(coarse))
         for m in meshes:
             m.check_conforming()
-            assert m.triangle_geometry()[1].sum() == pytest.approx(
+            assert m.areas.sum() == pytest.approx(
                 dom.area(), abs=1e-12)
             # refined rows keep their orientation: compare sorted pairs
             rows = m.boundary_edges.copy()

@@ -58,7 +58,7 @@ def _builtins():
 
 def _centered(mesh, axis):
     """p -> p[axis] - c[axis] about the centroid c of the mesh."""
-    area = mesh.triangle_geometry()[1]
+    area = mesh.areas
     c = area @ mesh.nodes[mesh.triangles].mean(axis=1) / area.sum()
     return lambda p: p[:, axis] - c[axis]
 

@@ -339,8 +339,11 @@ class TestSolveHealth:
         assert 0 < ctx.backward_error_max <= ctx.tol
         assert ctx.backward_error_max == pytest.approx(max(errors), rel=1e-6,
                                                        abs=0.0)
+        # H keeps each front's whole W = F11^-1 and its padding
+        assert ctx.factor_entries >= ctx.factor_nnz
         for res in (naive, modified):
             assert res.diagnostics["factor_nnz"] == ctx.factor_nnz
+            assert res.diagnostics["factor_entries"] == ctx.factor_entries
         assert modified.diagnostics["backward_error_max"] == ctx.backward_error_max
         assert naive.diagnostics["backward_error_max"] <= ctx.backward_error_max
 
@@ -348,4 +351,5 @@ class TestSolveHealth:
         ctx = LevelContext(mesh_hierarchy(unit_square(), 0)[0])
         res = solve_naive(ctx, const1)
         assert res.diagnostics["factor_nnz"] == 0
+        assert res.diagnostics["factor_entries"] == 0
         assert res.diagnostics["backward_error_max"] == 0.0

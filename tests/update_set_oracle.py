@@ -16,7 +16,7 @@ from biharmfem.cholesky import LEAF_DEPTHS, _depth, _parents
 
 
 def update_sets(rows, cols, box):
-    """The first unknown of each front of ``Cholesky(rows, cols, vals,
+    """The first unknown of each front of ``Cholesky([rows, cols, vals],
     box)`` and each front's update set, as ascending unknowns."""
     n = len(box)
     dep = _depth(box)
