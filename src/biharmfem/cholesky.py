@@ -15,24 +15,21 @@ single fronts, and forms each depth's update sets from its fronts' own
 entries and the U each child passes up with its S: there is no separate
 symbolic phase.  It sorts A's entries once by their front's depth and
 frees each depth's share once that depth is factored.  A depth is split
-into chunks of at most ``CHUNK`` front entries (padded to the depth's
-largest front), and each chunk into size classes by front size p + u:
-fronts of one size form a class, and a class merges into the next larger
-one when padding it up costs fewer than ``CHUNK >> 7`` front entries.
-The fronts of a class are padded to its largest p and u (a padded pivot
-carries a 1 on the diagonal) and go through one stacked
-``np.linalg.cholesky`` and stacked ``matmul``.  With the front [[F11,
-F21^T], [F21, F22]] (F22 holds the children's updates extended to U), a
-front keeps H = W [I, -F21^T] with W = F11^-1, and passes S = F22 - F21 W
-F21^T to its parent.  H21 = -W F21^T is written straight into H, and F22
-is added into S = F21 H21 in place.  A child's S lives only until its
-parent has extended it: a class takes its children from the pending
+once: into size classes by front size p + u (fronts of one size form a
+class, and a class merges into the next larger one when padding it up
+costs fewer than ``CHUNK >> 7`` front entries), each cut into pieces of
+at most ``CHUNK`` entries at the depth's largest front.  The fronts of a
+piece are padded to its largest p and u (a padded pivot carries a 1 on
+the diagonal) and go through one stacked ``np.linalg.cholesky`` and
+stacked ``matmul``.  With the front [[F11, F21^T], [F21, F22]] (F22
+holds the children's updates extended to U), a front keeps H = W [I,
+-F21^T] with W = F11^-1, and passes S = F22 - F21 W F21^T to its
+parent.  H21 = -W F21^T is written straight into H, and F22 is added
+into S = F21 H21 in place.  A piece takes its children from the pending
 groups by index, a block of children at a time, so no group is copied,
-and a group is freed once the last class it updates has extended it; a
-chunked depth hands each chunk a slice of every group and drops a group
-once no later chunk needs it.  A solve is two sweeps of batched
-matrix-vector products: forward b_U += H_U^T b_P, deepest first; backward
-x_P = H [b_P; x_U], root first.
+and a group is freed once the last piece it updates has extended it.  A
+solve is two sweeps of batched matrix-vector products: forward b_U +=
+H_U^T b_P, deepest first; backward x_P = H [b_P; x_U], root first.
 """
 
 from __future__ import annotations
@@ -41,11 +38,12 @@ import numpy as np
 
 # Each depth costs about a hundred numpy calls whatever its size, so the
 # deepest box levels merge into leaves; larger leaves would add fill.
-# CHUNK bounds the front entries factored at once, and so the factor's
-# transient memory; the extend-add indexes at most CHUNK // 64 update
-# entries at once.  A size class merges into the next larger one when that
-# pads fewer than CHUNK // 128 entries: less than one more class's numpy
-# calls would cost.
+# CHUNK bounds the front entries of one piece, and so the factor's
+# transient memory: a piece holds at most CHUNK // m**2 fronts, m the
+# depth's largest p + u.  The extend-add indexes at most CHUNK // 64
+# update entries at once.  A size class merges into the next larger one
+# when that pads fewer than CHUNK // 128 entries: less than one more
+# class's numpy calls would cost.
 LEAF_DEPTHS = 2
 CHUNK = 1 << 21
 
@@ -109,63 +107,53 @@ class Cholesky:
             u_front, u_node = np.divmod(u_keys, n)
             u = self.u[fronts] = (np.searchsorted(u_front, fronts, side="right")
                                   - np.searchsorted(u_front, fronts))
+            # size classes over the whole depth, cut into runs of at most
+            # CHUNK // m**2 fronts; each piece takes its own entries, and its
+            # children by their positions in the groups: a group is freed
+            # once the last piece it updates has extended it
             m = size[fronts].max() + u.max()
-            k = min(len(fronts), -(-len(fronts) * m * m // CHUNK))
-            chunks = np.array_split(fronts, k) if k > 1 else [fronts]
-            for chunk in chunks:
-                kids, part = pending[d], None
-                if len(chunks) > 1:
-                    # a group's parents ascend (the subtrees of one depth
-                    # are disjoint runs of the order), so a chunk takes one
-                    # slice of each; a group left with no later parent is
-                    # dropped, and its slices free it as they are extended
-                    lo, hi = chunk[0], chunk[-1]
-                    part = np.flatnonzero((f >= lo) & (f <= hi))
-                    assert all((np.diff(up) >= 0).all() for _, _, up in kids)
-                    kids = [(S[a:b], U[a:b], up[a:b]) for S, U, up in kids
-                            for a, b in [np.searchsorted(up, (lo, hi + 1))]]
-                    pending[d] = [g for g in pending[d] if g[2][-1] > hi]
+            cap = max(1, CHUNK // (m * m))
+            label[fronts], nc = _classes(size[fronts], u)
+            pieces = ([fronts] if nc == 1 else
+                      [fronts[at] for at in _split(label[fronts], nc)])
+            if len(fronts) > cap:
+                pieces = [run for cls in pieces
+                          for run in np.array_split(cls, -(-len(cls) // cap))]
+                nc = len(pieces)
+                for c, piece in enumerate(pieces):
+                    label[piece] = c
+            kids, pending[d] = pending[d], []
+            if nc == 1:
+                children, mine = [[(*g, None) for g in kids]], [slice(None)]
+            else:
+                parts = [(g, _split(label[g[2]], nc)) for g in kids]
+                children = [[(*g, at[c]) for g, at in parts if len(at[c])]
+                            for c in range(nc)]
+                mine = _split(label[f], nc)
+                del parts
+            del kids
+            for piece, e, kin in zip(pieces, mine, children):
+                S, U = self._front(piece, u_keys, u_front, u_node, rows[e],
+                                   cols[e], vals[e], kin)
+                to = up_depth[piece]
+                if to.min() == to.max() >= 0:
+                    pending[to[0]].append((S, U, parent[piece]))
                 else:
-                    pending[d] = []
-                # each size class takes its own entries, and its children by
-                # their positions in the groups: a group is freed once the
-                # last class it updates has extended it
-                label[chunk], nc = _classes(size[chunk], self.u[chunk])
-                if nc == 1:
-                    classes, children = [chunk], [[(*g, None) for g in kids]]
-                    mine = [slice(None) if part is None else part]
-                else:
-                    classes = [chunk[at] for at in _split(label[chunk], nc)]
-                    parts = [(g, _split(label[g[2]], nc)) for g in kids]
-                    children = [[(*g, at[c]) for g, at in parts if len(at[c])]
-                                for c in range(nc)]
-                    mine = _split(label[f if part is None else f[part]], nc)
-                    if part is not None:
-                        mine = [part[at] for at in mine]
-                    del parts
-                del kids, part
-                for cls, e, kin in zip(classes, mine, children):
-                    S, U = self._front(cls, u_keys, u_front, u_node, rows[e],
-                                       cols[e], vals[e], kin)
-                    to = up_depth[cls]
-                    if to.min() == to.max() >= 0:
-                        pending[to[0]].append((S, U, parent[cls]))
-                    else:
-                        for t in np.flatnonzero(np.bincount(to + 1)) - 1:
-                            if t >= 0:
-                                go = to == t
-                                pending[t].append((S[go], U[go],
-                                                   parent[cls[go]]))
-                    del S, U
+                    for t in np.flatnonzero(np.bincount(to + 1)) - 1:
+                        if t >= 0:
+                            go = to == t
+                            pending[t].append((S[go], U[go],
+                                               parent[piece[go]]))
+                del S, U
             del rows, cols, vals, f
         self.nnz = int((size * (size + 1) // 2 + self.u * size).sum())
         self.stored = sum(H.size for _, H in self.groups)
 
     def _front(self, fronts, u_keys, u_front, u_node, rows, cols, vals,
                children):
-        """Factor one size class of fronts of one depth, given their entries
-        and their children as (S, U, parent, positions in the group, or None
-        for the whole group); return their own S and U, padded with n."""
+        """Factor one piece of a size class of one depth, given its entries
+        and its children as (S, U, parent, positions in the group, or None
+        for the whole group); return its fronts' S and U, padded with n."""
         n, nf, starts, owner = self.n, len(fronts), self.starts, self.owner
         p, u = self.size[fronts], self.u[fronts]
         first = np.searchsorted(u_front, fronts)
@@ -188,9 +176,10 @@ class Cholesky:
         g, j = pad.nonzero()
         F[g, j, j] = 1.0
         while children:
-            # taken off the list, a group is freed once its last class has
-            # extended it; its children are indexed a block at a time.  The
-            # padding of S is exact zeros: add it anywhere
+            # taken off the list, a group is freed once its last piece has
+            # extended it; its children are indexed a block at a time, and
+            # one child at a time is read as a view.  The padding of S is
+            # exact zeros: add it anywhere
             S, U, up, at = children.pop(0)
             if at is not None:
                 U, up = U[at], up[at]
@@ -200,7 +189,7 @@ class Cholesky:
             base = local[up] * m * m
             step = max(1, (CHUNK >> 6) // max(U.shape[1] ** 2, 1))
             for i in range(0, len(up), step):
-                b = slice(i, i + step)
+                b = i if step == 1 else slice(i, i + step)
                 np.add.at(flat, (base[b, None, None] + loc[b, :, None] * m
                                  + loc[b, None, :]).ravel(),
                           (S[b] if at is None else S[at[b]]).ravel())

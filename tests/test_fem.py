@@ -14,7 +14,8 @@ from biharmfem import cholesky, fem
 from biharmfem.cholesky import Cholesky
 from biharmfem.geometry import (BC_TYPES, BCType, BUILTIN_NAMES,
                                 DomainError, PolygonDomain, builtin_domain)
-from biharmfem.mesh import MeshError, TriMesh, nested_dissection
+from biharmfem.mesh import (MeshError, TriMesh, nested_dissection,
+                            refine_uniform)
 from biharmfem.singular import _collapsed_rule
 from biharmfem.solver import LevelContext
 from biharmfem.sources import const1, quadrant_step, square_eigen
@@ -322,6 +323,11 @@ def _meshes(name, bc):
     return mesh_hierarchy(builtin_domain(name, bc), 5)
 
 
+def _deep_mesh():
+    """III/B1 at level 7, where the default CHUNK cuts 12 depths."""
+    return refine_uniform(refine_uniform(_meshes("III", "B1")[5]))
+
+
 def _bordered(A, M):
     m1 = (to_scipy(M) @ np.ones(A.shape[0]))[:, None]
     return sp.bmat([[to_scipy(A), m1], [m1.T, None]], format="csc")
@@ -547,7 +553,7 @@ class TestCholeskyAgainstSuperLU:
 
     @pytest.mark.parametrize("chunk, level", [(1, 2), (2000, 4)])
     def test_chunked_fronts(self, chunk, level, monkeypatch):
-        # fronts of one depth factored a few at a time, or one at a time
+        # each size class cut into pieces of a few fronts, or of one front
         # when one front has more than CHUNK entries
         for bc in ("B1", "B5"):
             m = _meshes("III", bc)[level]
@@ -650,11 +656,14 @@ class TestUpdateSets:
     @pytest.mark.parametrize("chunk, level", [(1, 3), (2000, 4)])
     @pytest.mark.parametrize("name, bc", SYSTEMS)
     def test_chunked_fronts(self, name, bc, chunk, level, monkeypatch):
-        # fronts of one depth factored a few at a time, or one at a time
+        # each size class cut into pieces of a few fronts, or of one
         m = _meshes(name, bc)[level]
         whole = _assert_update_sets(m)
         monkeypatch.setattr(cholesky, "CHUNK", chunk)
         assert len(_assert_update_sets(m).groups) > len(whole.groups)
+
+    def test_pieces_at_the_default_chunk(self):
+        _assert_update_sets(_deep_mesh())
 
 
 def _fronts(factor):
@@ -686,6 +695,13 @@ def _assert_same_factor(m):
         assert np.array_equal(got[key][0], index), key
         assert np.abs(got[key][1] - H).max() <= 1e-13 * np.abs(H).max(), key
     return factor
+
+
+def _assert_pieces_capped(factor):
+    """No piece of the factor holds more than CHUNK front entries, unless
+    it is one front."""
+    for index, _ in factor.groups:
+        assert len(index) == 1 or index.size * index.shape[1] <= cholesky.CHUNK
 
 
 class TestFreedUpdateMatrices:
@@ -720,12 +736,20 @@ class TestFreedUpdateMatrices:
     @pytest.mark.parametrize("chunk, level", [(1, 3), (2000, 4)])
     @pytest.mark.parametrize("name, bc", SYSTEMS)
     def test_chunked_fronts(self, name, bc, chunk, level, monkeypatch):
-        # a chunk takes a slice of each pending group; with CHUNK = 1 the
-        # extend-add also indexes one child at a time
+        # each size class is cut into pieces that take their children by
+        # position; with CHUNK = 1 each piece is one front, and the
+        # extend-add also indexes one child at a time, read as a view
         m = _meshes(name, bc)[level]
         whole = len(_factor(_factor_inputs(m)).groups)
         monkeypatch.setattr(cholesky, "CHUNK", chunk)
-        assert len(_assert_same_factor(m).groups) > whole
+        factor = _assert_same_factor(m)
+        assert len(factor.groups) > whole
+        _assert_pieces_capped(factor)
+
+    def test_pieces_at_the_default_chunk(self):
+        # level 7 is the first level whose depths the default CHUNK cuts
+        # into pieces; the largest reads 2,083,725 entries of 2,097,152
+        _assert_pieces_capped(_assert_same_factor(_deep_mesh()))
 
     @pytest.mark.parametrize("chunk, level", [(cholesky.CHUNK, 5), (2000, 4)])
     def test_no_update_matrix_outlives_its_parents(self, chunk, level,
