@@ -196,12 +196,15 @@ def _gauss(n: int):
 
 
 def _legendre_rule(n: int):
-    """The n-point Gauss-Legendre rule: the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix, one Newton step on P_n, and the weights
+    """The n-point Gauss-Legendre rule: Tricomi's asymptotic nodes
+    (1 - (n-1)/(8n^3)) cos(pi (i - 1/4)/(n + 1/2)), three Newton steps on
+    P_n by the three-term recurrence, and the weights
     2 / ((1 - x^2) P_n'(x)^2) at the refined nodes, made symmetric and
-    scaled to sum to 2 (Golub & Welsch 1969)."""
-    k = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    scaled to sum to 2.  No LAPACK routine is called (Newton from
+    asymptotic nodes, as in Hale & Townsend 2013)."""
+    i = np.arange(n, 0, -1)     # ascending nodes
+    x = ((1.0 - (n - 1) / (8.0 * n ** 3))
+         * np.cos(np.pi * (i - 0.25) / (n + 0.5)))
 
     def derivative(x):      # P_n'(x), from P_n and P_(n-1) by recurrence
         p0, p1 = np.ones_like(x), x
@@ -209,8 +212,9 @@ def _legendre_rule(n: int):
             p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
         return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
 
-    p, dp = derivative(x)
-    x = x - p / dp
+    for _ in range(3):
+        p, dp = derivative(x)
+        x = x - p / dp
     dp = derivative(x)[1]
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x = 0.5 * (x - x[::-1])
@@ -241,8 +245,9 @@ def _log_rho(r0, r1):
 
 def _segment_dist(q, a, b) -> np.ndarray:
     """Distance from the point q to each segment a[k] -> b[k]."""
-    ab = b - a
-    t = np.einsum("kd,kd->k", q - a, ab) / np.einsum("kd,kd->k", ab, ab)
+    ab, aq = b - a, q - a
+    t = ((aq[:, 0] * ab[:, 0] + aq[:, 1] * ab[:, 1])
+         / (ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]))
     proj = a + np.clip(t, 0.0, 1.0)[:, None] * ab
     return np.linalg.norm(proj - q, axis=1)
 

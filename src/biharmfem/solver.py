@@ -269,7 +269,8 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
 
 def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
     """Projection coefficients, and the Gram matrix, right-hand side,
-    determinant and relative residual as diagnostics."""
+    determinant, 1-norm condition number and relative residual as
+    diagnostics."""
     k = len(bases)
     gram = np.empty((k, k))
     for a in range(k):
@@ -284,14 +285,31 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
         float(w @ (ctx.mass @ z)) + float(w @ bs)
         for z, bs in zip(zetas, chi_s_loads)
     ])
-    det = float(np.linalg.det(gram))
+    coeffs, diagnostics = _gram_coefficients(gram, rhs)
+    return coeffs, {"gram": gram, "gram_rhs": rhs, **diagnostics}
+
+
+def _gram_coefficients(gram, rhs):
+    """Solve the SPD Gram system by its Cholesky factor L, through
+    L^-1 (the two routines the Poisson factor already uses): raises
+    ``SolveError`` unless ``gram`` is positive definite with
+    det = prod(diag(L))^2 at least ``GRAM_DET_RTOL`` times the product of
+    its diagonal.  Returns the coefficients and the determinant, the
+    1-norm condition number and the relative residual."""
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise SolveError("Gram matrix not positive definite") from None
+    det = float(np.prod(np.diag(L)) ** 2)
     scale = float(np.prod(np.diag(gram)))
-    if abs(det) < GRAM_DET_RTOL * max(scale, 1e-300):
+    if det < GRAM_DET_RTOL * max(scale, 1e-300):
         raise SolveError(f"Gram matrix numerically singular (det = {det:.3e})")
-    coeffs = np.linalg.solve(gram, rhs)
+    L_inv = np.linalg.inv(L)
+    coeffs = L_inv.T @ (L_inv @ rhs)
+    cond = float(np.linalg.norm(gram, 1) * np.linalg.norm(L_inv.T @ L_inv, 1))
     residual = float(np.linalg.norm(gram @ coeffs - rhs)
                      / max(np.linalg.norm(rhs), 1e-300))
-    return coeffs, {"gram": gram, "gram_det": det, "gram_rhs": rhs,
+    return coeffs, {"gram_det": det, "gram_cond": cond,
                     "gram_residual": residual}
 
 

@@ -55,7 +55,8 @@ def test_cli_import_leaves_out_scipy_special():
 
 
 def test_cli_import_leaves_out_numpy_polynomial():
-    # the Gauss-Legendre rules come from the Jacobi matrix, not leggauss
+    # the Gauss-Legendre rules come from Tricomi's nodes and Newton's
+    # method on the three-term recurrence, not leggauss
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
@@ -86,3 +87,52 @@ def test_scanner_finds_imported_packages():
                          ids=lambda p: p.name)
 def test_package_does_not_import_scipy(path):
     assert "scipy" not in imported_modules(path.read_text())
+
+
+# The Poisson factor pages in LAPACK's Cholesky and inverse; the first call
+# of any other np.linalg routine (eigvalsh, det, solve) or of np.einsum
+# pages in more library code, which the peak RSS of a small study counts.
+LINALG_ALLOWED = {"cholesky", "inv", "norm", "LinAlgError"}
+
+
+def numpy_calls_outside_factor(source):
+    """The ``np.linalg`` names other than ``LINALG_ALLOWED``, and
+    ``np.einsum``, that a source refers to or imports from numpy."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Attribute) and base.attr == "linalg"
+                    and isinstance(base.value, ast.Name)
+                    and base.value.id == "np"
+                    and node.attr not in LINALG_ALLOWED):
+                found.add(f"np.linalg.{node.attr}")
+            elif (isinstance(base, ast.Name) and base.id == "np"
+                  and node.attr == "einsum"):
+                found.add("np.einsum")
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = alias.name
+                if node.module == "numpy.linalg" and name not in LINALG_ALLOWED:
+                    found.add(f"np.linalg.{name}")
+                elif node.module == "numpy" and name in ("einsum", "linalg"):
+                    found.add(f"np.{name}")
+    return sorted(found)
+
+
+def test_scanner_finds_numpy_calls_outside_factor():
+    source = ("x = np.linalg.eigvalsh(a) + np.linalg.det(a)\n"
+              "L = np.linalg.inv(np.linalg.cholesky(a))\n"
+              "y = np.linalg.norm(np.einsum('kd,kd->k', a, a))\n"
+              "f, e = np.linalg.solve, np.linalg.LinAlgError\n"
+              "from numpy.linalg import cholesky, lstsq\n"
+              "from numpy import einsum\n")
+    assert numpy_calls_outside_factor(source) == [
+        "np.einsum", "np.linalg.det", "np.linalg.eigvalsh", "np.linalg.lstsq",
+        "np.linalg.solve"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/biharmfem").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_calls_no_linalg_beyond_the_factor(path):
+    assert numpy_calls_outside_factor(path.read_text()) == []

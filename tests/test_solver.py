@@ -94,6 +94,26 @@ class TestModified:
         assert gram.shape == (2, 2)
         assert np.linalg.det(gram) > 0 and gram[0, 0] > 0
 
+    @pytest.mark.parametrize("n_used", [None, 1], ids=["k2", "k1"])
+    def test_gram_condition_number(self, n_used):
+        # modified (k = 2) and modified-truncated (k = 1) on IV/B3
+        m = mesh_hierarchy(builtin_domain("IV", "B3"), 2)[-1]
+        res = solve_modified(LevelContext(m), quadrant_step,
+                             truncate_basis=n_used)
+        gram = res.diagnostics["gram"]
+        assert gram.shape == (n_used or 2,) * 2
+        assert res.diagnostics["gram_cond"] == pytest.approx(
+            np.linalg.cond(gram, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("gram, match", [
+        ([[1.0, 1.0], [1.0, 1.0]], "not positive definite"),
+        ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], "numerically singular"),
+    ], ids=["singular", "indefinite", "det-below-rtol"])
+    def test_bad_gram_raises_solve_error(self, gram, match):
+        with pytest.raises(fem.SolveError, match=match):
+            solver._gram_coefficients(np.array(gram), np.ones(2))
+
     def test_truncated_basis_changes_solution(self):
         m = mesh_hierarchy(builtin_domain("IV", "B3"), 3)[-1]
         ctx = LevelContext(m)
