@@ -393,28 +393,47 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     ``kinks``, go through the fan rule; the rest through one collapsed
     rule each, at the order its distance to q asks for."""
     q = np.asarray(basis.origin)
-    # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max
     node_d = np.linalg.norm(mesh.nodes - q, axis=1)
-    near = node_d[mesh.triangles].min(axis=1) < radii[-1] + mesh.max_edge_length()
-    triangles = mesh.triangles[near]
-    tri_pts = mesh.nodes[triangles]
-    h = np.max([np.sqrt(((tri_pts[:, k] - tri_pts[:, k - 1]) ** 2).sum(axis=1))
-                for k in range(3)], axis=0)
-    area = mesh.areas[near]
-    dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
-                   for i in range(3)], axis=0)
-    r_max = node_d[triangles].max(axis=1)
-    support = (dist < radii[-1]) & (r_max > radii[0])
-    at_corner = node_d[triangles] < 1e-12
-    corner = support & at_corner.any(axis=1)
-    fan = corner.copy()
-    for c in kinks:
-        fan |= support & (dist < c) & (r_max > c)
+    # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max.
+    # The geometry of those is formed per chunk of triangles, and only the
+    # scalars the rules read are kept: per fan triangle its index, distance
+    # dist_T to q, farthest vertex r_max_T and node divisor (below), per
+    # collapsed triangle its index and order.
+    reach = radii[-1] + mesh.max_edge_length()
+    fans, cells = [], []
+    step = max(1, _BLOCK_VALUES // 6)
+    for s in range(0, mesh.n_triangles, step):
+        tri_d = node_d[mesh.triangles[s:s + step]]
+        near = np.flatnonzero(tri_d.min(axis=1) < reach)
+        tri_d = tri_d[near]
+        near += s
+        tri_pts = mesh.nodes[mesh.triangles[near]]
+        h = np.max([np.sqrt(((tri_pts[:, k] - tri_pts[:, k - 1]) ** 2).sum(axis=1))
+                    for k in range(3)], axis=0)
+        dist = np.min([_segment_dist(q, tri_pts[:, i], tri_pts[:, (i + 1) % 3])
+                       for i in range(3)], axis=0)
+        r_max = tri_d.max(axis=1)
+        support = (dist < radii[-1]) & (r_max > radii[0])
+        corner = support & (tri_d < 1e-12).any(axis=1)
+        fan = corner.copy()
+        for c in kinks:
+            fan |= support & (dist < c) & (r_max > c)
+        # fans of a triangle away from q take 1/k of the corner fans' nodes,
+        # k = dist_T // h_T clipped to 1..3 (see the fan rule below)
+        div = np.where(corner, 1, np.clip(dist // h, 1, 3)).astype(int)
+        fans.append((near[fan], dist[fan], r_max[fan], div[fan]))
+        pick = support & ~fan
+        cells.append((near[pick],
+                      np.ceil(opts.order_target
+                              / np.arcsinh(2.0 * dist[pick] / h[pick])).astype(int)))
+    fan_tri, dist, r_max, div = map(np.concatenate, zip(*fans))
+    cells, order = map(np.concatenate, zip(*cells))
+    del fans
 
     out = np.zeros((n_rows, mesh.n_nodes))
 
     def scatter(rows, tri):     # per row of out, per-triangle (T, 3) -> nodes
-        nodes = triangles[tri].ravel()
+        nodes = mesh.triangles[tri].ravel()
         for load, row in zip(out, rows):
             np.add.at(load, nodes, row.ravel())
 
@@ -427,40 +446,38 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     # take 1/k of the corner fans' nodes, k = dist_T // h_T clipped to 1..3.
     lo = np.maximum(radii[0], (1.0 - 1e-9) * dist)
     hi = np.minimum(radii[-1], (1.0 + 1e-9) * r_max)
-    div = np.where(corner, 1, np.clip(dist // h, 1, 3)).astype(int)
     nxt = [1, 2, 0]
     for k in (1, 2, 3):
-        idx = np.flatnonzero(fan & (div == k))
-        keep = ~(at_corner[idx] | at_corner[idx][:, nxt]).ravel()
-        a = tri_pts[idx].reshape(-1, 2)[keep]
-        b = tri_pts[idx][:, nxt].reshape(-1, 2)[keep]
-        owner = np.repeat(idx, 3)[keep]
+        idx = np.flatnonzero(div == k)
+        tri_pts = mesh.nodes[mesh.triangles[fan_tri[idx]]]
+        at_corner = node_d[mesh.triangles[fan_tri[idx]]] < 1e-12
+        keep = ~(at_corner | at_corner[:, nxt]).ravel()
+        a = tri_pts.reshape(-1, 2)[keep]
+        b = tri_pts[:, nxt].reshape(-1, 2)[keep]
+        owner = np.repeat(np.arange(len(idx)), 3)[keep]
         for s in range(0, len(owner), _FAN_CHUNK):
             sl = slice(s, s + _FAN_CHUNK)
             fan_radii = np.clip(np.asarray(radii, dtype=float),
-                                lo[owner[sl], None], hi[owner[sl], None])
+                                lo[idx[owner[sl]], None], hi[idx[owner[sl]], None])
             for j, m0, m1 in _fan_moments(basis, a[sl], b[sl], fan_radii, radial,
                                           angular, gammas,
                                           max(opts.n_radial // k, 1),
                                           max(opts.n_angular // k, 1)):
-                tri = owner[sl][j]
+                t = owner[sl][j]
                 # T's barycentric map applied to the moments about corner 0;
                 # the edges opposite corners 2 and 1 are p1 - p0 and p0 - p2
-                rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
-                pts = tri_pts[tri]
+                pts = tri_pts[t]
+                rel = m0[:, None] * (q - pts[:, 0]).T + m1
                 e1, e2 = (pts[:, 1] - pts[:, 0]).T, (pts[:, 0] - pts[:, 2]).T
-                det = 2.0 * area[tri]
+                det = 2.0 * mesh.areas[fan_tri[idx[t]]]
                 l2 = (rel[:, 1] * e2[0] - rel[:, 0] * e2[1]) / det
                 l3 = (e1[0] * rel[:, 1] - e1[1] * rel[:, 0]) / det
-                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), tri)
+                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), fan_tri[idx[t]])
 
     # collapsed rule, one leaf per triangle; a triangle off q has dist >= h/2
     # on the meshes the program builds, so the order stays at most
     # ceil(order_target / asinh(1)).  Each batch forms at most _BLOCK_VALUES
     # radial values whatever the leaves' order.
-    cells = np.flatnonzero(support & ~fan)
-    order = np.ceil(opts.order_target
-                    / np.arcsinh(2.0 * dist[cells] / h[cells])).astype(int)
     for n in np.flatnonzero(np.bincount(order)):
         lam, w = _collapsed_rule(int(n))
         # one (1, points) @ (points, 3) product per row and triangle: one
@@ -470,10 +487,11 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
         step = max(1, _BLOCK_VALUES // (n_rows * len(w)))
         for s in range(0, len(pick), step):
             tri = pick[s:s + step]
-            r, theta = basis.local_polar((lam @ tri_pts[tri]).reshape(-1, 2))
+            pts = mesh.nodes[mesh.triangles[tri]]
+            r, theta = basis.local_polar((lam @ pts).reshape(-1, 2))
             vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), 1, -1)
             # (n_rows, T, 3) loads of the triangle's corners
-            scatter((vals @ corner_w)[..., 0, :] * area[tri][:, None], tri)
+            scatter((vals @ corner_w)[..., 0, :] * mesh.areas[tri][:, None], tri)
     return out
 
 
