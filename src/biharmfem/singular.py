@@ -9,10 +9,14 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   corner, come from one pass (``corner_loads``) over integrands that are
   a radial factor of r times an angular factor of theta.  Triangles at q
   and triangles straddling the radial kinks r = tau*R and r = R (chi is
-  only C^2 there) use the fan rule: a triangle is the signed sum of the
-  triangles (q, a, b) over its edges, each Duffy-mapped with its radial
-  variable split at 0, tau*R and R and its angular variable split where
-  the edge a->b crosses a circle, so each piece is smooth.  A ray of a
+  only C^2 there) use the fan rule: a triangle is covered by the
+  triangles (q, a, b) over its edges a->b facing away from q, each
+  Duffy-mapped with its radial variable split at 0, tau*R and R and its
+  angular variable split where the edge a->b crosses a circle.  Away from
+  q a ray starts where it enters the triangle through its edges facing q,
+  and the angular variable is also split at the ray through the triangle's
+  middle vertex and where a circle crosses an edge facing q, so each
+  piece is smooth and the fans cover the triangle once.  A ray of a
   piece takes one angular value and two radial moments, which give every
   hat's load since a hat is affine along the ray.  On the corner fans'
   singular segment [0, tau*R] chi = 1, so the ray moments are closed
@@ -25,10 +29,11 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   (see ``GradedQuadratureOptions``); a mesh triangle off q is at least
   half as far from q as it is wide, which bounds the order.  Both rules
   form at most ``_BLOCK_VALUES`` integrand values (rows x points, 128 KiB)
-  at once, and chi takes every point without a mask, so the pass's
-  transients are a few such blocks besides its per-triangle arrays of the
-  triangles near q: a traced peak of 0.98 MiB at IV/B3 level 2 and of
-  1.73 MiB at III/B5 level 4.
+  at once, and chi takes every point without a mask; the triangles'
+  geometry is formed per chunk, and only the scalars the rules read are
+  kept.  So the pass's transients are a few such blocks besides its loads
+  and per-triangle scalars: a traced peak of 0.96 MiB at IV/B3 level 2,
+  1.58 MiB at III/B5 level 4 and 17.2 MiB at IV/B3 level 7.
 - The Gram pair integral of (chi*s_a)*(chi*s_b) separates while R is
   below the corner's ``clearance``: a closed-form angular product times
   a radial integral, closed form on [0, tau*R], one Gauss rule on the band.
@@ -289,13 +294,40 @@ class GradedQuadratureOptions:
                                  f"{what}, got {value!r}")
 
 
+def _cross(x, y):
+    """det(x, y) of each row of the (n, 2) arrays x and y."""
+    return x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
+
+
+def _circle_crossings(d, e, radii):
+    """Where the segments q + d[k] + t*e[k], 0 < t < 1, cross the circles
+    r = radii[k, i] > 0 about q: one array of t (nan where none) per circle
+    and root."""
+    ee, de, dd = (e * e).sum(axis=1), (d * e).sum(axis=1), (d * d).sum(axis=1)
+    out = []
+    for c in radii.T:
+        disc = de**2 - ee * (dd - c * c)
+        for sgn in (-1.0, 1.0):
+            t = (-de + sgn * np.sqrt(np.maximum(disc, 0.0))) / ee
+            out.append(np.where((c > 0) & (disc > 0) & (t > 0) & (t < 1),
+                                t, np.nan))
+    return out
+
+
 def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
-                 n_radial: int, n_angular: int):
+                 n_radial: int, n_angular: int, near=None):
     """Moments of f = radial(r, gamma) * angular(theta) over the triangles
     (q, a[k], b[k]), q = basis.origin, within radii[k, 0] <= r <=
     radii[k, -1], by the Duffy map x = q + u*p(v), p(v) = (1-v)*(a-q) +
     v*(b-q): v split where |p(v)| crosses a circle r = radii[k, i], u at
-    each circle; n_angular rays per piece.  f is singular at q, so a
+    each circle; n_angular rays per piece.  ``near`` (F, 2, 2, 2), if
+    given, holds per fan the (start, end) of two edges facing q of a
+    triangle T whose far edge a -> b is (the second edge the first again
+    where T has one): a ray then starts where it enters T, u_in(v) = the
+    largest det(s - q, t - s) / det(p(v), t - s) over those edges s -> t,
+    so the fan covers T's part of its angle, and v is also split at the
+    ray through T's middle vertex (where two edges meet) and where a
+    circle crosses an edge facing q.  f is singular at q, so a
     radial segment [r0, r1] (r1 its farthest ray's end) takes n_radial
     nodes if its ``_log_rho`` is at least that of the default cutoff band
     [R/8, R], and otherwise n_radial * ln(rho_band) / ln(rho), which keeps
@@ -309,15 +341,20 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     go in blocks of at most _BLOCK_VALUES (rows x points), or one segment."""
     q = np.asarray(basis.origin)
     d, e = a - q, b - a
-    two_area = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
-    ee, de, dd = (e * e).sum(axis=1), (d * e).sum(axis=1), (d * d).sum(axis=1)
-    cuts = [np.zeros(len(d)), np.ones(len(d))]
-    for c in radii.T:
-        disc = de**2 - ee * (dd - c * c)
-        for sgn in (-1.0, 1.0):
-            v = (-de + sgn * np.sqrt(np.maximum(disc, 0.0))) / ee
-            cuts.append(np.where((c > 0) & (disc > 0) & (v > 0) & (v < 1),
-                                 v, np.nan))
+    two_area = _cross(d, e)
+    cuts = [np.zeros(len(d)), np.ones(len(d)), *_circle_crossings(d, e, radii)]
+    if near is not None:
+        def ray_through(x):     # v of the ray through each point x, nan off (0, 1)
+            w = x - q
+            num, den = _cross(d, w), _cross(w, e)
+            inside = (num > 0) & (num < den)
+            return np.where(inside, num, np.nan) / np.where(inside, den, 1.0)
+        middle = (near[:, 0] != near[:, 1]).any(axis=(1, 2))
+        cuts.append(np.where(middle, ray_through(near[:, 0, 1]), np.nan))
+        for k in (0, 1):
+            s, t = near[:, k, 0], near[:, k, 1]
+            cuts += [ray_through(s + c[:, None] * (t - s))
+                     for c in _circle_crossings(s - q, t - s, radii)]
     cuts = np.sort(np.column_stack(cuts), axis=1)      # nan sorts last
     fan, piece = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
     v0 = cuts[fan, piece]
@@ -342,7 +379,14 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
         for s in range(0, n_pieces, step):
             yield slice(s, s + step)
 
-    u_at = np.minimum(radii[fan][:, None, :] / rho[..., None], 1.0)
+    u_in = np.zeros(rho.shape)      # where each ray enters its triangle
+    if near is not None:
+        for k in (0, 1):
+            s, t = near[fan, k, 0], near[fan, k, 1]
+            u_in = np.maximum(u_in, _cross(s - q, t - s)[:, None]
+                              / (p[0] * (t - s)[:, 1, None]
+                                 - p[1] * (t - s)[:, 0, None]))
+    u_at = np.clip(radii[fan][:, None, :] / rho[..., None], u_in[..., None], 1.0)
     corner = radii[fan, 0] == 0.0
     live = (u_at[..., 1:] > u_at[..., :-1]).any(axis=1)       # (P, S)
     live[corner, 0] = False     # the segment from the corner: closed form
@@ -390,8 +434,10 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     corner fans' first segment [0, radii[1]] it is one of ``gammas``, and a
     row counts there only if it is c*r**(-gamma) there (radial values 0
     otherwise).  Triangles at q or straddling a circle r = c, c in
-    ``kinks``, go through the fan rule; the rest through one collapsed
-    rule each, at the order its distance to q asks for."""
+    ``kinks``, go through the fan rule: at q the fan from q over the edge
+    opposite q, away from q the fans over the edges facing away from q,
+    each ray starting on the edges facing q.  The rest go through one
+    collapsed rule each, at the order its distance to q asks for."""
     q = np.asarray(basis.origin)
     node_d = np.linalg.norm(mesh.nodes - q, axis=1)
     # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max.
@@ -437,42 +483,56 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
         for load, row in zip(out, rows):
             np.add.at(load, nodes, row.ravel())
 
-    # fan rule over each edge (a, b) of the triangle, skipping edges at q.
-    # T lies in dist_T <= r <= r_max_T, so its fans' radii are clipped to
-    # that range, padded by a relative 1e-9 so that a clipped end adds no
-    # v-split.  A straddling triangle's radial segments are then O(h_T) long,
-    # and its fans span an angle of about h_T/dist_T seen from q; that ratio
-    # bounds the strip where the integrand is analytic in u and v, so they
-    # take 1/k of the corner fans' nodes, k = dist_T // h_T clipped to 1..3.
+    # fan rule over the edges (a, b) of T facing away from q, det(a - q,
+    # b - q) > 0: at q the one opposite q, with the fan from q; away from q
+    # one or two, each fan's rays starting on the edges facing q, det < 0
+    # (an edge in line with q is neither).  T lies in dist_T <= r <=
+    # r_max_T, so its fans' radii are clipped to that range, padded by a
+    # relative 1e-9 so that a clipped end adds no v-split.  A straddling
+    # triangle's radial segments are then O(h_T) long, and its fans span an
+    # angle of about h_T/dist_T seen from q; that ratio bounds the strip
+    # where the integrand is analytic in u and v, so they take 1/k of the
+    # corner fans' nodes, k = dist_T // h_T clipped to 1..3.
     lo = np.maximum(radii[0], (1.0 - 1e-9) * dist)
     hi = np.minimum(radii[-1], (1.0 + 1e-9) * r_max)
+    at_q = np.any(node_d[mesh.triangles[fan_tri]] < 1e-12, axis=1)
     nxt = [1, 2, 0]
-    for k in (1, 2, 3):
-        idx = np.flatnonzero(div == k)
-        tri_pts = mesh.nodes[mesh.triangles[fan_tri[idx]]]
-        at_corner = node_d[mesh.triangles[fan_tri[idx]]] < 1e-12
-        keep = ~(at_corner | at_corner[:, nxt]).ravel()
-        a = tri_pts.reshape(-1, 2)[keep]
-        b = tri_pts[:, nxt].reshape(-1, 2)[keep]
-        owner = np.repeat(np.arange(len(idx)), 3)[keep]
+    for sel, k in [(at_q, 1)] + [(~at_q & (div == k), k) for k in (1, 2, 3)]:
+        idx = np.flatnonzero(sel)
+        tris, lo_t, hi_t = fan_tri[idx], lo[idx], hi[idx]
+        tri_pts = mesh.nodes[mesh.triangles[tris]]
+        rel = tri_pts - q
+        side = rel[..., 0] * rel[:, nxt, 1] - rel[..., 1] * rel[:, nxt, 0]
+        owner, edge = np.nonzero(side > 0)
+        a, b = tri_pts[owner, edge], tri_pts[owner, (edge + 1) % 3]
+        near = None
+        if sel is not at_q:
+            # the edges after and before the far edge, where they face q;
+            # where one of them does, it fills both slots
+            after, before = (edge + 1) % 3, (edge + 2) % 3
+            faces_a, faces_b = side[owner, after] < 0, side[owner, before] < 0
+            ends = np.stack([np.where(faces_a, after, before),
+                             np.where(faces_b, before, after)], axis=1)
+            near = tri_pts[owner[:, None, None], (ends[..., None] + [0, 1]) % 3]
         for s in range(0, len(owner), _FAN_CHUNK):
             sl = slice(s, s + _FAN_CHUNK)
             fan_radii = np.clip(np.asarray(radii, dtype=float),
-                                lo[idx[owner[sl]], None], hi[idx[owner[sl]], None])
+                                lo_t[owner[sl], None], hi_t[owner[sl], None])
             for j, m0, m1 in _fan_moments(basis, a[sl], b[sl], fan_radii, radial,
                                           angular, gammas,
                                           max(opts.n_radial // k, 1),
-                                          max(opts.n_angular // k, 1)):
+                                          max(opts.n_angular // k, 1),
+                                          None if near is None else near[sl]):
                 t = owner[sl][j]
                 # T's barycentric map applied to the moments about corner 0;
                 # the edges opposite corners 2 and 1 are p1 - p0 and p0 - p2
                 pts = tri_pts[t]
                 rel = m0[:, None] * (q - pts[:, 0]).T + m1
                 e1, e2 = (pts[:, 1] - pts[:, 0]).T, (pts[:, 0] - pts[:, 2]).T
-                det = 2.0 * mesh.areas[fan_tri[idx[t]]]
+                det = 2.0 * mesh.areas[tris[t]]
                 l2 = (rel[:, 1] * e2[0] - rel[:, 0] * e2[1]) / det
                 l3 = (e1[0] * rel[:, 1] - e1[1] * rel[:, 0]) / det
-                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), fan_tri[idx[t]])
+                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), tris[t])
 
     # collapsed rule, one leaf per triangle; a triangle off q has dist >= h/2
     # on the meshes the program builds, so the order stays at most
