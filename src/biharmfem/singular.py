@@ -295,23 +295,22 @@ class GradedQuadratureOptions:
 
 
 def _cross(x, y):
-    """det(x, y) of each row of the (n, 2) arrays x and y."""
-    return x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
+    """det(x, y) over the last axis of the (..., 2) arrays x and y."""
+    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
 
 
 def _circle_crossings(d, e, radii):
-    """Where the segments q + d[k] + t*e[k], 0 < t < 1, cross the circles
-    r = radii[k, i] > 0 about q: one array of t (nan where none) per circle
-    and root."""
-    ee, de, dd = (e * e).sum(axis=1), (d * e).sum(axis=1), (d * d).sum(axis=1)
-    out = []
-    for c in radii.T:
-        disc = de**2 - ee * (dd - c * c)
-        for sgn in (-1.0, 1.0):
-            t = (-de + sgn * np.sqrt(np.maximum(disc, 0.0))) / ee
-            out.append(np.where((c > 0) & (disc > 0) & (t > 0) & (t < 1),
-                                t, np.nan))
-    return out
+    """Where the segments q + d + t*e, 0 < t < 1, cross the circles r = c
+    about q, c > 0 in the last axis of ``radii``: t (nan where none), the
+    smaller roots of every circle, then the larger.  d, e (..., 2) and
+    radii (..., C) give (..., 2C)."""
+    ee, de, dd = ((x * y).sum(axis=-1)[..., None]
+                  for x, y in ((e, e), (d, e), (d, d)))
+    disc = de**2 - ee * (dd - radii * radii)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t = np.concatenate([(-de - root) / ee, (-de + root) / ee], axis=-1)
+    hit = np.concatenate([(radii > 0) & (disc > 0)] * 2, axis=-1)
+    return np.where(hit & (t > 0) & (t < 1), t, np.nan)
 
 
 def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
@@ -342,20 +341,21 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     q = np.asarray(basis.origin)
     d, e = a - q, b - a
     two_area = _cross(d, e)
-    cuts = [np.zeros(len(d)), np.ones(len(d)), *_circle_crossings(d, e, radii)]
+    cuts = [np.zeros((len(d), 1)), np.ones((len(d), 1)),
+            _circle_crossings(d, e, radii)]
     if near is not None:
-        def ray_through(x):     # v of the ray through each point x, nan off (0, 1)
-            w = x - q
-            num, den = _cross(d, w), _cross(w, e)
-            inside = (num > 0) & (num < den)
-            return np.where(inside, num, np.nan) / np.where(inside, den, 1.0)
+        # the rays through T's middle vertex and through the points where a
+        # circle crosses an edge facing q
+        s, t = near[:, :, 0], near[:, :, 1]
         middle = (near[:, 0] != near[:, 1]).any(axis=(1, 2))
-        cuts.append(np.where(middle, ray_through(near[:, 0, 1]), np.nan))
-        for k in (0, 1):
-            s, t = near[:, k, 0], near[:, k, 1]
-            cuts += [ray_through(s + c[:, None] * (t - s))
-                     for c in _circle_crossings(s - q, t - s, radii)]
-    cuts = np.sort(np.column_stack(cuts), axis=1)      # nan sorts last
+        hits = _circle_crossings(s - q, t - s, radii[:, None])[..., None]
+        w = np.concatenate([np.where(middle[:, None, None], t[:, :1], np.nan),
+                            (s[:, :, None] + hits * (t - s)[:, :, None])
+                            .reshape(len(d), -1, 2)], axis=1) - q
+        num, den = _cross(d[:, None], w), _cross(w, e[:, None])
+        inside = (num > 0) & (num < den)        # v = num / den in (0, 1)
+        cuts.append(np.where(inside, num, np.nan) / np.where(inside, den, 1.0))
+    cuts = np.sort(np.concatenate(cuts, axis=1), axis=1)     # nan sorts last
     fan, piece = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
     v0 = cuts[fan, piece]
     dv = cuts[fan, piece + 1] - v0
@@ -381,11 +381,9 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
 
     u_in = np.zeros(rho.shape)      # where each ray enters its triangle
     if near is not None:
-        for k in (0, 1):
-            s, t = near[fan, k, 0], near[fan, k, 1]
-            u_in = np.maximum(u_in, _cross(s - q, t - s)[:, None]
-                              / (p[0] * (t - s)[:, 1, None]
-                                 - p[1] * (t - s)[:, 0, None]))
+        s, t = near[fan, :, 0], near[fan, :, 1]
+        den = p[0, :, None] * (t - s)[..., 1, None] - p[1, :, None] * (t - s)[..., 0, None]
+        u_in = (_cross(s - q, t - s)[..., None] / den).max(axis=1)
     u_at = np.clip(radii[fan][:, None, :] / rho[..., None], u_in[..., None], 1.0)
     corner = radii[fan, 0] == 0.0
     live = (u_at[..., 1:] > u_at[..., :-1]).any(axis=1)       # (P, S)
