@@ -313,6 +313,21 @@ def _circle_crossings(d, e, radii):
     return np.where(hit & (t > 0) & (t < 1), t, np.nan)
 
 
+def _near_cuts(q, d, e, near, radii):
+    """The v of the rays q + u*(d + v*e) through T's middle vertex and
+    through the points where a circle r = radii[k, i] crosses an edge facing
+    q, nan where outside (0, 1); ``near`` as in ``_fan_moments``."""
+    s, t = near[:, :, 0], near[:, :, 1]
+    middle = (near[:, 0] != near[:, 1]).any(axis=(1, 2))
+    hits = _circle_crossings(s - q, t - s, radii[:, None])[..., None]
+    w = np.concatenate([np.where(middle[:, None, None], t[:, :1], np.nan),
+                        (s[:, :, None] + hits * (t - s)[:, :, None])
+                        .reshape(len(d), -1, 2)], axis=1) - q
+    num, den = _cross(d[:, None], w), _cross(w, e[:, None])
+    inside = (num > 0) & (num < den)        # v = num / den in (0, 1)
+    return np.where(inside, num, np.nan) / np.where(inside, den, 1.0)
+
+
 def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
                  n_radial: int, n_angular: int, near=None):
     """Moments of f = radial(r, gamma) * angular(theta) over the triangles
@@ -344,17 +359,7 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     cuts = [np.zeros((len(d), 1)), np.ones((len(d), 1)),
             _circle_crossings(d, e, radii)]
     if near is not None:
-        # the rays through T's middle vertex and through the points where a
-        # circle crosses an edge facing q
-        s, t = near[:, :, 0], near[:, :, 1]
-        middle = (near[:, 0] != near[:, 1]).any(axis=(1, 2))
-        hits = _circle_crossings(s - q, t - s, radii[:, None])[..., None]
-        w = np.concatenate([np.where(middle[:, None, None], t[:, :1], np.nan),
-                            (s[:, :, None] + hits * (t - s)[:, :, None])
-                            .reshape(len(d), -1, 2)], axis=1) - q
-        num, den = _cross(d[:, None], w), _cross(w, e[:, None])
-        inside = (num > 0) & (num < den)        # v = num / den in (0, 1)
-        cuts.append(np.where(inside, num, np.nan) / np.where(inside, den, 1.0))
+        cuts.append(_near_cuts(q, d, e, near, radii))
     cuts = np.sort(np.concatenate(cuts, axis=1), axis=1)     # nan sorts last
     fan, piece = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
     v0 = cuts[fan, piece]
@@ -381,9 +386,11 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
 
     u_in = np.zeros(rho.shape)      # where each ray enters its triangle
     if near is not None:
-        s, t = near[fan, :, 0], near[fan, :, 1]
-        den = p[0, :, None] * (t - s)[..., 1, None] - p[1, :, None] * (t - s)[..., 0, None]
-        u_in = (_cross(s - q, t - s)[..., None] / den).max(axis=1)
+        for k in (0, 1):
+            s, t = near[fan, k, 0], near[fan, k, 1]
+            u_in = np.maximum(u_in, _cross(s - q, t - s)[:, None]
+                              / (p[0] * (t - s)[:, 1, None]
+                                 - p[1] * (t - s)[:, 0, None]))
     u_at = np.clip(radii[fan][:, None, :] / rho[..., None], u_in[..., None], 1.0)
     corner = radii[fan, 0] == 0.0
     live = (u_at[..., 1:] > u_at[..., :-1]).any(axis=1)       # (P, S)
