@@ -32,8 +32,9 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   at once, and chi takes every point without a mask; the triangles'
   geometry is formed per chunk, and only the scalars the rules read are
   kept.  So the pass's transients are a few such blocks besides its loads
-  and per-triangle scalars: a traced peak of 0.96 MiB at IV/B3 level 2,
-  1.58 MiB at III/B5 level 4 and 17.2 MiB at IV/B3 level 7.
+  and per-triangle scalars: a traced peak of 0.95 MiB at IV/B3 level 2,
+  1.58 MiB at III/B5 level 4 and 17.1 MiB at IV/B3 level 7 (29.8 MiB with
+  the edge vectors ``TriMesh.max_edge_length`` forms on each call).
 - The Gram pair integral of (chi*s_a)*(chi*s_b) separates while R is
   below the corner's ``clearance``: a closed-form angular product times
   a radial integral, closed form on [0, tau*R], one Gauss rule on the band.
@@ -448,8 +449,8 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max.
     # The geometry of those is formed per chunk of triangles, and only the
     # scalars the rules read are kept: per fan triangle its index, distance
-    # dist_T to q, farthest vertex r_max_T and node divisor (below), per
-    # collapsed triangle its index and order.
+    # dist_T to q, farthest vertex r_max_T, node divisor (below) and whether
+    # it is at q, per collapsed triangle its index and order.
     reach = radii[-1] + mesh.max_edge_length()
     fans, cells = [], []
     step = max(1, _BLOCK_VALUES // 6)
@@ -472,14 +473,13 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
         # fans of a triangle away from q take 1/k of the corner fans' nodes,
         # k = dist_T // h_T clipped to 1..3 (see the fan rule below)
         div = np.where(corner, 1, np.clip(dist // h, 1, 3)).astype(int)
-        fans.append((near[fan], dist[fan], r_max[fan], div[fan]))
+        fans.append((near[fan], dist[fan], r_max[fan], div[fan], corner[fan]))
         pick = support & ~fan
         cells.append((near[pick],
                       np.ceil(opts.order_target
                               / np.arcsinh(2.0 * dist[pick] / h[pick])).astype(int)))
-    fan_tri, dist, r_max, div = map(np.concatenate, zip(*fans))
+    fan_tri, dist, r_max, div, at_q = map(np.concatenate, zip(*fans))
     cells, order = map(np.concatenate, zip(*cells))
-    del fans
 
     out = np.zeros((n_rows, mesh.n_nodes))
 
@@ -500,10 +500,9 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
     # corner fans' nodes, k = dist_T // h_T clipped to 1..3.
     lo = np.maximum(radii[0], (1.0 - 1e-9) * dist)
     hi = np.minimum(radii[-1], (1.0 + 1e-9) * r_max)
-    at_q = np.any(node_d[mesh.triangles[fan_tri]] < 1e-12, axis=1)
     nxt = [1, 2, 0]
-    for sel, k in [(at_q, 1)] + [(~at_q & (div == k), k) for k in (1, 2, 3)]:
-        idx = np.flatnonzero(sel)
+    for from_q, k in ((True, 1), (False, 1), (False, 2), (False, 3)):
+        idx = np.flatnonzero(at_q if from_q else ~at_q & (div == k))
         tris, lo_t, hi_t = fan_tri[idx], lo[idx], hi[idx]
         tri_pts = mesh.nodes[mesh.triangles[tris]]
         rel = tri_pts - q
@@ -511,7 +510,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
         owner, edge = np.nonzero(side > 0)
         a, b = tri_pts[owner, edge], tri_pts[owner, (edge + 1) % 3]
         near = None
-        if sel is not at_q:
+        if not from_q:
             # the edges after and before the far edge, where they face q;
             # where one of them does, it fills both slots
             after, before = (edge + 1) % 3, (edge + 2) % 3
@@ -528,16 +527,16 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                                           max(opts.n_radial // k, 1),
                                           max(opts.n_angular // k, 1),
                                           None if near is None else near[sl]):
-                t = owner[sl][j]
+                own = owner[sl][j]
                 # T's barycentric map applied to the moments about corner 0;
                 # the edges opposite corners 2 and 1 are p1 - p0 and p0 - p2
-                pts = tri_pts[t]
+                pts = tri_pts[own]
                 rel = m0[:, None] * (q - pts[:, 0]).T + m1
                 e1, e2 = (pts[:, 1] - pts[:, 0]).T, (pts[:, 0] - pts[:, 2]).T
-                det = 2.0 * mesh.areas[tris[t]]
+                det = 2.0 * mesh.areas[tris[own]]
                 l2 = (rel[:, 1] * e2[0] - rel[:, 0] * e2[1]) / det
                 l3 = (e1[0] * rel[:, 1] - e1[1] * rel[:, 0]) / det
-                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), tris[t])
+                scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), tris[own])
 
     # collapsed rule, one leaf per triangle; a triangle off q has dist >= h/2
     # on the meshes the program builds, so the order stays at most

@@ -693,9 +693,7 @@ class TestQuadratureOptions:
 class TestEvaluationCounts:
     """The integrand evaluations of two passes, pinned: the fan rule's rays
     (one angular value each) and radial nodes, and the collapsed rule's
-    points.  With three signed fans per straddling triangle the fan rule
-    took 4,368 rays and 37,968 radial nodes (IV/B3) and 17,064 and 191,664
-    (III/B5)."""
+    points."""
 
     @pytest.mark.parametrize("name,bc,level,expected", [
         ("IV", "B3", 2, {"fan rays": 3304, "radial nodes": 22736,
@@ -745,11 +743,14 @@ class TestBlockedPass:
                 assert np.all(err <= 1e-15), (dom.name, m.level, err)
 
     @pytest.mark.parametrize("name,bc,level,mib", [("IV", "B3", 2, 1.25),
-                                                    ("III", "B5", 4, 2.0)])
+                                                    ("III", "B5", 4, 2.0),
+                                                    ("IV", "B3", 6, 10.0)])
     def test_traced_peak(self, name, bc, level, mib):
-        # 0.98 and 1.73 MiB; 3.48 and 5.19 MiB when each 256-edge chunk
+        # 0.95 and 1.58 MiB; 3.48 and 5.19 MiB when each 256-edge chunk
         # formed all its fans' radial values at once and the collapsed rule
-        # took 18,432 points per batch
+        # took 18,432 points per batch.  7.44 MiB at IV/B3 level 6, most of
+        # it the edge vectors of max_edge_length(); 15.54 MiB when the
+        # geometry of every triangle near q was formed at once
         dom = builtin_domain(name, bc)
         m = mesh_hierarchy(dom, level)[-1]
         bases = corner_bases(dom, 0)
