@@ -7,8 +7,7 @@ from .geometry import (BCType, DomainError, PolygonDomain, VertexClass,
                        read_domain_file, singular_exponents)
 from .mesh import (MeshError, TriMesh, initial_mesh, prolongate,
                    refine_uniform)
-from .singular import (CutoffSpec, GradedQuadratureOptions, SingularBasis,
-                       corner_bases)
+from .singular import CutoffSpec, SingularBasis, corner_bases
 from .solver import (CompatibilityError, LevelContext, ModifiedSolveResult,
                      SingularVertexError, solve_modified, solve_modified_neumann,
                      solve_naive)

@@ -96,15 +96,14 @@ _INTERIOR3_BARY = np.array([[2 / 3, 1 / 6, 1 / 6],
 _INTERIOR3_W = np.array([1 / 3, 1 / 3, 1 / 3])
 
 
-def assemble_load(mesh: TriMesh, f, quad=None) -> np.ndarray:
+def assemble_load(mesh: TriMesh, f) -> np.ndarray:
     """Load vector (f, phi_i) with a per-triangle barycentric rule.
 
-    ``f`` maps an (n, 2) point array to values.  The default rule is
-    degree-2 exact and strictly interior, hence also exact for sources
-    constant on each triangle (such as the piecewise-quadrant source on
-    grid meshes).  ``quad`` overrides the rule as (bary_points, weights).
+    ``f`` maps an (n, 2) point array to values.  The rule is degree-2
+    exact and strictly interior, hence also exact for sources constant on
+    each triangle (such as the piecewise-quadrant source on grid meshes).
     """
-    bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
+    bary, w = _INTERIOR3_BARY, _INTERIOR3_W
     area = mesh.areas
     tri = mesh.triangles
     pts = np.empty((len(tri), len(bary), 2))

@@ -10,14 +10,15 @@ piecewise linear prolongation between levels is exact.
 ``TriMesh.areas`` and ``TriMesh.edge_table``, each computed once per
 mesh, give the triangles' areas and the numbered edges that assembly,
 refinement and the mesh checks read.  The edge vectors are not kept:
-``TriMesh.edge_vectors`` forms one coordinate of them where they are used
-(the stiffness and the longest edge).  A refined mesh's edges are
-numbered from its parent's in one pass over the parent triangles, with no
-sort.
+``TriMesh.edge_vectors`` forms one coordinate of them for the stiffness,
+and ``TriMesh.max_edge_length`` one edge at a time.  A refined mesh's
+edges are numbered from its parent's in one pass over the parent
+triangles, with no sort.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,11 +91,18 @@ class TriMesh:
         return e
 
     def max_edge_length(self) -> float:
-        ex, ey = self.edge_vectors(0), self.edge_vectors(1)
-        ex *= ex
-        ey *= ey
-        ex += ey
-        return float(np.sqrt(ex.max()))
+        """The longest edge, formed one edge and one coordinate at a time:
+        at most three (T,) temporaries."""
+        longest = 0.0
+        for k in range(3):
+            sq = 0.0
+            for x in self.nodes.T:
+                d = x[self.triangles[:, k]]
+                d -= x[self.triangles[:, k - 1]]
+                d *= d
+                sq = sq + d
+            longest = max(longest, float(sq.max()))
+        return math.sqrt(longest)
 
     @cached_property
     def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,8 +162,11 @@ def initial_mesh(domain: PolygonDomain) -> TriMesh:
     centroid is inside the domain; nodes are numbered by first appearance.
     """
     verts = domain.vertices
-    if not np.allclose(verts, np.round(verts), atol=1e-12):
-        raise MeshError("domain vertices must lie on the integer unit grid")
+    off = np.flatnonzero((np.abs(verts - np.round(verts)) > 1e-12).any(axis=1))
+    if len(off):
+        x, y = map(float, verts[off[0]])
+        raise MeshError("domain vertices must lie on the integer unit grid: "
+                        f"vertex {off[0]} is at ({x!r}, {y!r})")
     lo = np.floor(verts.min(axis=0)).astype(int)
     hi = np.ceil(verts.max(axis=0)).astype(int)
     cells = np.mgrid[lo[0]:hi[0], lo[1]:hi[1]].reshape(2, -1).T

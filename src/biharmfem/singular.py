@@ -19,22 +19,24 @@ inside r = tau*R and 0 beyond r = R.  Quadrature:
   piece is smooth and the fans cover the triangle once.  A ray of a
   piece takes one angular value and two radial moments, which give every
   hat's load since a hat is affine along the ray.  On the corner fans'
-  singular segment [0, tau*R] chi = 1, so the ray moments are closed
-  forms.  A radial segment takes more nodes where q is near it relative
-  to its length, as the corner fans' [tau*R, R] at small tau.  A
+  singular segment [0, tau*R] chi = 1, so each row is c*r**(-beta) or 0
+  and its ray moments are closed forms at its own exponent, all rows from
+  one evaluation.  A radial segment takes more nodes where q is near it
+  relative to its length, as the corner fans' [tau*R, R] at small tau.  A
   straddling triangle's fans are clipped to its own radial range, so they
   are short and thin and take fewer nodes.  Every other triangle takes
   one collapsed Gauss rule.  The integrand is analytic away from q, so the
   rule's order is the one the triangle's width-to-distance ratio needs
-  (see ``GradedQuadratureOptions``); a mesh triangle off q is at least
-  half as far from q as it is wide, which bounds the order.  Both rules
-  form at most ``_BLOCK_VALUES`` integrand values (rows x points, 128 KiB)
-  at once, and chi takes every point without a mask; the triangles'
+  (see ``ORDER_TARGET``); a mesh triangle off q is at least half as far
+  from q as it is wide, which bounds the order.  Both rules form at most
+  ``_BLOCK_VALUES`` integrand values (rows x points, 128 KiB) at once,
+  and chi takes every point without a mask; the triangles'
   geometry is formed per chunk, and only the scalars the rules read are
   kept.  So the pass's transients are a few such blocks besides its loads
-  and per-triangle scalars: a traced peak of 0.95 MiB at IV/B3 level 2,
-  1.58 MiB at III/B5 level 4 and 17.1 MiB at IV/B3 level 7 (29.8 MiB with
-  the edge vectors ``TriMesh.max_edge_length`` forms on each call).
+  and per-triangle scalars: a traced peak of 0.96 MiB at IV/B3 level 2,
+  1.59 MiB at III/B5 level 4 and 17.3 MiB at IV/B3 level 7.  The rule's
+  three numbers are the constants ``ORDER_TARGET``, ``N_RADIAL`` and
+  ``N_ANGULAR``.
 - The Gram pair integral of (chi*s_a)*(chi*s_b) separates while R is
   below the corner's ``clearance``: a closed-form angular product times
   a radial integral, closed form on [0, tau*R], one Gauss rule on the band.
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,17 @@ from .mesh import TriMesh
 # integrand values (rows x points) the pass forms at once, by either rule
 _BLOCK_VALUES = 16384
 _FAN_CHUNK = 256      # fan edges whose rays are formed at once
+# a triangle of diameter h at distance dist from q, off the fan rule, takes
+# the collapsed Gauss rule of order n = ceil(ORDER_TARGET / ln(rho)), where
+# rho = 2*dist/h + sqrt((2*dist/h)**2 + 1) is its Bernstein-ellipse
+# parameter seen from q: its error decays like
+# rho**(-2n) <= exp(-2*ORDER_TARGET)
+ORDER_TARGET = 22.0
+# fan-rule nodes per radial segment and angular piece of the corner fans;
+# fans of triangles away from q take 1/2 or 1/3 (all while h_T > dist_T/2);
+# a segment relatively nearer q than [R/8, R] takes more (_fan_moments)
+N_RADIAL = 24
+N_ANGULAR = 24
 
 
 @dataclass(frozen=True)
@@ -266,35 +278,6 @@ def clearance(domain: PolygonDomain, q) -> float:
     return float(_segment_dist(np.asarray(q), a[away], b[away]).min())
 
 
-@dataclass(frozen=True)
-class GradedQuadratureOptions:
-    # a triangle of diameter h at distance dist from q, off the fan rule,
-    # takes the collapsed Gauss rule of order n = ceil(order_target /
-    # ln(rho)), where rho = 2*dist/h + sqrt((2*dist/h)**2 + 1) is its
-    # Bernstein-ellipse parameter seen from q: its error decays like
-    # rho**(-2n) <= exp(-2*order_target)
-    order_target: float = 22.0
-    # fan-rule nodes per radial segment and angular piece of the corner fans;
-    # fans of triangles away from q take 1/2 or 1/3 (all while h_T > dist_T/2);
-    # a segment relatively nearer q than [R/8, R] takes more (_fan_moments)
-    n_radial: int = 24
-    n_angular: int = 24
-
-    def __post_init__(self):
-        rules = {
-            "order_target": (numbers.Real, lambda v: 0 < v < math.inf,
-                             "finite and positive"),
-            "n_radial": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
-            "n_angular": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
-        }
-        for name, (kind, ok, what) in rules.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) \
-                    or not ok(value):
-                raise ValueError(f"GradedQuadratureOptions.{name} must be "
-                                 f"{what}, got {value!r}")
-
-
 def _cross(x, y):
     """det(x, y) over the last axis of the (..., 2) arrays x and y."""
     return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
@@ -331,7 +314,7 @@ def _near_cuts(q, d, e, near, radii):
 
 def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
                  n_radial: int, n_angular: int, near=None):
-    """Moments of f = radial(r, gamma) * angular(theta) over the triangles
+    """Moments of f = radial(r) * angular(theta) over the triangles
     (q, a[k], b[k]), q = basis.origin, within radii[k, 0] <= r <=
     radii[k, -1], by the Duffy map x = q + u*p(v), p(v) = (1-v)*(a-q) +
     v*(b-q): v split where |p(v)| crosses a circle r = radii[k, i], u at
@@ -350,10 +333,11 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     theta is fixed, r = u*|p| and a hat is affine, so a hat's integral over
     a (piece, segment) is hat(q)*m0 + grad(hat).m1: m0, m1 the sums of w*f,
     w*f*(x - q), signed like det(a-q, b-q).  Yields (fan, m0, m1) of shapes
-    (n,), (rows, n), (rows, 2, n): Gauss-Legendre segments, then per gamma
-    the segments from the corner (radii[k, 0] = 0), where each row is
-    c*r**(-gamma) and its moments take closed forms.  The radial values
-    go in blocks of at most _BLOCK_VALUES (rows x points), or one segment."""
+    (n,), (rows, n), (rows, 2, n): Gauss-Legendre segments, then the
+    segments from the corner (radii[k, 0] = 0), where row i is
+    c*r**(-gammas[i]) or 0 and its moments take closed forms.  The radial
+    values go in blocks of at most _BLOCK_VALUES (rows x points), or one
+    segment."""
     q = np.asarray(basis.origin)
     d, e = a - q, b - a
     two_area = _cross(d, e)
@@ -374,8 +358,8 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
     phi = angular(theta.reshape(rho.shape)) * (0.5 * two_area[fan, None]
                                                * dv[:, None] * wa)
 
-    def ray_moments(pi, u, w0, w1, gamma):     # u, w0, w1: (n, A, L)
-        f = radial(u * rho[pi, :, None], gamma)            # (rows, n, A, L)
+    def ray_moments(pi, u, w0, w1):     # u (n, A, L); w0, w1 broadcast to f
+        f = radial(u * rho[pi, :, None])                   # (rows, n, A, L)
         ray0 = (w0 * f).sum(axis=-1) * phi[:, pi]
         ray1 = (w1 * f).sum(axis=-1) * phi[:, pi]
         return ray0.sum(axis=-1), (ray1[:, None] * p[:, pi]).sum(axis=-1)
@@ -413,37 +397,38 @@ def _fan_moments(basis: SingularBasis, a, b, radii, radial, angular, gammas,
             u0, u1 = u_at[pb, :, sb, None], u_at[pb, :, sb + 1, None]
             u = u0 + (u1 - u0) * tl
             w = (u1 - u0) * wl * u
-            m0[:, blk], m1[:, :, blk] = ray_moments(pb, u, w, w * u, None)
+            m0[:, blk], m1[:, :, blk] = ray_moments(pb, u, w, w * u)
         yield fan[pi[sub]], m0, m1
-    # on the corner segment [0, U], f = c*(u*|p|)**(-gamma): the moments of
-    # u*f and u*u*f are f(U/2)*2**-gamma times U**2/(2-gamma), U**3/(3-gamma)
+    # on the corner segment [0, U], row i is f = c*(u*|p|)**(-gamma_i): the
+    # moments of u*f and u*u*f are f(U/2)*2**-gamma_i times U**2/(2-gamma_i),
+    # U**3/(3-gamma_i), the scalars formed in Python floats per row.  A row
+    # that is 0 there (lap(chi*s): chi' = chi'' = 0) takes any weight.
+    per_row = np.array([(2.0**-gamma, 2.0 - gamma, 3.0 - gamma)
+                        for gamma in gammas])
+    scale, den2, den3 = per_row.T[..., None, None, None]
     pi = np.flatnonzero(corner)
-    for gamma in gammas:
-        m0, m1 = np.empty((len(phi), len(pi))), np.empty((len(phi), 2, len(pi)))
-        for blk in blocks(len(pi), 1):
-            u_end = u_at[pi[blk], :, 1, None]   # where each corner segment ends
-            w = 2.0**-gamma * u_end**2
-            m0[:, blk], m1[:, :, blk] = ray_moments(
-                pi[blk], 0.5 * u_end, w / (2.0 - gamma),
-                w * u_end / (3.0 - gamma), gamma)
-        yield fan[pi], m0, m1
+    m0, m1 = np.empty((len(phi), len(pi))), np.empty((len(phi), 2, len(pi)))
+    for blk in blocks(len(pi), 1):
+        u_end = u_at[pi[blk], :, 1, None]   # where each corner segment ends
+        w = scale * u_end**2
+        m0[:, blk], m1[:, :, blk] = ray_moments(
+            pi[blk], 0.5 * u_end, w / den2, w * u_end / den3)
+    yield fan[pi], m0, m1
 
 
 def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
-                      n_rows: int, gammas, radii, opts: GradedQuadratureOptions,
-                      kinks: tuple = ()) -> np.ndarray:
-    """Integrate ``n_rows`` integrands radial(r, gamma) * angular(theta) in
-    the polar frame of ``basis`` (each callable gives (n_rows, *shape)
-    values), supported in radii[0] <= r <= radii[-1] and smooth between
-    consecutive radii, against all P1 hats: an (n_rows, n_nodes) array,
-    one load per row.  gamma is None on nodes every row shares; on the
-    corner fans' first segment [0, radii[1]] it is one of ``gammas``, and a
-    row counts there only if it is c*r**(-gamma) there (radial values 0
-    otherwise).  Triangles at q or straddling a circle r = c, c in
-    ``kinks``, go through the fan rule: at q the fan from q over the edge
-    opposite q, away from q the fans over the edges facing away from q,
-    each ray starting on the edges facing q.  The rest go through one
-    collapsed rule each, at the order its distance to q asks for."""
+                      gammas, radii) -> np.ndarray:
+    """Integrate len(gammas) integrands radial(r) * angular(theta) in the
+    polar frame of ``basis`` (each callable gives (rows, *shape) values),
+    supported in radii[0] <= r <= radii[-1] and smooth between consecutive
+    radii, against all P1 hats: a (rows, n_nodes) array, one load per row.
+    On the corner fans' first segment [0, radii[1]] row i is
+    c*r**(-gammas[i]) or 0.  Triangles at q or straddling a circle r = c,
+    c > 0 one of ``radii``, go through the fan rule: at q the fan from q
+    over the edge opposite q, away from q the fans over the edges facing
+    away from q, each ray starting on the edges facing q.  The rest go
+    through one collapsed rule each, at the order its distance to q asks
+    for."""
     q = np.asarray(basis.origin)
     node_d = np.linalg.norm(mesh.nodes - q, axis=1)
     # a triangle meeting r < radii[-1] has a vertex within radii[-1] + h_max.
@@ -468,7 +453,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
         support = (dist < radii[-1]) & (r_max > radii[0])
         corner = support & (tri_d < 1e-12).any(axis=1)
         fan = corner.copy()
-        for c in kinks:
+        for c in radii:     # r = 0 adds none: dist >= 0
             fan |= support & (dist < c) & (r_max > c)
         # fans of a triangle away from q take 1/k of the corner fans' nodes,
         # k = dist_T // h_T clipped to 1..3 (see the fan rule below)
@@ -476,11 +461,12 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
         fans.append((near[fan], dist[fan], r_max[fan], div[fan], corner[fan]))
         pick = support & ~fan
         cells.append((near[pick],
-                      np.ceil(opts.order_target
+                      np.ceil(ORDER_TARGET
                               / np.arcsinh(2.0 * dist[pick] / h[pick])).astype(int)))
     fan_tri, dist, r_max, div, at_q = map(np.concatenate, zip(*fans))
     cells, order = map(np.concatenate, zip(*cells))
 
+    n_rows = len(gammas)
     out = np.zeros((n_rows, mesh.n_nodes))
 
     def scatter(rows, tri):     # per row of out, per-triangle (T, 3) -> nodes
@@ -524,8 +510,8 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
                                 lo_t[owner[sl], None], hi_t[owner[sl], None])
             for j, m0, m1 in _fan_moments(basis, a[sl], b[sl], fan_radii, radial,
                                           angular, gammas,
-                                          max(opts.n_radial // k, 1),
-                                          max(opts.n_angular // k, 1),
+                                          max(N_RADIAL // k, 1),
+                                          max(N_ANGULAR // k, 1),
                                           None if near is None else near[sl]):
                 own = owner[sl][j]
                 # T's barycentric map applied to the moments about corner 0;
@@ -540,7 +526,7 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
 
     # collapsed rule, one leaf per triangle; a triangle off q has dist >= h/2
     # on the meshes the program builds, so the order stays at most
-    # ceil(order_target / asinh(1)).  Each batch forms at most _BLOCK_VALUES
+    # ceil(ORDER_TARGET / asinh(1)).  Each batch forms at most _BLOCK_VALUES
     # radial values whatever the leaves' order.
     for n in np.flatnonzero(np.bincount(order)):
         lam, w = _collapsed_rule(int(n))
@@ -553,31 +539,27 @@ def _graded_integrate(mesh: TriMesh, basis: SingularBasis, radial, angular,
             tri = pick[s:s + step]
             pts = mesh.nodes[mesh.triangles[tri]]
             r, theta = basis.local_polar((lam @ pts).reshape(-1, 2))
-            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), 1, -1)
+            vals = (radial(r) * angular(theta)).reshape(n_rows, len(tri), 1, -1)
             # (n_rows, T, 3) loads of the triangle's corners
             scatter((vals @ corner_w)[..., 0, :] * mesh.areas[tri][:, None], tri)
     return out
 
 
-def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
-                 opts: GradedQuadratureOptions | None = None):
+def corner_loads(mesh: TriMesh, bases: list[SingularBasis]):
     """The load vectors of lap(chi*s) and of chi*s against the P1 hats for
     every basis of one corner, from one quadrature pass (see the module
     docstring): two (k, n_nodes) arrays, row i for bases[i]."""
-    opts = opts or GradedQuadratureOptions()
     if len({(b.origin, b.frame_angle, b.omega, b.cutoff) for b in bases}) > 1:
         raise ValueError("corner_loads takes the bases of one corner")
     first, k = bases[0], len(bases)
     spec = first.cutoff
 
-    def radial(r, gamma):
+    def radial(r):
         # rows 0..k-1: lap(chi*s) = (chi'' + (1 - 2*beta)*chi'/r) * s (s is
-        # harmonic); rows k..2k-1: chi*s
+        # harmonic), 0 on [0, tau*R]; rows k..2k-1: chi*s
         c0, c1, c2 = chi_derivs(r, spec)
-        out = np.zeros((2 * k, *r.shape))
+        out = np.empty((2 * k, *r.shape))
         for i, basis in enumerate(bases):
-            if gamma not in (None, basis.beta):
-                continue        # another exponent's rule at the corner
             r_beta = r ** (-basis.beta)
             lap = np.multiply(c1, 1.0 - 2.0 * basis.beta, out=out[i])
             lap /= r
@@ -589,23 +571,20 @@ def corner_loads(mesh: TriMesh, bases: list[SingularBasis],
     def angular(theta):
         return np.array([basis.angular(theta) for basis in bases] * 2)
 
-    loads = _graded_integrate(mesh, first, radial, angular, 2 * k,
-                              sorted({b.beta for b in bases}),
-                              (0.0, spec.inner, spec.R), opts,
-                              kinks=(spec.inner, spec.R))
+    loads = _graded_integrate(mesh, first, radial, angular,
+                              [b.beta for b in bases] * 2,
+                              (0.0, spec.inner, spec.R))
     return loads[:k], loads[k:]
 
 
-def load_singular(mesh: TriMesh, basis: SingularBasis,
-                  opts: GradedQuadratureOptions | None = None) -> np.ndarray:
+def load_singular(mesh: TriMesh, basis: SingularBasis) -> np.ndarray:
     """The load of lap(chi*s): the one-basis view of ``corner_loads``."""
-    return corner_loads(mesh, [basis], opts)[0][0]
+    return corner_loads(mesh, [basis])[0][0]
 
 
-def load_chi_s(mesh: TriMesh, basis: SingularBasis,
-               opts: GradedQuadratureOptions | None = None) -> np.ndarray:
+def load_chi_s(mesh: TriMesh, basis: SingularBasis) -> np.ndarray:
     """The load of chi*s: the one-basis view of ``corner_loads``."""
-    return corner_loads(mesh, [basis], opts)[1][0]
+    return corner_loads(mesh, [basis])[1][0]
 
 
 def angular_product(basis_a: SingularBasis, basis_b: SingularBasis) -> float:
@@ -629,15 +608,14 @@ def inner_chi_s_pair(mesh: TriMesh, basis_a: SingularBasis,
     the corner's clearance: the angular product times the integral of
     chi**2 * r**(1 - gamma), gamma = beta_a + beta_b, closed on [0, tau*R];
     the band's Gauss rule takes 5 nodes for chi**2 (degree 10) and
-    order_target / ln(rho), rho the band's Bernstein parameter of r = 0."""
+    ORDER_TARGET / ln(rho), rho the band's Bernstein parameter of r = 0."""
     if len({(b.origin, b.frame_angle, b.omega, b.cutoff)
             for b in (basis_a, basis_b)}) > 1:
         raise ValueError("inner_chi_s_pair takes the bases of one corner")
     spec, gamma = basis_a.cutoff, basis_a.beta + basis_b.beta
     if spec.R >= clearance(mesh.domain, basis_a.origin):
         raise ValueError("the pair integral does not separate: R >= clearance")
-    x, w = _gauss(5 + math.ceil(GradedQuadratureOptions.order_target
-                                / _log_rho(spec.tau, 1.0)))
+    x, w = _gauss(5 + math.ceil(ORDER_TARGET / _log_rho(spec.tau, 1.0)))
     half = 0.5 * (spec.R - spec.inner)
     r = spec.inner + half * (x + 1.0)
     band = half * float(w @ (chi(r, spec) ** 2 * r ** (1.0 - gamma)))

@@ -51,8 +51,8 @@ def _scatter(mesh, local):
     return A.tocsr()
 
 
-def assemble_load(mesh, f, quad=None):
-    bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
+def assemble_load(mesh, f):
+    bary, w = _INTERIOR3_BARY, _INTERIOR3_W
     p, _, area = _tri_geometry(mesh)
     b = np.zeros(mesh.n_nodes)
     for lam, wk in zip(bary, w):
@@ -63,8 +63,8 @@ def assemble_load(mesh, f, quad=None):
     return b
 
 
-def stacked_load(mesh, f, quad=None):
-    bary, w = quad if quad is not None else (_INTERIOR3_BARY, _INTERIOR3_W)
+def stacked_load(mesh, f):
+    bary, w = _INTERIOR3_BARY, _INTERIOR3_W
     area = mesh.areas
     pts = bary @ mesh.nodes[mesh.triangles]         # (T, q, 2)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(len(area), -1)

@@ -16,9 +16,9 @@ h/dist asks for.  Two configurations:
 - ``PER_LEAF_ORDER``: leaves graded to h <= dist/2, each at the order
   order_target = 22 asks for, the rule before one leaf per triangle.
 
-``corner_loads`` runs the singular module's own pass with its collapsed
-points zeroed and adds these leaves, so the two differ only in the
-collapsed rule.
+``corner_loads`` runs the singular module's own pass, its fans at the
+module's ``N_RADIAL`` and ``N_ANGULAR``, with its collapsed points zeroed
+and adds these leaves, so the two differ only in the collapsed rule.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ class FixedOrderOptions:
     near_ratio: float = 6.0   # subdivide until child diameter <= dist/near_ratio
     n_feature: int | None = 10   # resolve the cutoff band to (R - tau*R)/n_feature
     max_depth: int = 8
-    n_radial: int = 24        # fan-rule nodes, as in GradedQuadratureOptions
+    # fan-rule nodes of graded_oracle and per_basis_oracle, as the pass's
+    # N_RADIAL and N_ANGULAR
+    n_radial: int = 24
     n_angular: int = 24
     order_target: float | None = None   # per-leaf order in place of n_gauss
 
@@ -88,16 +90,13 @@ def corner_loads(mesh, bases, opts: FixedOrderOptions | None = None):
     opts = opts or FixedOrderOptions()
     band = (bases[0].cutoff.inner, bases[0].cutoff.R)
     graded = singular._graded_integrate
-    fan_opts = singular.GradedQuadratureOptions(n_radial=opts.n_radial,
-                                                n_angular=opts.n_angular)
 
-    def integrate(mesh, basis, radial, angular, n_rows, gammas, radii, _opts,
-                  kinks=()):
-        def fan_only(r, gamma):     # the collapsed rule passes flat points
-            return radial(r, gamma) if r.ndim == 3 \
-                else np.zeros((n_rows, *r.shape))
-        out = graded(mesh, basis, fan_only, angular, n_rows, gammas, radii,
-                     fan_opts, kinks)
+    def integrate(mesh, basis, radial, angular, gammas, radii):
+        n_rows = len(gammas)
+
+        def fan_only(r):     # the collapsed rule passes flat points
+            return radial(r) if r.ndim == 3 else np.zeros((n_rows, *r.shape))
+        out = graded(mesh, basis, fan_only, angular, gammas, radii)
         # the triangles the pass sends to its collapsed rule
         q = np.asarray(basis.origin)
         pts = mesh.nodes[mesh.triangles]
@@ -107,7 +106,7 @@ def corner_loads(mesh, bases, opts: FixedOrderOptions | None = None):
         r_max = vert_d.max(axis=1)
         support = (dist < radii[-1]) & (r_max > radii[0])
         fan = support & (vert_d < 1e-12).any(axis=1)
-        for c in kinks:
+        for c in radii:     # r = 0 adds none
             fan |= support & (dist < c) & (r_max > c)
         area = mesh.areas
         h = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max(axis=1)
@@ -122,7 +121,7 @@ def corner_loads(mesh, bases, opts: FixedOrderOptions | None = None):
                     tri = cell[leaf]
                     x = lam @ (bary[leaf] @ pts[tri])
                     r, theta = basis.local_polar(x.reshape(-1, 2))
-                    vals = (radial(r, None) * angular(theta)).reshape(
+                    vals = (radial(r) * angular(theta)).reshape(
                         n_rows, len(tri), -1)
                     loads = vals * w * (area[tri] / 4**depth)[:, None] @ lam
                     loads = (loads[..., None] * bary[leaf]).sum(axis=-2)
@@ -132,4 +131,4 @@ def corner_loads(mesh, bases, opts: FixedOrderOptions | None = None):
         return out
 
     with mock.patch.object(singular, "_graded_integrate", integrate):
-        return singular.corner_loads(mesh, bases, opts)
+        return singular.corner_loads(mesh, bases)

@@ -47,7 +47,7 @@ def pair_fan_rule(domain, basis_a: SingularBasis, basis_b: SingularBasis,
     and n_radial x n_angular nodes per segment and angular piece."""
     spec, gamma = basis_a.cutoff, basis_a.beta + basis_b.beta
 
-    def radial(r, _gamma):      # one integrand, singular like r**(-gamma)
+    def radial(r):      # one integrand, singular like r**(-gamma)
         return (chi(r, spec) ** 2 * r ** (-gamma))[None]
 
     def angular(theta):
@@ -59,7 +59,7 @@ def pair_fan_rule(domain, basis_a: SingularBasis, basis_b: SingularBasis,
         & (np.linalg.norm(b - q, axis=1) > 1e-12)
     radii = np.tile((0.0, spec.inner, spec.R), (int(away.sum()), 1))
     return math.fsum(float(m0.sum()) for _, m0, _ in _fan_moments(
-        basis_a, a[away], b[away], radii, radial, angular, (gamma,),
+        basis_a, a[away], b[away], radii, radial, angular, [gamma],
         n_radial, n_angular))
 
 

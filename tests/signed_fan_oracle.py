@@ -21,8 +21,7 @@ from biharmfem import singular
 from biharmfem.singular import _collapsed_rule, _fan_moments, _segment_dist
 
 
-def graded_integrate(mesh, basis, radial, angular, n_rows, gammas, radii,
-                     opts, kinks=()):
+def graded_integrate(mesh, basis, radial, angular, gammas, radii):
     """``singular._graded_integrate`` with every fan triangle the signed sum
     of its three fans from q."""
     q = np.asarray(basis.origin)
@@ -40,9 +39,10 @@ def graded_integrate(mesh, basis, radial, angular, n_rows, gammas, radii,
     at_corner = node_d[triangles] < 1e-12
     corner = support & at_corner.any(axis=1)
     fan = corner.copy()
-    for c in kinks:
+    for c in radii:     # r = 0 adds none
         fan |= support & (dist < c) & (r_max > c)
 
+    n_rows = len(gammas)
     out = np.zeros((n_rows, mesh.n_nodes))
 
     def scatter(rows, tri):
@@ -67,8 +67,8 @@ def graded_integrate(mesh, basis, radial, angular, n_rows, gammas, radii,
                                 lo[owner[sl], None], hi[owner[sl], None])
             for j, m0, m1 in _fan_moments(basis, a[sl], b[sl], fan_radii, radial,
                                           angular, gammas,
-                                          max(opts.n_radial // k, 1),
-                                          max(opts.n_angular // k, 1)):
+                                          max(singular.N_RADIAL // k, 1),
+                                          max(singular.N_ANGULAR // k, 1)):
                 tri = owner[sl][j]
                 rel = m0[:, None] * (q - tri_pts[tri, 0]).T + m1
                 pts = tri_pts[tri]
@@ -79,7 +79,7 @@ def graded_integrate(mesh, basis, radial, angular, n_rows, gammas, radii,
                 scatter(np.stack([m0 - l2 - l3, l2, l3], axis=-1), tri)
 
     cells = np.flatnonzero(support & ~fan)
-    order = np.ceil(opts.order_target
+    order = np.ceil(singular.ORDER_TARGET
                     / np.arcsinh(2.0 * dist[cells] / h[cells])).astype(int)
     for n in np.flatnonzero(np.bincount(order)):
         lam, w = _collapsed_rule(int(n))
@@ -89,12 +89,12 @@ def graded_integrate(mesh, basis, radial, angular, n_rows, gammas, radii,
         for s in range(0, len(pick), step):
             tri = pick[s:s + step]
             r, theta = basis.local_polar((lam @ tri_pts[tri]).reshape(-1, 2))
-            vals = (radial(r, None) * angular(theta)).reshape(n_rows, len(tri), 1, -1)
+            vals = (radial(r) * angular(theta)).reshape(n_rows, len(tri), 1, -1)
             scatter((vals @ corner_w)[..., 0, :] * area[tri][:, None], tri)
     return out
 
 
-def corner_loads(mesh, bases, opts=None):
+def corner_loads(mesh, bases):
     """``singular.corner_loads`` through ``graded_integrate``."""
     with mock.patch.object(singular, "_graded_integrate", graded_integrate):
-        return singular.corner_loads(mesh, bases, opts)
+        return singular.corner_loads(mesh, bases)

@@ -65,6 +65,16 @@ class TestMeshInfoCommand:
                      "--level", "1"]) == 1
         assert "vertex 2 touches edge 5" in capsys.readouterr().err
 
+    def test_off_grid_vertex_is_config_error(self, tmp_path, capsys):
+        # 3e-4 off the grid at y = 40, within np.allclose's default
+        # relative tolerance there
+        domain = tmp_path / "off_grid.txt"
+        domain.write_text("0 0\n40 0\n40 40.0003\n0 40\n" + "D\n" * 4)
+        assert main(["mesh-info", "--domain-file", str(domain)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain vertices must lie on the integer "
+                              "unit grid: vertex 2 is at (40.0, 40.0003)")
+
     @pytest.mark.parametrize("cmd", ["mesh-info", "solve"])
     def test_negative_level_is_config_error(self, cmd, capsys):
         assert main([cmd, "--domain", "III", "--level", "-1"]) == 1

@@ -16,7 +16,6 @@ from biharmfem.geometry import (BC_TYPES, BCType, BUILTIN_NAMES,
                                 DomainError, PolygonDomain, builtin_domain)
 from biharmfem.mesh import (MeshError, TriMesh, nested_dissection,
                             refine_uniform)
-from biharmfem.singular import _collapsed_rule
 from biharmfem.solver import LevelContext
 from biharmfem.sources import const1, quadrant_step, square_eigen
 import assembly_oracle
@@ -122,9 +121,14 @@ class TestLoad:
         assert abs(b.sum()) < 1e-12
 
     def test_smooth_source_matches_adaptive_quadrature(self):
+        # f * hat is quadratic for an affine f, where the 3-point rule is
+        # exact
+        def affine(p):
+            return 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1]
+
         meshes = mesh_hierarchy(unit_square(), 2)
         m = meshes[-1]
-        b = fem.assemble_load(m, square_eigen, quad=_collapsed_rule(8))
+        b = fem.assemble_load(m, affine)
 
         def hat_integral(node):
             # adaptive 2D integration of f * hat over the node's support
@@ -140,16 +144,16 @@ class TestLoad:
                 def integrand(t, s):
                     x = a + s * e1 + t * e2
                     lam = (1.0 - s - t, s, t)[i]
-                    return float(square_eigen(x[None, :])[0]) * lam
+                    return float(affine(x[None, :])[0]) * lam
 
                 val, _ = dblquad(integrand, 0, 1, 0, lambda s: 1 - s,
-                                 epsabs=1e-11, epsrel=1e-11)
+                                 epsabs=1e-13, epsrel=1e-13)
                 total += jac * val
             return total
 
         rng = np.random.default_rng(3)
         for node in rng.choice(m.n_nodes, size=5, replace=False):
-            assert b[node] == pytest.approx(hat_integral(int(node)), abs=1e-8)
+            assert b[node] == pytest.approx(hat_integral(int(node)), abs=1e-12)
 
 
 class TestAssemblyOracle:
@@ -172,11 +176,10 @@ class TestAssemblyOracle:
     def test_loads_agree(self, name):
         for m in mesh_hierarchy(builtin_domain(name, "B3"), 4):
             for f in (const1, quadrant_step, square_eigen):
-                for quad in (None, _collapsed_rule(3)):
-                    got = fem.assemble_load(m, f, quad)
-                    ref = assembly_oracle.assemble_load(m, f, quad)
-                    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-                    assert err <= 1e-15, (m.level, f.__name__, err)
+                got = fem.assemble_load(m, f)
+                ref = assembly_oracle.assemble_load(m, f)
+                err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-15, (m.level, f.__name__, err)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_loads_identical_to_stacked_form(self, name):
@@ -187,11 +190,10 @@ class TestAssemblyOracle:
                 continue
             for m in meshes:
                 for f in (const1, quadrant_step, square_eigen):
-                    for quad in (None, _collapsed_rule(4)):
-                        got = fem.assemble_load(m, f, quad)
-                        ref = assembly_oracle.stacked_load(m, f, quad)
-                        assert got.tobytes() == ref.tobytes(), \
-                            (bc, m.level, f.__name__)
+                    got = fem.assemble_load(m, f)
+                    ref = assembly_oracle.stacked_load(m, f)
+                    assert got.tobytes() == ref.tobytes(), \
+                        (bc, m.level, f.__name__)
 
     @pytest.mark.parametrize("fn", ["assemble_stiffness", "assemble_mass"])
     def test_traced_peak_bounded_by_result(self, fn):

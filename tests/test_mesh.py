@@ -94,6 +94,18 @@ class TestRefinement:
             assert f.max_edge_length() == pytest.approx(
                 0.5 * c.max_edge_length(), rel=1e-12)
 
+    def test_max_edge_length_traced_peak(self):
+        # one edge and one coordinate at a time: at most four (T,) float
+        # arrays, where the (T, 3) edge vectors of both axes took 64*T bytes
+        m = mesh_hierarchy(builtin_domain("IV", "B3"), 6)[-1]
+        tracemalloc.start()
+        try:
+            m.max_edge_length()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * m.n_triangles, peak / (8 * m.n_triangles)
+
     def test_conforming_at_every_level(self, lshape_b1_meshes):
         for m in lshape_b1_meshes:
             m.check_conforming()

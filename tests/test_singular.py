@@ -15,8 +15,7 @@ from biharmfem import singular
 from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, BCType, DomainError,
                                 PolygonDomain, builtin_domain, perp_dimension)
 from biharmfem.mesh import MeshError, TriMesh, initial_mesh, restrict
-from biharmfem.singular import (CutoffSpec, GradedQuadratureOptions,
-                                SingularBasis, chi, corner_bases,
+from biharmfem.singular import (CutoffSpec, SingularBasis, chi, corner_bases,
                                 chi_derivs, corner_loads, inner_chi_s_pair,
                                 load_chi_s, load_singular)
 import fixed_order_oracle
@@ -313,11 +312,10 @@ class TestFanRule:
         # levels 0 and 2 cross a cutoff circle, so the angular split matters
         dom = builtin_domain("III", "B1")
         basis = lshape_basis(CutoffSpec(tau=0.25, R=1.2))
-        fine = GradedQuadratureOptions(order_target=40.0, n_radial=48,
-                                       n_angular=48)
         for m in mesh_hierarchy(dom, 2):
             for load in (load_singular, load_chi_s):
-                ref = load(m, basis, fine)
+                with mock.patch.multiple(singular, **REF):
+                    ref = load(m, basis)
                 got = load(m, basis)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -356,12 +354,11 @@ class TestFanRule:
             calls.append(args[-1] is not None)
             return fan_moments(*args)
 
-        one = lambda x, *gamma: np.ones((1, *x.shape))
+        one = lambda x: np.ones((1, *x.shape))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(singular, "_fan_moments", spy)
             area = singular._graded_integrate(
-                mesh, basis, one, one, 1, (), (spec.inner, spec.R),
-                GradedQuadratureOptions(), kinks=(spec.inner, spec.R)).sum()
+                mesh, basis, one, one, [0.0], (spec.inner, spec.R)).sum()
         assert calls and all(calls)
         exact = sum(_fan_disk_area(np.array(corners[i]),
                                    np.array(corners[(i + 1) % 3]), r) * sgn
@@ -392,7 +389,7 @@ def _fan_disk_area(a, b, r):
 
 
 # the reference rule: every part of the default rule at far higher order
-REF = GradedQuadratureOptions(order_target=40.0, n_radial=48, n_angular=48)
+REF = dict(ORDER_TARGET=40.0, N_RADIAL=48, N_ANGULAR=48)
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,8 +399,11 @@ def corner_passes(name, bc, cutoff):
     and at REF; each reference pass runs once for both test classes."""
     dom = builtin_domain(name, bc)
     bases = corner_bases(dom, 0, cutoff)
-    return bases, [(m, corner_loads(m, bases), corner_loads(m, bases, REF))
-                   for m in mesh_hierarchy(dom, 4)]
+    meshes = mesh_hierarchy(dom, 4)
+    with mock.patch.multiple(singular, **REF):
+        refs = [corner_loads(m, bases) for m in meshes]
+    return bases, [(m, corner_loads(m, bases), ref)
+                   for m, ref in zip(meshes, refs)]
 
 
 class TestLoadAccuracy:
@@ -673,20 +673,13 @@ class TestGradedCells:
 
 
 class TestQuadratureOptions:
-    @pytest.mark.parametrize("field,value", [
-        ("order_target", 0.0), ("order_target", -1.0), ("order_target", math.nan),
-        ("order_target", math.inf), ("order_target", "22"),
-        ("n_radial", 0), ("n_radial", 24.0), ("n_angular", 0), ("n_angular", -24)])
-    def test_bad_field_named(self, field, value):
-        with pytest.raises(ValueError, match=f"GradedQuadratureOptions.{field} "):
-            GradedQuadratureOptions(**{field: value})
-
     def test_one_node_fans_run(self):
         # the thin fans take a half or a third of the nodes, at least one
         dom = builtin_domain("IV", "B3")
         m = mesh_hierarchy(dom, 2)[-1]
-        opts = GradedQuadratureOptions(n_radial=1, n_angular=1)
-        for rows in corner_loads(m, corner_bases(dom, 0), opts):
+        with mock.patch.multiple(singular, N_RADIAL=1, N_ANGULAR=1):
+            loads = corner_loads(m, corner_bases(dom, 0))
+        for rows in loads:
             assert np.all(np.isfinite(rows)) and np.any(rows)
 
 
@@ -696,7 +689,7 @@ class TestEvaluationCounts:
     points."""
 
     @pytest.mark.parametrize("name,bc,level,expected", [
-        ("IV", "B3", 2, {"fan rays": 3304, "radial nodes": 22736,
+        ("IV", "B3", 2, {"fan rays": 3304, "radial nodes": 22568,
                          "collapsed points": 27230}),
         ("III", "B5", 4, {"fan rays": 13200, "radial nodes": 121872,
                           "collapsed points": 158130})])
@@ -707,10 +700,10 @@ class TestEvaluationCounts:
         def counted(mesh, basis, radial, angular, *args, **kw):
             # the fan rule passes (pieces, rays) angles and (segments,
             # rays, nodes) radii; the collapsed rule flat point arrays
-            def radial_spy(r, gamma):
+            def radial_spy(r):
                 counts["radial nodes" if r.ndim == 3 else "collapsed points"] \
                     += r.size
-                return radial(r, gamma)
+                return radial(r)
 
             def angular_spy(theta):
                 counts["fan rays"] += theta.size if theta.ndim == 2 else 0
@@ -748,9 +741,9 @@ class TestBlockedPass:
     def test_traced_peak(self, name, bc, level, mib):
         # 0.95 and 1.58 MiB; 3.48 and 5.19 MiB when each 256-edge chunk
         # formed all its fans' radial values at once and the collapsed rule
-        # took 18,432 points per batch.  7.44 MiB at IV/B3 level 6, most of
-        # it the edge vectors of max_edge_length(); 15.54 MiB when the
-        # geometry of every triangle near q was formed at once
+        # took 18,432 points per batch.  5.31 MiB at IV/B3 level 6; 7.44 MiB
+        # when max_edge_length() formed (T, 3) edge vectors, 15.54 MiB when
+        # the geometry of every triangle near q was formed at once
         dom = builtin_domain(name, bc)
         m = mesh_hierarchy(dom, level)[-1]
         bases = corner_bases(dom, 0)
@@ -815,11 +808,10 @@ def _pass_and_moments(mesh, bases):
     seen, orders = {}, set()
     graded, rule = singular._graded_integrate, singular._collapsed_rule
 
-    def spy(mesh, basis, radial, angular, n_rows, gammas, radii, opts, **kw):
+    def spy(mesh, basis, radial, angular, gammas, radii):
         seen.update(basis=basis, radial=radial, angular=angular,
                     gammas=gammas, radii=radii)
-        return graded(mesh, basis, radial, angular, n_rows, gammas, radii,
-                      opts, **kw)
+        return graded(mesh, basis, radial, angular, gammas, radii)
 
     def rule_spy(n):
         orders.add(n)
@@ -833,12 +825,11 @@ def _pass_and_moments(mesh, bases):
     away = (np.linalg.norm(a - q, axis=1) > 1e-12) \
         & (np.linalg.norm(b - q, axis=1) > 1e-12)
     radii = np.tile(seen["radii"], (int(away.sum()), 1))
-    opts = GradedQuadratureOptions()
     m0, m1 = 0.0, 0.0
     for _, f0, f1 in singular._fan_moments(
             seen["basis"], a[away], b[away], radii, seen["radial"],
-            seen["angular"], seen["gammas"], 2 * opts.n_radial,
-            2 * opts.n_angular):
+            seen["angular"], seen["gammas"], 2 * singular.N_RADIAL,
+            2 * singular.N_ANGULAR):
         m0, m1 = m0 + f0.sum(axis=-1), m1 + f1.sum(axis=-1)
     return rows, orders, m0, m1
 
@@ -857,12 +848,12 @@ class TestLoadMoments:
     integrand's integral m0 over the domain and its first moment about q
     is the integrand's m1; the fan rule over the domain's edges gives both
     without the mesh.  Restriction keeps both, and no collapsed leaf's
-    order passes ceil(order_target / asinh(1)), its bound at dist = h/2."""
+    order passes ceil(ORDER_TARGET / asinh(1)), its bound at dist = h/2."""
 
     def check(self, meshes, j, cutoff):
         bases = corner_bases(meshes[0].domain, j, cutoff)
         q = np.array(bases[0].origin)
-        bound = math.ceil(GradedQuadratureOptions().order_target / math.asinh(1))
+        bound = math.ceil(singular.ORDER_TARGET / math.asinh(1))
         for m in meshes:
             rows, orders, m0, m1 = _pass_and_moments(m, bases)
             assert max(orders, default=0) <= bound, (m.level, max(orders))
