@@ -18,7 +18,7 @@ from .geometry import (BC_TYPES, BUILTIN_NAMES, DomainError, builtin_domain,
                        perp_dimension, resolve_domain)
 from .mesh import MeshError, initial_mesh, refine_uniform
 from .singular import CutoffSpec
-from .solver import CompatibilityError, LevelContext, SingularVertexError
+from .solver import LevelContext, SingularVertexError
 from .sources import SOURCES, get_source
 from .study import (FORMULATIONS, StudyConfig, _run_formulation, format_row,
                     run_study)
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SolveError, CompatibilityError, SingularVertexError) as exc:
+    except (SolveError, SingularVertexError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, MeshError, ValueError, OSError) as exc:

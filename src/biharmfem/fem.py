@@ -24,6 +24,11 @@ class SolveError(RuntimeError):
     positive-definiteness check."""
 
 
+class CompatibilityError(SolveError, ValueError):
+    """A pure-Neumann right-hand side does not sum to zero: the source
+    does not integrate to 0."""
+
+
 @dataclass(frozen=True)
 class EdgeMatrix:
     """A symmetric matrix with the pattern of a graph: its ``diag`` and
@@ -128,7 +133,8 @@ class DirectSolver:
     the order is grounded (its value fixed at 0, which leaves the rest
     positive definite), and the solution is shifted to zero discrete mean
     against M.  A compatible right-hand side (components sum to zero)
-    meets the grounded row as well; an incompatible one is rejected.
+    meets the grounded row as well; one whose sum exceeds 1e-10 of its
+    2-norm raises ``CompatibilityError``.
 
     Every solve must reach the normwise backward error ``tol`` on the
     unknowns' rows, ||b - Ax||_inf <= tol * (||A||_inf ||x||_inf +
@@ -161,14 +167,13 @@ class DirectSolver:
         b = np.asarray(b, dtype=float)
         n = self.A.shape[0]
         if self._m1 is not None:
-            norm_b = np.linalg.norm(b)
-            total = abs(b.sum())
-            if total > 1e-10 * norm_b:
-                raise SolveError(
-                    f"incompatible right-hand side: |sum| = {total:.3e} vs "
-                    f"1e-10*|b| = {1e-10 * norm_b:.3e}"
-                )
-            b = b - b.sum() / n  # clean the roundoff component along the kernel
+            total = b.sum()
+            if abs(total) > 1e-10 * np.linalg.norm(b):
+                raise CompatibilityError(
+                    f"incompatible right-hand side: it sums to {total:.3e}, "
+                    f"above 1e-10 of its norm; a pure-Neumann source must "
+                    f"integrate to 0")
+            b = b - total / n   # clean the roundoff component along the kernel
         x = np.zeros(n)
         x[self._order] = self.factor.solve(b[self._order])
         if self._m1 is not None:

@@ -240,10 +240,12 @@ def _legendre_rule(n: int):
     return x, w * (2.0 / w.sum())
 
 
+@functools.lru_cache(maxsize=32)
 def _collapsed_rule(n: int):
     """Gauss rule on the reference triangle via the square-collapse map;
     exact for polynomials of total degree 2n-2.  Barycentric points and
-    weights normalized to sum to 1."""
+    weights normalized to sum to 1; computed once per n and shared, so the
+    arrays are read-only."""
     x, w = _gauss(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
@@ -251,6 +253,7 @@ def _collapsed_rule(n: int):
     WU, WV = np.meshgrid(wu, wu, indexing="ij")
     lam = np.stack([1.0 - U, U * (1.0 - V), U * V], axis=-1).reshape(-1, 3)
     weights = (2.0 * WU * WV * U).reshape(-1)
+    lam.flags.writeable = weights.flags.writeable = False
     return lam, weights
 
 

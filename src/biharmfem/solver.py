@@ -13,10 +13,12 @@ of the corner singular functions before the second solve:
   4. solve the Poisson problem for u with right-hand side w - sum(c * xi).
 
 The domain picks the Poisson solve: the Dirichlet-reduced one when the
-boundary has a Dirichlet part, else the mass-mean-zero one (for a source
-with zero integral), so both the naive and the corrected solve accept
-every boundary condition.  ``solve_modified_neumann`` is ``solve_modified``
-restricted to all-Neumann domains.
+boundary has a Dirichlet part, else the mass-mean-zero one, so both the
+naive and the corrected solve accept every boundary condition.  The
+mean-zero solve is where compatibility is checked: it raises
+``CompatibilityError`` on a right-hand side that does not sum to zero, so
+on a source that does not integrate to 0.  ``solve_modified_neumann`` is
+``solve_modified`` restricted to all-Neumann domains.
 
 Each level factors its stiffness once by a multifrontal Cholesky over the
 nested-dissection tree of the unknowns of its Poisson solve
@@ -49,8 +51,7 @@ class SingularVertexError(ValueError):
     """More singular vertices than the solver supports."""
 
 
-class CompatibilityError(ValueError):
-    """Pure-Neumann source violates the zero-mean compatibility condition."""
+CompatibilityError = fem.CompatibilityError    # re-exported
 
 
 @dataclass
@@ -206,7 +207,7 @@ def _singular_setup(domain: PolygonDomain, cutoff: CutoffSpec | None
     if j != int(np.argmax(domain.angles)):
         warnings.warn(
             f"singular contribution at vertex {j}, which is not the largest "
-            "interior angle", stacklevel=3
+            "interior angle", stacklevel=5
         )
     R, reach = (cutoff or CutoffSpec()).R, clearance(domain, domain.vertices[j])
     if R >= reach:      # chi*s would break the boundary condition there
@@ -222,22 +223,14 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
     ``n_used`` (all by default) of the corner's ``bases``; an empty
     ``bases`` gives the naive solve.  The domain picks the Poisson solve:
     the Dirichlet-reduced one when the boundary has a Dirichlet part, else
-    the mass-mean-zero one, for a source that meets the compatibility
-    condition.  The solves for w (keyed on the source ``f``) and for each
-    zeta (keyed on its basis) are kept on the level, so another
-    formulation on it reuses them."""
+    the mass-mean-zero one, which rejects an incompatible source with
+    ``CompatibilityError``.  The solves for w (keyed on the source ``f``)
+    and for each zeta (keyed on its basis) are kept on the level, so
+    another formulation on it reuses them."""
     neumann = not ctx.mesh.domain.has_dirichlet()
     poisson = ctx.solve_neumann if neumann else ctx.solve_dirichlet
-    load = ctx.load(f)
-    total = float(load.sum())
-    if neumann and abs(total) > 1e-10 * max(np.linalg.norm(load), 1e-300):
-        raise CompatibilityError(
-            f"source integral over the domain is {total:.6g}; the "
-            "pure-Neumann problem requires a mean-zero source "
-            "(compatibility condition)"
-        )
     # Step 1
-    w = ctx.once(("w", f), lambda: poisson(load))
+    w = ctx.once(("w", f), lambda: poisson(ctx.load(f)))
     # Step 2
     lap_loads, chi_s_loads = ctx.singular_loads(bases)
     bases, chi_s_loads = bases[:n_used], chi_s_loads[:n_used]
@@ -250,16 +243,9 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
     # Step 4
     rhs = ctx.mass @ (w - sum(c * z for c, z in zip(coeffs, zetas)))
     rhs -= sum(c * bs for c, bs in zip(coeffs, chi_s_loads))
-    if neumann:
-        if bases:
-            diagnostics["xi_mean"] = float((ctx.mass @ zetas[0]).sum()
-                                           + chi_s_loads[0].sum())
-        if abs(float(rhs.sum())) > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-            raise SolveError(
-                f"right-hand side of the u solve violates compatibility "
-                f"(sum = {rhs.sum():.3e})"
-            )
-        rhs -= rhs.sum() / len(rhs)
+    if neumann and bases:
+        diagnostics["xi_mean"] = float((ctx.mass @ zetas[0]).sum()
+                                       + chi_s_loads[0].sum())
     u = poisson(rhs)
     diagnostics.update(factor_nnz=ctx.factor_nnz,
                        factor_entries=ctx.factor_entries,
@@ -272,19 +258,18 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
     determinant, 1-norm condition number and relative residual as
     diagnostics."""
     k = len(bases)
+    m_zetas = [ctx.mass @ z for z in zetas]
     gram = np.empty((k, k))
     for a in range(k):
         for b in range(a, k):
-            val = float(zetas[a] @ (ctx.mass @ zetas[b]))
+            val = float(zetas[a] @ m_zetas[b])
             val += float(zetas[a] @ chi_s_loads[b])
             val += float(zetas[b] @ chi_s_loads[a])
             val += (ctx.finest or ctx).quadrature(inner_chi_s_pair,
                                                   bases[a], bases[b])
             gram[a, b] = gram[b, a] = val
-    rhs = np.array([
-        float(w @ (ctx.mass @ z)) + float(w @ bs)
-        for z, bs in zip(zetas, chi_s_loads)
-    ])
+    rhs = np.array([float(w @ mz) + float(w @ bs)
+                    for mz, bs in zip(m_zetas, chi_s_loads)])
     coeffs, diagnostics = _gram_coefficients(gram, rhs)
     return coeffs, {"gram": gram, "gram_rhs": rhs, **diagnostics}
 
@@ -323,9 +308,12 @@ def solve_modified(ctx: LevelContext, f, cutoff: CutoffSpec | None = None,
     """Corrected mixed solve.
 
     ``truncate_basis`` artificially limits the number of singular functions
-    used (reproducing the under-corrected variant); default uses all.
+    used (reproducing the under-corrected variant); default uses all.  The
+    corner's bases are set up once per hierarchy, on ``ctx.finest`` (this
+    level when unset).
     """
-    bases = _singular_setup(ctx.mesh.domain, cutoff)
+    bases = (ctx.finest or ctx).once(
+        ("bases", cutoff), lambda: _singular_setup(ctx.mesh.domain, cutoff))
     res = _mixed_solve(ctx, f, bases, truncate_basis)
     res.diagnostics["d_perp"] = len(bases)
     return res

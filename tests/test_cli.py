@@ -96,6 +96,12 @@ class TestSolveCommand:
         assert code == 2
         assert "compatib" in capsys.readouterr().err
 
+    def test_incompatible_neumann_study_is_solver_error(self, capsys):
+        code = main(["study", "--domain", "III", "--bc", "B5",
+                     "--f", "const1", "--levels", "2"])
+        assert code == 2
+        assert "must integrate to 0" in capsys.readouterr().err
+
 
 class TestStudyCommand:
     def test_level_minimum_enforced(self, capsys):

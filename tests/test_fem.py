@@ -313,7 +313,8 @@ class TestMeanZeroSolve:
     def test_incompatible_rhs_rejected(self):
         m, A, M = self._system(1)
         b = fem.assemble_load(m, lambda p: np.ones(len(p)))  # integral 12
-        with pytest.raises(fem.SolveError):
+        with pytest.raises(fem.CompatibilityError,
+                           match="sums to 1.200e[+]01.*must integrate to 0"):
             mean_zero_solver(m, A, M)(b)
 
 

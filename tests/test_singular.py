@@ -474,6 +474,7 @@ class TestOneQuadraturePass:
             return fn(n)
         monkeypatch.setattr(singular, "_legendre_rule", spy)
         singular._gauss.cache_clear()
+        singular._collapsed_rule.cache_clear()
         dom = builtin_domain("IV", "B3")
         for m in mesh_hierarchy(dom, 2):
             corner_loads(m, corner_bases(dom, 0))
@@ -487,6 +488,25 @@ class TestOneQuadraturePass:
         with pytest.raises(ValueError):
             w[0] = 0.0
         singular._gauss.cache_clear()
+        singular._collapsed_rule.cache_clear()
+
+    def test_collapsed_rules_computed_once_and_read_only(self):
+        rule = singular._collapsed_rule
+        rule.cache_clear()
+        dom = builtin_domain("IV", "B3")
+        for _ in range(2):
+            for m in mesh_hierarchy(dom, 2):
+                corner_loads(m, corner_bases(dom, 0))
+        # the orders 8 to 13, 16 and 20 of the first pass's leaves, each
+        # built once
+        info = rule.cache_info()
+        assert info.misses == 8 and info.hits > 0, info
+        lam, w = rule(8)
+        with pytest.raises(ValueError):
+            lam[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        rule.cache_clear()
 
 
     def test_gauss_rules_match_leggauss(self):
@@ -800,17 +820,17 @@ def singular_builtins():
 def _pass_and_moments(mesh, bases):
     """corner_loads of ``bases`` as one (2k, n_nodes) array, the collapsed
     rule's orders, and each row's integral m0 and first moment m1 about q
-    over the domain: ``singular._fan_moments`` of the pass's own integrands
-    over the triangles (q, a, b) of the domain's edges a -> b away from q,
-    the fans of ``pair_oracle.pair_fan_rule``, at twice the corner fans'
-    nodes (so twice the radial nodes of the segment rule, which at tau =
-    0.001 gives the band [tau*R, R] 561 of them)."""
+    over the domain: ``singular._fan_moments`` of the pass's own integrands,
+    each row with the exponent of its own basis (from ``bases``, not from
+    the pass), over the triangles (q, a, b) of the domain's edges a -> b
+    away from q, the fans of ``pair_oracle.pair_fan_rule``, at twice the
+    corner fans' nodes (so twice the radial nodes of the segment rule,
+    which at tau = 0.001 gives the band [tau*R, R] 561 of them)."""
     seen, orders = {}, set()
     graded, rule = singular._graded_integrate, singular._collapsed_rule
 
     def spy(mesh, basis, radial, angular, gammas, radii):
-        seen.update(basis=basis, radial=radial, angular=angular,
-                    gammas=gammas, radii=radii)
+        seen.update(basis=basis, radial=radial, angular=angular, radii=radii)
         return graded(mesh, basis, radial, angular, gammas, radii)
 
     def rule_spy(n):
@@ -828,7 +848,8 @@ def _pass_and_moments(mesh, bases):
     m0, m1 = 0.0, 0.0
     for _, f0, f1 in singular._fan_moments(
             seen["basis"], a[away], b[away], radii, seen["radial"],
-            seen["angular"], seen["gammas"], 2 * singular.N_RADIAL,
+            seen["angular"], [b.beta for b in bases] * 2,
+            2 * singular.N_RADIAL,
             2 * singular.N_ANGULAR):
         m0, m1 = m0 + f0.sum(axis=-1), m1 + f1.sum(axis=-1)
     return rows, orders, m0, m1

@@ -168,6 +168,21 @@ class TestNeumannVariant:
         with pytest.raises(CompatibilityError):
             solve_modified_neumann(LevelContext(meshes[1]), const1)
 
+    @pytest.mark.parametrize("solve", [solve_naive, solve_modified,
+                                       solve_modified_neumann])
+    def test_incompatible_source_rejected_by_the_w_solve(self, meshes,
+                                                         solve, monkeypatch):
+        # the mean-zero Poisson solve is the one check: it rejects the
+        # source's load before any singular quadrature, with an error both
+        # ``except SolveError`` and ``except ValueError`` catch
+        monkeypatch.setattr(solver, "corner_loads", None)
+        with pytest.raises(CompatibilityError, match="sums to 1.200e[+]01") \
+                as err:
+            solve(LevelContext(meshes[1]), const1)
+        assert isinstance(err.value, fem.SolveError)
+        assert isinstance(err.value, ValueError)
+        assert CompatibilityError is fem.CompatibilityError
+
     def test_mixed_domain_rejected(self, lshape_b1_meshes):
         with pytest.raises(ValueError):
             solve_modified_neumann(LevelContext(lshape_b1_meshes[1]), quadrant_step)
@@ -295,6 +310,44 @@ class TestQuadratureCache:
                 for load in loads:
                     with pytest.raises(ValueError):
                         load[0] = 1.0
+
+    def test_compare_study_sets_up_the_bases_once(self, monkeypatch):
+        # six corrected solves, one basis setup, kept on the finest level
+        calls = []
+        setup = solver._singular_setup
+
+        def counted(domain, cutoff):
+            calls.append(cutoff)
+            return setup(domain, cutoff)
+
+        monkeypatch.setattr(solver, "_singular_setup", counted)
+        run_study(StudyConfig(domain="IV", bc_type="B3", source="quadrant-step",
+                              formulation="modified",
+                              compare_formulation="modified-truncated",
+                              max_level=2))
+        assert calls == [CutoffSpec()]
+
+    def test_gram_forms_each_mass_product_once(self):
+        # M @ zeta once per zeta, for the Gram entries and right-hand side
+        m = mesh_hierarchy(builtin_domain("IV", "B3"), 1)[-1]
+        ctx = LevelContext(m)
+        res = solve_modified(ctx, quadrant_step)
+        bases = corner_bases(m.domain, 0)
+        chi_s_loads = ctx.singular_loads(bases)[1]
+        mass, products = ctx.mass, []
+
+        class Counted:
+            def __matmul__(self, x):
+                products.append(x)
+                return mass @ x
+
+        ctx._cache["M"] = Counted()
+        _, diagnostics = solver._gram_solve(ctx, res.w_h, bases, res.zeta_h,
+                                            chi_s_loads)
+        assert len(products) == len(bases) == 2
+        for k in ("gram", "gram_rhs"):
+            assert np.array_equal(diagnostics[k], res.diagnostics[k])
+        assert np.array_equal(diagnostics["gram"], diagnostics["gram"].T)
 
     def test_key_is_basis_values_and_arrays_are_read_only(self):
         dom = builtin_domain("III", "B5")
