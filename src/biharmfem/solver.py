@@ -243,9 +243,6 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
     # Step 4
     rhs = ctx.mass @ (w - sum(c * z for c, z in zip(coeffs, zetas)))
     rhs -= sum(c * bs for c, bs in zip(coeffs, chi_s_loads))
-    if neumann and bases:
-        diagnostics["xi_mean"] = float((ctx.mass @ zetas[0]).sum()
-                                       + chi_s_loads[0].sum())
     u = poisson(rhs)
     diagnostics.update(factor_nnz=ctx.factor_nnz,
                        factor_entries=ctx.factor_entries,
@@ -254,9 +251,9 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
 
 
 def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
-    """Projection coefficients, and the Gram matrix, right-hand side,
-    determinant, 1-norm condition number and relative residual as
-    diagnostics."""
+    """Projection coefficients, and as diagnostics the Gram matrix,
+    right-hand side, determinant, 1-norm condition number, relative residual
+    and, on a pure-Neumann level, ``xi_mean`` from the M products of zetas."""
     k = len(bases)
     m_zetas = [ctx.mass @ z for z in zetas]
     gram = np.empty((k, k))
@@ -271,7 +268,10 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
     rhs = np.array([float(w @ mz) + float(w @ bs)
                     for mz, bs in zip(m_zetas, chi_s_loads)])
     coeffs, diagnostics = _gram_coefficients(gram, rhs)
-    return coeffs, {"gram": gram, "gram_rhs": rhs, **diagnostics}
+    diagnostics = {"gram": gram, "gram_rhs": rhs, **diagnostics}
+    if not ctx.mesh.domain.has_dirichlet():
+        diagnostics["xi_mean"] = float(m_zetas[0].sum() + chi_s_loads[0].sum())
+    return coeffs, diagnostics
 
 
 def _gram_coefficients(gram, rhs):

@@ -160,11 +160,11 @@ def run_study(config: StudyConfig) -> StudyReport:
         else:
             linfs.append(math.nan)
 
-    def rates(diffs):
+    def rates(diffs):   # none next to a 0 difference (no free node, zero f)
         out = [math.nan] * len(diffs)
-        if any(diffs[1:]):  # all differences exactly 0 (zero source): no rate
-            r = cauchy_rate(diffs[1:])
-            out[1:len(r) + 1] = r
+        for j in range(1, len(diffs) - 1):
+            if diffs[j] > 0 and diffs[j + 1] > 0:
+                out[j] = cauchy_rate(diffs[j:j + 2])[0]
         return out
 
     table = RateTable(nodes, diff_u, rates(diff_u), diff_w, rates(diff_w),

@@ -150,6 +150,20 @@ class TestStudyCommand:
         assert [r["diff_h1_u"] for r in rows] == ["", "0.0", "0.0"]
         assert all(r["rate_u"] == r["rate_w"] == "" for r in rows)
 
+    def test_rates_next_to_a_zero_difference_are_empty(self, tmp_path, capsys):
+        # levels 0 and 1 of one triangle have no free node: the level-1
+        # difference is 0, the later ones are positive
+        domain = tmp_path / "tri.txt"
+        domain.write_text("-1 0\n0 0\n-1 1\nD\nD\nD\n")
+        out = tmp_path / "out"
+        assert main(["study", "--domain-file", str(domain), "--levels", "3",
+                     "--formulation", "naive", "--out", str(out)]) == 0
+        with open(out / "study.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[1]["diff_h1_u"] == rows[1]["diff_h1_w"] == "0.0"
+        assert rows[1]["rate_u"] == rows[1]["rate_w"] == ""
+        assert float(rows[2]["rate_u"]) > 0 and float(rows[2]["rate_w"]) > 0
+
     def test_builtin_name_wins_over_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "III").write_text("not a domain file\n")

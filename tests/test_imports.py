@@ -3,7 +3,9 @@
 Package ``__init__.py`` files are exempt (their imports are re-exports), and
 so are ``from __future__`` imports.  No module of the package imports
 scipy, and importing the CLI loads no scipy module: importing
-``scipy.sparse`` alone costs about 0.3 s of every run.
+``scipy.sparse`` alone costs about 0.3 s of every run.  Every
+``tests/*_oracle.py`` is imported by a ``tests/test_*.py``, directly or
+through another oracle, so no reference outlives the tests it served.
 """
 
 import ast
@@ -81,6 +83,19 @@ def test_scanner_finds_imported_packages():
     source = ("import scipy.sparse as sp\nfrom numpy import linalg\n"
               "from . import fem\nimport os, json\n")
     assert imported_modules(source) == {"scipy", "numpy", "os", "json"}
+
+
+def test_every_oracle_is_imported_by_a_test():
+    imports = {p.stem: imported_modules(p.read_text())
+               for p in (ROOT / "tests").glob("*.py")}
+    oracles = {name for name in imports if name.endswith("_oracle")}
+    todo = [name for name in imports if name.startswith("test_")]
+    reached = set()
+    while todo:
+        found = imports[todo.pop()] & (oracles - reached)
+        reached |= found
+        todo += found
+    assert sorted(oracles - reached) == []
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src/biharmfem").glob("*.py")),

@@ -348,6 +348,17 @@ class TestQuadratureCache:
         for k in ("gram", "gram_rhs"):
             assert np.array_equal(diagnostics[k], res.diagnostics[k])
         assert np.array_equal(diagnostics["gram"], diagnostics["gram"].T)
+        # through a whole pure-Neumann solve, whose xi_mean reads the Gram
+        # system's M @ zeta: one product per zeta
+        ctx = LevelContext(mesh_hierarchy(builtin_domain("III", "B5"), 2)[-1])
+        mass, products = ctx.mass, []
+        ctx._cache["M"] = Counted()
+        res = solve_modified(ctx, quadrant_step)
+        of_zetas = [x for x in products if any(x is z for z in res.zeta_h)]
+        assert len(of_zetas) == len(res.zeta_h) == 1
+        chi_s = ctx.singular_loads(corner_bases(ctx.mesh.domain, 0))[1][0]
+        assert res.diagnostics["xi_mean"] \
+            == float((mass @ res.zeta_h[0]).sum() + chi_s.sum())
 
     def test_key_is_basis_values_and_arrays_are_read_only(self):
         dom = builtin_domain("III", "B5")
