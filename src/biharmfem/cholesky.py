@@ -26,10 +26,23 @@ holds the children's updates extended to U), a front keeps H = W [I,
 -F21^T] with W = F11^-1, and passes S = F22 - F21 W F21^T to its
 parent.  H21 = -W F21^T is written straight into H, and F22 is added
 into S = F21 H21 in place.  A piece takes its children from the pending
-groups by index, a block of children at a time, so no group is copied,
-and a group is freed once the last piece it updates has extended it.  A
-solve is two sweeps of batched matrix-vector products: forward b_U +=
-H_U^T b_P, deepest first; backward x_P = H [b_P; x_U], root first.
+lists by index, a block of children at a time, so no S is copied, and
+an S is freed once the last piece it updates has extended it.
+
+On a grid polygon most fronts of a piece are equal entry for entry.  A
+piece of two or more fronts and at least ``GROUP_MIN`` front entries
+groups the fronts whose assembled F are equal in their bytes, factors
+one front of each group, and keeps one H per group with every front's
+``index`` and group number; it passes one S per group up the tree, and
+the parent's extend-add reads each child's S through the child's group.
+Equal inputs to the same stacked LAPACK and BLAS calls give equal
+outputs, so H, S and every solve are bit for bit those of factoring
+each front on its own.  The grouping compares bytes, not only keys: a
+key (a dot product of F) can be shared by fronts that differ, and a
+front is put with another only when their bytes are equal.  A solve is
+two sweeps of batched matrix-vector products, each front reading its H
+through its group: forward b_U += H_U^T b_P, deepest first; backward
+x_P = H [b_P; x_U], root first.
 """
 
 from __future__ import annotations
@@ -46,6 +59,9 @@ import numpy as np
 # class's numpy calls would cost.
 LEAF_DEPTHS = 2
 CHUNK = 1 << 21
+# A piece of fewer front entries is factored front by front: keying and
+# comparing its fronts would cost more than the equal ones save.
+GROUP_MIN = 1 << 15
 
 
 def _depth(keys: np.ndarray) -> np.ndarray:
@@ -62,10 +78,13 @@ class Cholesky:
     takes the arrays out of it and leaves it empty, so that each depth's
     share of them is freed once that depth is factored.  ``box`` holds
     each unknown's nested-dissection box as a key with a leading 1 bit (a
-    child box is 2 * key + side).  ``nnz`` counts the nonzeros of L, its
-    diagonal included, and ``stored`` the entries of H kept, padding
-    included.  Raises ``np.linalg.LinAlgError`` if A is not positive
-    definite."""
+    child box is 2 * key + side).  ``pieces`` holds each piece's (index,
+    group, H): each front's unknowns, padded with n, its group (None when
+    each front is its own) and one H per group.  ``nnz`` counts the
+    nonzeros of L, its diagonal included, ``stored`` the entries of H
+    kept, padding included, and ``n_groups`` the H kept, one per group
+    of equal fronts.  Raises ``np.linalg.LinAlgError`` if A is not
+    positive definite."""
 
     def __init__(self, entries, box):
         n = self.n = len(box)
@@ -86,8 +105,9 @@ class Cholesky:
         del rows, cols, vals
         up_depth = np.where(parent >= 0, depth[parent], -1)
         label = np.zeros(len(size), dtype=np.int64)
-        self.groups, self.u = [], np.zeros(len(size), dtype=np.int64)
-        # the (S, U, parent) of the fronts whose parent lies at each depth
+        self.pieces, self.u = [], np.zeros(len(size), dtype=np.int64)
+        # the (S, U, parent, group) of the fronts whose parent lies at each
+        # depth
         pending = [[] for _ in range(top + 1)]
         for d in range(top, -1, -1):
             rows, cols, vals = shares.pop()
@@ -101,7 +121,7 @@ class Cholesky:
             # up * n + n would read as (up + 1) * n + 0
             keys = np.concatenate([f * n + rows]
                                   + [(up[:, None] * n + U)[U < n]
-                                     for _, U, up in pending[d]])
+                                     for _, U, up, _ in pending[d]])
             u_keys = _distinct(keys[owner[keys % n] != keys // n])
             del keys
             u_front, u_node = np.divmod(u_keys, n)
@@ -109,8 +129,8 @@ class Cholesky:
                                   - np.searchsorted(u_front, fronts))
             # size classes over the whole depth, cut into runs of at most
             # CHUNK // m**2 fronts; each piece takes its own entries, and its
-            # children by their positions in the groups: a group is freed
-            # once the last piece it updates has extended it
+            # children by their positions in the pending lists: an entry is
+            # freed once the last piece it updates has extended it
             m = size[fronts].max() + u.max()
             cap = max(1, CHUNK // (m * m))
             label[fronts], nc = _classes(size[fronts], u)
@@ -133,27 +153,36 @@ class Cholesky:
                 del parts
             del kids
             for piece, e, kin in zip(pieces, mine, children):
-                S, U = self._front(piece, u_keys, u_front, u_node, rows[e],
-                                   cols[e], vals[e], kin)
+                S, U, group = self._front(piece, u_keys, u_front, u_node,
+                                          rows[e], cols[e], vals[e], kin)
                 to = up_depth[piece]
                 if to.min() == to.max() >= 0:
-                    pending[to[0]].append((S, U, parent[piece]))
+                    pending[to[0]].append((S, U, parent[piece], group))
                 else:
                     for t in np.flatnonzero(np.bincount(to + 1)) - 1:
                         if t >= 0:
                             go = to == t
-                            pending[t].append((S[go], U[go],
-                                               parent[piece[go]]))
+                            if group is None:
+                                pending[t].append((S[go], U[go],
+                                                   parent[piece[go]], None))
+                            else:   # the S of this share's groups only
+                                used, at = np.unique(group[go],
+                                                     return_inverse=True)
+                                pending[t].append((S[used], U[go],
+                                                   parent[piece[go]], at))
                 del S, U
             del rows, cols, vals, f
         self.nnz = int((size * (size + 1) // 2 + self.u * size).sum())
-        self.stored = sum(H.size for _, H in self.groups)
+        self.stored = sum(H.size for _, _, H in self.pieces)
+        self.n_groups = sum(len(H) for _, _, H in self.pieces)
 
     def _front(self, fronts, u_keys, u_front, u_node, rows, cols, vals,
                children):
         """Factor one piece of a size class of one depth, given its entries
-        and its children as (S, U, parent, positions in the group, or None
-        for the whole group); return its fronts' S and U, padded with n."""
+        and its children as (S, U, parent, group, positions in the pending
+        entry, or None for all of it); return the S of each of its groups,
+        its fronts' U, padded with n, and each front's group (None when
+        each front is its own)."""
         n, nf, starts, owner = self.n, len(fronts), self.starts, self.owner
         p, u = self.size[fronts], self.u[fronts]
         first = np.searchsorted(u_front, fronts)
@@ -180,9 +209,10 @@ class Cholesky:
             # extended it; its children are indexed a block at a time, and
             # one child at a time is read as a view.  The padding of S is
             # exact zeros: add it anywhere
-            S, U, up, at = children.pop(0)
+            S, U, up, group, at = children.pop(0)
             if at is not None:
                 U, up = U[at], up[at]
+                group = at if group is None else group[at]
             loc, real = np.zeros_like(U), U < n
             loc[real] = slot(up.repeat(U.shape[1]).reshape(U.shape)[real],
                              U[real])
@@ -192,11 +222,17 @@ class Cholesky:
                 b = i if step == 1 else slice(i, i + step)
                 np.add.at(flat, (base[b, None, None] + loc[b, :, None] * m
                                  + loc[b, None, :]).ravel(),
-                          (S[b] if at is None else S[at[b]]).ravel())
+                          (S[b] if group is None else S[group[b]]).ravel())
             del S, U
+        del flat
+        # one representative of each group of equal fronts is factored
+        rep, group = (_equal_fronts(F) if nf > 1 and F.size >= GROUP_MIN
+                      else (None, None))
+        if group is not None:
+            F = F[rep]
         L_inv = np.linalg.inv(np.linalg.cholesky(F[:, :pm, :pm]))
         F21 = F[:, pm:, :pm]
-        H = np.empty((nf, pm, m))
+        H = np.empty((len(F), pm, m))
         H[:, :, :pm] = np.matmul(L_inv.transpose(0, 2, 1), L_inv)
         del L_inv
         H21 = H[:, :, pm:]
@@ -210,18 +246,23 @@ class Cholesky:
         index[:, :pm] = np.where(pad, n, starts[fronts, None] + np.arange(pm))
         real = np.arange(um) < u[:, None]
         index[:, pm:][real] = u_node[(first[:, None] + np.arange(um))[real]]
-        self.groups.append((index, H))
-        return S, index[:, pm:]
+        self.pieces.append((index, group, H))
+        return S, index[:, pm:], group
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^-1 b, in elimination order; the padding reads and writes the
         zero at x[n] through zero entries of H (or the identity)."""
         x = np.append(np.asarray(b, dtype=float), 0.0)
-        for index, H in self.groups:
+        for index, group, H in self.pieces:
             pm = H.shape[1]
+            H_U = H[:, :, pm:]
+            if group is not None:
+                H_U = np.take(H_U, group, axis=0)
             np.add.at(x, index[:, pm:],
-                      np.matmul(x[index[:, :pm]][:, None, :], H[:, :, pm:])[:, 0])
-        for index, H in reversed(self.groups):
+                      np.matmul(x[index[:, :pm]][:, None, :], H_U)[:, 0])
+        for index, group, H in reversed(self.pieces):
+            if group is not None:
+                H = np.take(H, group, axis=0)
             x[index[:, :H.shape[1]]] = np.matmul(H, x[index][:, :, None])[:, :, 0]
         return x[:self.n]
 
@@ -232,6 +273,30 @@ def _split(labels: np.ndarray, k: int) -> list[np.ndarray]:
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
     return [order[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _equal_fronts(F: np.ndarray):
+    """The fronts of F, grouped by their bytes: the position of each
+    group's first front and each front's group, or (None, None) when no
+    two fronts are equal or two fronts with one key differ.  A front's key
+    is its entries dotted with the irrational weights sqrt(k + 2/3), one
+    dot product per front, so that equal fronts get equal keys wherever
+    they sit (a matrix-vector product may sum its rows in different
+    orders).  Distinct fronts can share a key, so each front's bytes are
+    compared with its group's first, a block at a time."""
+    flat = F.reshape(len(F), -1)
+    weights = np.sqrt(np.arange(flat.shape[1]) + 2 / 3)
+    _, first, group = np.unique(np.matmul(flat[:, None, :], weights)[:, 0],
+                                return_index=True, return_inverse=True)
+    if len(first) == len(F):
+        return None, None
+    bits = flat.view(np.uint64)
+    step = max(1, (CHUNK >> 6) // flat.shape[1])
+    for i in range(0, len(F), step):
+        b = slice(i, i + step)
+        if not np.array_equal(bits[b], bits[first[group[b]]]):
+            return None, None
+    return first, group
 
 
 def _classes(p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, int]:

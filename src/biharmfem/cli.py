@@ -16,7 +16,7 @@ import numpy as np
 from .fem import SolveError
 from .geometry import (BC_TYPES, BUILTIN_NAMES, DomainError, builtin_domain,
                        perp_dimension, resolve_domain)
-from .mesh import MeshError, initial_mesh, refine_uniform
+from .mesh import MeshError, check_levels, initial_mesh, refine_uniform
 from .singular import CutoffSpec
 from .solver import LevelContext, SingularVertexError
 from .sources import SOURCES, get_source
@@ -88,6 +88,7 @@ def _mesh_at_level(domain, level):
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     mesh = initial_mesh(domain)
+    check_levels(mesh, level)
     for _ in range(level):
         mesh = refine_uniform(mesh)
     return mesh

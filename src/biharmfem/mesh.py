@@ -26,6 +26,11 @@ import numpy as np
 
 from .geometry import BCType, PolygonDomain, on_segment
 
+# The most triangles a refined mesh may have.  Red refinement makes
+# T0 * 4**L triangles at level L; level 9 of the largest built-in (IV,
+# 7,340,032 triangles) fits, level 10 of the smallest does not.
+MAX_TRIANGLES = 1 << 23
+
 
 class MeshError(ValueError):
     pass
@@ -194,6 +199,17 @@ def initial_mesh(domain: PolygonDomain) -> TriMesh:
     mesh = TriMesh(domain, nodes_arr, tris_arr, boundary, level=0)
     mesh.check_conforming()
     return mesh
+
+
+def check_levels(mesh: TriMesh, levels: int) -> None:
+    """Raise ``MeshError`` when ``levels`` refinements of the mesh would
+    make more than ``MAX_TRIANGLES`` triangles: red refinement makes T0 *
+    4**L at level L, so the check runs before the first refinement."""
+    count = mesh.n_triangles * 4 ** max(levels, 0)
+    if count > MAX_TRIANGLES:
+        raise MeshError(f"level {levels} would have {count:,} triangles "
+                        f"({mesh.n_triangles} * 4**{levels}), more than the "
+                        f"{MAX_TRIANGLES:,} a mesh may have")
 
 
 def _first_appearance(keys):

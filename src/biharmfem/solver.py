@@ -59,10 +59,12 @@ class LevelContext:
     """One mesh level: the mesh, the normwise backward error ``tol`` every
     Poisson solve must reach (see ``fem.DirectSolver``), and the assembly,
     factorization, singular-quadrature and Poisson-solution caches shared
-    between solves; ``factor_nnz``, ``factor_entries`` and
-    ``backward_error_max`` report the Poisson factor's fill (the nonzeros
-    of its Cholesky factor L, diagonal included), the entries it stores,
-    and the worst backward error of its solves.  ``finest``, the
+    between solves; ``factor_nnz``, ``factor_entries``, ``factor_fronts``,
+    ``factor_groups`` and ``backward_error_max`` report the Poisson
+    factor's fill (the nonzeros of its Cholesky factor L, diagonal
+    included), the entries it stores, its fronts, the groups of equal
+    fronts it keeps one H for, and the worst backward error of its
+    solves.  ``finest``, the
     context of a finer level of the same hierarchy, supplies the singular
     loads, integrated once on its mesh and restricted to this one, and the
     pair integrals, which depend on the domain only."""
@@ -125,9 +127,22 @@ class LevelContext:
 
     @property
     def factor_entries(self) -> int:
-        """The entries of H the level's factor stores, padding included
-        (``cholesky.Cholesky.stored``); 0 before the first solve."""
+        """The entries of H the level's factor stores, one H per group of
+        equal fronts, padding included (``cholesky.Cholesky.stored``); 0
+        before the first solve."""
         return sum(s.factor.stored for s in self._factors())
+
+    @property
+    def factor_fronts(self) -> int:
+        """The fronts of the level's factor; 0 before the first solve."""
+        return sum(len(s.factor.size) for s in self._factors())
+
+    @property
+    def factor_groups(self) -> int:
+        """The groups of equal fronts the level's factor keeps one H for,
+        a front equal to no other of its piece counting as one
+        (``cholesky.Cholesky.n_groups``); 0 before the first solve."""
+        return sum(s.factor.n_groups for s in self._factors())
 
     @property
     def backward_error_max(self) -> float:
@@ -179,8 +194,9 @@ class LevelContext:
 class ModifiedSolveResult:
     """Result of every formulation; the naive solve leaves ``zeta_h`` and
     ``coefficients`` empty.  ``diagnostics`` holds the level's
-    ``factor_nnz`` and ``backward_error_max`` and, for a corrected solve, the
-    Gram system's."""
+    ``factor_nnz``, ``factor_entries``, ``factor_fronts``, ``factor_groups``
+    and ``backward_error_max`` and, for a corrected solve, the Gram
+    system's."""
 
     w_h: np.ndarray
     u_h: np.ndarray
@@ -246,6 +262,8 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
     u = poisson(rhs)
     diagnostics.update(factor_nnz=ctx.factor_nnz,
                        factor_entries=ctx.factor_entries,
+                       factor_fronts=ctx.factor_fronts,
+                       factor_groups=ctx.factor_groups,
                        backward_error_max=ctx.backward_error_max)
     return ModifiedSolveResult(w, u, zetas, coeffs, diagnostics)
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import fem
 from .geometry import resolve_domain
-from .mesh import TriMesh, initial_mesh, prolongate, refine_uniform
+from .mesh import (TriMesh, check_levels, initial_mesh, prolongate,
+                   refine_uniform)
 from .singular import CutoffSpec
 from .solver import (LevelContext, solve_modified, solve_modified_neumann,
                      solve_naive)
@@ -127,6 +128,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     domain = resolve_domain(config.domain, config.bc_type, config.domain_file)
     f = get_source(config.source)
     mesh = initial_mesh(domain)
+    check_levels(mesh, config.max_level)
     meshes = [mesh]
     for _ in range(config.max_level):
         mesh = refine_uniform(mesh)

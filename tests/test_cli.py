@@ -3,6 +3,9 @@ import csv
 import io
 import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -79,6 +82,29 @@ class TestMeshInfoCommand:
     def test_negative_level_is_config_error(self, cmd, capsys):
         assert main([cmd, "--domain", "III", "--level", "-1"]) == 1
         assert "level must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, level, count", [
+    (["study", "--levels", "40"], 40, "29,014,219,670,751,100,192,948,224"),
+    (["solve", "--level", "40"], 40, "29,014,219,670,751,100,192,948,224"),
+    (["mesh-info", "--level", "30"], 30, "27,670,116,110,564,327,424")])
+def test_level_too_deep_is_config_error(argv, level, count):
+    # red refinement makes T0 * 4**L triangles at level L (T0 = 24 on
+    # III): a level past MAX_TRIANGLES exits 1 before refining.  Under a
+    # 512 MiB address-space cap a run without the check ends in a
+    # MemoryError traceback in place of exhausting the machine's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "biharmfem", *argv],
+                         capture_output=True, text=True, env=env,
+                         preexec_fn=cap, timeout=120)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == (f"error: level {level} would have {count} "
+                          f"triangles (24 * 4**{level}), more than the "
+                          "8,388,608 a mesh may have\n")
 
 
 class TestSolveCommand:

@@ -16,7 +16,7 @@ from biharmfem.geometry import (BC_TYPES, BCType, BUILTIN_NAMES,
                                 DomainError, PolygonDomain, builtin_domain)
 from biharmfem.mesh import (MeshError, TriMesh, nested_dissection,
                             refine_uniform)
-from biharmfem.solver import LevelContext
+from biharmfem.solver import LevelContext, solve_naive
 from biharmfem.sources import const1, quadrant_step, square_eigen
 import assembly_oracle
 from conftest import mesh_hierarchy, skyline_domains, unit_square
@@ -403,7 +403,7 @@ class TestNestedDissectionFactor:
         m = _meshes("III", "B5")[level]
         A, M = fem.assemble_stiffness(m), fem.assemble_mass(m)
         grounded = mean_zero_solver(m, A, M).factor
-        assert 1.0 / grounded.groups[-1][1][0, -1, -1] >= 1e-8 * A.diag.max()
+        assert 1.0 / grounded.pieces[-1][2][0, -1, -1] >= 1e-8 * A.diag.max()
         order, box = nested_dissection(m)
         K = to_scipy(A)[order][:, order].tocoo()
         low = K.row >= K.col
@@ -411,7 +411,7 @@ class TestNestedDissectionFactor:
             whole = Cholesky([K.row[low], K.col[low], K.data[low]], box)
         except np.linalg.LinAlgError:
             return
-        assert abs(1.0 / whole.groups[-1][1][0, -1, -1]) \
+        assert abs(1.0 / whole.pieces[-1][2][0, -1, -1]) \
             < 1e-8 * A.diag.max()
 
 
@@ -488,7 +488,7 @@ class TestSubsetFactor:
             b = fem.assemble_load(m, const1)
         solver(b)
         assert 0 < solver.backward_error_max <= 1e-14
-        _, H = solver.factor.groups[0]
+        _, _, H = solver.factor.pieces[0]
         H *= 1.0 + 1e-6
         with pytest.raises(fem.SolveError, match="backward error"):
             solver(b)
@@ -564,7 +564,7 @@ class TestCholeskyAgainstSuperLU:
             monkeypatch.setattr(cholesky, "CHUNK", chunk)
             chunked, _, _ = _oracle_pair(m)
             monkeypatch.undo()
-            assert len(chunked.factor.groups) > len(solver.factor.groups)
+            assert len(chunked.factor.pieces) > len(solver.factor.pieces)
             assert chunked.factor.nnz == solver.factor.nnz
             ref, x = oracle(b), chunked(b)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -624,7 +624,7 @@ def _assert_update_sets(m):
     assert np.array_equal(factor.starts, starts)
     assert np.array_equal(factor.u, [len(s) for s in sets])
     seen = []
-    for index, H in factor.groups:
+    for index, _, H in factor.pieces:
         pm = H.shape[1]
         for f, row in zip(factor.owner[index[:, 0]], index[:, pm:]):
             u = factor.u[f]
@@ -663,7 +663,7 @@ class TestUpdateSets:
         m = _meshes(name, bc)[level]
         whole = _assert_update_sets(m)
         monkeypatch.setattr(cholesky, "CHUNK", chunk)
-        assert len(_assert_update_sets(m).groups) > len(whole.groups)
+        assert len(_assert_update_sets(m).pieces) > len(whole.pieces)
 
     def test_pieces_at_the_default_chunk(self):
         _assert_update_sets(_deep_mesh())
@@ -672,9 +672,13 @@ class TestUpdateSets:
 def _fronts(factor):
     """Each front of a factor, keyed by its first pivot: its unknowns (the
     pivots, then the update set) and its rows of H = W [I, -F21^T], with
-    the padding left out."""
+    the padding left out.  A ``Cholesky`` front reads its H through its
+    group; the oracle keeps one H per front."""
     n, out = factor.n, {}
-    for index, H in factor.groups:
+    pieces = ([(index, H if group is None else H[group])
+               for index, group, H in factor.pieces]
+              if isinstance(factor, Cholesky) else factor.groups)
+    for index, H in pieces:
         pm = H.shape[1]
         for row, h in zip(index, H):
             p, u = np.count_nonzero(row[:pm] < n), np.count_nonzero(row[pm:] < n)
@@ -683,27 +687,75 @@ def _fronts(factor):
     return out
 
 
-def _assert_same_factor(m):
+def _with_updates(cls, build):
+    """build(), with ``cls._front`` recording each front's update matrix
+    S, the padding left out, by its first pivot (through its group for
+    a ``Cholesky``); return the factor and the S."""
+    updates, front = {}, cls._front
+
+    def recorded(factor, fronts, *args):
+        S, U, *group = front(factor, fronts, *args)
+        at = np.arange(len(fronts)) if not group or group[0] is None \
+            else group[0]
+        for f, s in zip(fronts, at):
+            u = factor.u[f]
+            updates[factor.starts[f]] = S[s, :u, :u].copy()
+        return (S, U, *group)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cls, "_front", recorded)
+        return build(), updates
+
+
+_equal_fronts = cholesky._equal_fronts
+
+
+def _checked_groups(F):
+    """``cholesky._equal_fronts``, asserting that the members of each
+    group have byte-equal F and that no two groups do."""
+    first, group = _equal_fronts(F)
+    if group is not None:
+        bits = F.reshape(len(F), -1).view(np.uint64)
+        assert np.array_equal(bits, bits[first[group]])
+        assert len({row.tobytes() for row in bits[first]}) == len(first)
+    return first, group
+
+
+def _assert_same_factor(m, updates=True):
     """The factor of m's Poisson system, as ``LevelContext`` builds it,
-    has the reference loop's nnz and fronts: the same unknowns, and H
-    within 1e-13 of each front's largest entry (size classes pad fronts
-    and order the extend-adds differently, which moves the roundoff);
-    return it."""
+    has the reference loop's nnz and fronts: the same unknowns, and H and
+    (with ``updates``) S within 1e-13 of each front's largest entry (size
+    classes pad fronts and order the extend-adds differently, which moves
+    the roundoff), each front reading them through its group; the
+    members of each group had byte-equal F, and no two groups did; return
+    it."""
     args = _factor_inputs(m)
-    factor, ref = _factor(args), front_oracle.FrontOracle(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cholesky, "_equal_fronts", _checked_groups)
+        if updates:
+            factor, got_S = _with_updates(Cholesky, lambda: _factor(args))
+            ref, want_S = _with_updates(front_oracle.FrontOracle,
+                                        lambda: front_oracle.FrontOracle(*args))
+        else:
+            factor, ref = _factor(args), front_oracle.FrontOracle(*args)
     assert factor.nnz == ref.nnz
     got, want = _fronts(factor), _fronts(ref)
     assert sorted(got) == sorted(want)
     for key, (index, H) in want.items():
         assert np.array_equal(got[key][0], index), key
         assert np.abs(got[key][1] - H).max() <= 1e-13 * np.abs(H).max(), key
+    if updates:
+        assert sorted(got_S) == sorted(want_S)
+        for key, S in want_S.items():
+            assert np.abs(got_S[key] - S).max(initial=0.0) \
+                <= 1e-13 * np.abs(S).max(initial=0.0), key
     return factor
 
 
 def _assert_pieces_capped(factor):
     """No piece of the factor holds more than CHUNK front entries, unless
     it is one front."""
-    for index, _ in factor.groups:
+    for index, _, _ in factor.pieces:
         assert len(index) == 1 or index.size * index.shape[1] <= cholesky.CHUNK
 
 
@@ -736,34 +788,49 @@ class TestFreedUpdateMatrices:
             if (~m.dirichlet_nodes).any():
                 _assert_same_factor(m)
 
-    @pytest.mark.parametrize("chunk, level", [(1, 3), (2000, 4)])
+    @pytest.mark.parametrize("chunk, level, group_min", [
+        pytest.param(1, 3, cholesky.GROUP_MIN, id="1-3"),
+        pytest.param(2000, 4, cholesky.GROUP_MIN, id="2000-4"),
+        pytest.param(2000, 4, 2, id="2000-4-grouped")])
     @pytest.mark.parametrize("name, bc", SYSTEMS)
-    def test_chunked_fronts(self, name, bc, chunk, level, monkeypatch):
+    def test_chunked_fronts(self, name, bc, chunk, level, group_min,
+                            monkeypatch):
         # each size class is cut into pieces that take their children by
         # position; with CHUNK = 1 each piece is one front, and the
-        # extend-add also indexes one child at a time, read as a view
+        # extend-add also indexes one child at a time, read as a view.
+        # With GROUP_MIN = 2 the small pieces of CHUNK = 2000 group their
+        # equal fronts, and a child's S is read through its group
         m = _meshes(name, bc)[level]
-        whole = len(_factor(_factor_inputs(m)).groups)
+        whole = len(_factor(_factor_inputs(m)).pieces)
         monkeypatch.setattr(cholesky, "CHUNK", chunk)
+        monkeypatch.setattr(cholesky, "GROUP_MIN", group_min)
         factor = _assert_same_factor(m)
-        assert len(factor.groups) > whole
+        assert len(factor.pieces) > whole
+        assert (factor.n_groups < len(factor.size)) == (group_min == 2)
         _assert_pieces_capped(factor)
 
     def test_pieces_at_the_default_chunk(self):
         # level 7 is the first level whose depths the default CHUNK cuts
-        # into pieces; the largest reads 2,083,725 entries of 2,097,152
-        _assert_pieces_capped(_assert_same_factor(_deep_mesh()))
+        # into pieces; the largest reads 2,083,725 entries of 2,097,152.
+        # Its update matrices are not recorded: they would hold hundreds
+        # of MiB
+        _assert_pieces_capped(_assert_same_factor(_deep_mesh(),
+                                                  updates=False))
 
-    @pytest.mark.parametrize("chunk, level", [(cholesky.CHUNK, 5), (2000, 4)])
+    @pytest.mark.parametrize("chunk, level, group_min", [
+        pytest.param(cholesky.CHUNK, 5, cholesky.GROUP_MIN, id="2097152-5"),
+        pytest.param(2000, 4, cholesky.GROUP_MIN, id="2000-4"),
+        pytest.param(2000, 4, 2, id="2000-4-grouped")])
     def test_no_update_matrix_outlives_its_parents(self, chunk, level,
-                                                    monkeypatch):
+                                                    group_min, monkeypatch):
         # at every call of _front, and once the factor is built, the S of
-        # each child group handed to an earlier call is gone if every
-        # front it updates has been factored: neither the pending lists
-        # nor the depth loop keep it
+        # each pending entry handed to an earlier call (one S per group of
+        # equal fronts) is gone if every front it updates has been
+        # factored: neither the pending lists nor the depth loop keep it
         monkeypatch.setattr(cholesky, "CHUNK", chunk)
+        monkeypatch.setattr(cholesky, "GROUP_MIN", group_min)
         done = np.zeros(0, dtype=bool)
-        handed = []     # (weakref to a group's whole S, its whole parents)
+        handed = []     # (weakref to an entry's whole S, its whole parents)
         front = Cholesky._front
 
         def whole(a):
@@ -779,7 +846,7 @@ class TestFreedUpdateMatrices:
                 done = np.zeros(len(factor.starts), dtype=bool)
             check()
             handed.extend([(weakref.ref(whole(S)), whole(up))
-                           for S, _, up, _ in args[-1]])
+                           for S, _, up, _, _ in args[-1]])
             out = front(factor, fronts, *args)
             done[fronts] = True
             check()
@@ -814,14 +881,30 @@ class TestSizeClasses:
     depth's largest front."""
 
     def test_stored_entries_near_nnz(self):
-        # III/B1 level 5 stores 1.19 nnz(L), 1.325 when each depth was
-        # padded to its largest front
+        # III/B1 level 5 would store 1.19 nnz(L) with one H per front (1.325
+        # when each depth was padded to its largest front); one H per group
+        # of equal fronts keeps 163,596 of those 437,342 entries
         ctx = LevelContext(_meshes("III", "B1")[5])
         ctx.solve_dirichlet(np.ones(ctx.mesh.n_nodes))
         factor = ctx._cache["dirichlet"].factor
         assert ctx.factor_entries == factor.stored \
-            == sum(H.size for _, H in factor.groups)
-        assert ctx.factor_entries <= 1.22 * ctx.factor_nnz
+            == sum(H.size for _, _, H in factor.pieces)
+        per_front = sum(len(index) * H[0].size
+                        for index, _, H in factor.pieces)
+        assert per_front == 437342
+        assert per_front <= 1.22 * ctx.factor_nnz
+        assert ctx.factor_entries <= 0.6 * per_front
+
+    def test_fronts_and_groups_per_level(self):
+        # III/B1 level 5: 1,535 fronts, 138 of them distinct within their
+        # pieces, as many as when every piece of two or more fronts is
+        # grouped (GROUP_MIN = 2)
+        ctx = LevelContext(_meshes("III", "B1")[5])
+        assert ctx.factor_fronts == ctx.factor_groups == 0
+        res = solve_naive(ctx, const1)
+        assert (ctx.factor_fronts, ctx.factor_groups) == (1535, 138)
+        assert res.diagnostics["factor_fronts"] == 1535
+        assert res.diagnostics["factor_groups"] == 138
 
     def test_classes_are_runs_of_sizes(self, monkeypatch):
         # fronts of one size p + u share a class and the classes ascend in

@@ -10,9 +10,10 @@ from biharmfem import fem
 from biharmfem.geometry import (BC_TYPES, BUILTIN_NAMES, GRID_BOUND,
                                 BCType, DomainError, PolygonDomain,
                                 builtin_domain, read_domain_file)
-from biharmfem.mesh import (MeshError, TriMesh, _edges, _refined_edges,
-                            initial_mesh, nested_dissection, prolongate,
-                            refine_uniform, restrict)
+from biharmfem.mesh import (MAX_TRIANGLES, MeshError, TriMesh, _edges,
+                            _refined_edges, check_levels, initial_mesh,
+                            nested_dissection, prolongate, refine_uniform,
+                            restrict)
 from conftest import (comb_domain, mesh_hierarchy, skyline_domains,
                       unit_square)
 from refine_oracle import (dirichlet_mask_loop, find_boundary_edges_dict,
@@ -125,6 +126,17 @@ class TestRefinement:
     def test_corner_node_persists(self, lshape_b1_meshes):
         for m in lshape_b1_meshes:
             assert np.allclose(m.nodes[node_at(m, (0.0, 0.0))], [0.0, 0.0])
+
+    def test_depth_bound_keeps_level_9(self):
+        # level L has T0 * 4**L triangles: level 9 of every built-in fits
+        # under MAX_TRIANGLES, level 10 of none does
+        counts = [initial_mesh(builtin_domain(name, "B3")).n_triangles
+                  for name in BUILTIN_NAMES]
+        assert max(counts) * 4 ** 9 <= MAX_TRIANGLES < min(counts) * 4 ** 10
+        check_levels(initial_mesh(unit_square()), 11)
+        with pytest.raises(MeshError, match=r"level 12 would have "
+                           r"33,554,432 triangles \(2 \* 4\*\*12\)"):
+            check_levels(initial_mesh(unit_square()), 12)
 
 
 class TestDirichletFlags:

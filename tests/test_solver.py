@@ -423,11 +423,18 @@ class TestSolveHealth:
         assert 0 < ctx.backward_error_max <= ctx.tol
         assert ctx.backward_error_max == pytest.approx(max(errors), rel=1e-6,
                                                        abs=0.0)
-        # H keeps each front's whole W = F11^-1 and its padding
-        assert ctx.factor_entries >= ctx.factor_nnz
+        # each front's H holds its whole W = F11^-1 and its padding, and the
+        # factor keeps one H per group of equal fronts
+        factor = ctx._factors()[0].factor
+        per_front = sum(len(index) * H[0].size
+                        for index, _, H in factor.pieces)
+        assert per_front >= ctx.factor_nnz
+        assert ctx.factor_entries <= per_front
+        assert 0 < ctx.factor_groups <= ctx.factor_fronts == len(factor.size)
         for res in (naive, modified):
-            assert res.diagnostics["factor_nnz"] == ctx.factor_nnz
-            assert res.diagnostics["factor_entries"] == ctx.factor_entries
+            for key in ("factor_nnz", "factor_entries", "factor_fronts",
+                        "factor_groups"):
+                assert res.diagnostics[key] == getattr(ctx, key)
         assert modified.diagnostics["backward_error_max"] == ctx.backward_error_max
         assert naive.diagnostics["backward_error_max"] <= ctx.backward_error_max
 
