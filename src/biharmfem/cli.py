@@ -16,12 +16,12 @@ import numpy as np
 from .fem import SolveError
 from .geometry import (BC_TYPES, BUILTIN_NAMES, DomainError, builtin_domain,
                        perp_dimension, resolve_domain)
-from .mesh import MeshError, check_levels, initial_mesh, refine_uniform
+from .mesh import MeshError
 from .singular import CutoffSpec
 from .solver import LevelContext, SingularVertexError
 from .sources import SOURCES, get_source
 from .study import (FORMULATIONS, StudyConfig, _run_formulation, format_row,
-                    run_study)
+                    mesh_levels, run_study)
 
 
 def _add_domain_flags(p):
@@ -84,16 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mesh_at_level(domain, level):
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    mesh = initial_mesh(domain)
-    check_levels(mesh, level)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
-
-
 def _config_from_args(args) -> StudyConfig:
     return StudyConfig(
         domain=args.domain,
@@ -132,7 +122,7 @@ def _cmd_study(args) -> int:
 def _cmd_solve(args) -> int:
     cutoff = CutoffSpec(tau=args.cutoff_tau, R=args.cutoff_radius)
     domain = resolve_domain(args.domain, args.bc, args.domain_file)
-    mesh = _mesh_at_level(domain, args.level)
+    mesh = mesh_levels(domain, args.level)[-1]
     ctx = LevelContext(mesh, args.tol)
     res = _run_formulation(args.formulation, ctx, get_source(args.f), cutoff)
     d_perp, contributing = perp_dimension(domain)
@@ -150,7 +140,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_mesh_info(args) -> int:
     domain = resolve_domain(args.domain, args.bc, args.domain_file)
-    mesh = _mesh_at_level(domain, args.level)
+    mesh = mesh_levels(domain, args.level)[-1]
     mesh.check_conforming()
     print(f"level {mesh.level}: {mesh.n_nodes} nodes, "
           f"{mesh.n_triangles} triangles, "

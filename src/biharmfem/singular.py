@@ -104,28 +104,22 @@ class CutoffSpec:
 
 def chi(r, spec: CutoffSpec):
     """Quintic cutoff: 1 below tau*R, 0 above R, C^2 transition between."""
-    return chi_derivs(r, spec, orders=(0,))[0]
+    return chi_derivs(r, spec)[0]
 
 
-def chi_derivs(r, spec: CutoffSpec, orders=(0, 1, 2)):
-    """The requested derivatives (default chi, chi', chi'') of the piecewise
-    quintic cutoff.  The band's coordinate t is clipped to [-1, 1], where
-    the quintic gives exactly 1, 0, 0 (t = -1) and 0, 0, 0 (t = 1), so every
-    point takes the same polynomial and no mask."""
+def chi_derivs(r, spec: CutoffSpec):
+    """chi, chi' and chi'' of the piecewise quintic cutoff.  The band's
+    coordinate t is clipped to [-1, 1], where the quintic gives exactly 1,
+    0, 0 (t = -1) and 0, 0, 0 (t = 1), so every point takes the same
+    polynomial and no mask."""
     r = np.asarray(r, dtype=float)
     scale = 2.0 / (spec.R * (1.0 - spec.tau))
     t = np.clip(scale * r - (1.0 + spec.tau) / (1.0 - spec.tau), -1.0, 1.0)
     t2 = t * t
-    out = []
-    for k in orders:
-        if k == 0:
-            c = ((-3 / 16 * t2 + 5 / 8) * t2 - 15 / 16) * t + 0.5
-        elif k == 1:
-            c = ((-15 / 16 * t2 + 15 / 8) * t2 - 15 / 16) * scale
-        else:
-            c = (-15 / 4 * t2 + 15 / 4) * t * scale**2
-        out.append(float(c) if c.ndim == 0 else c)
-    return tuple(out)
+    out = (((-3 / 16 * t2 + 5 / 8) * t2 - 15 / 16) * t + 0.5,
+           ((-15 / 16 * t2 + 15 / 8) * t2 - 15 / 16) * scale,
+           (-15 / 4 * t2 + 15 / 4) * t * scale**2)
+    return tuple(float(c) if c.ndim == 0 else c for c in out)
 
 
 @dataclass(frozen=True)
@@ -181,7 +175,7 @@ class SingularBasis:
         out = np.zeros_like(r)
         band = (r > self.cutoff.inner) & (r < self.cutoff.R)
         rb = r[band]
-        c1, c2 = chi_derivs(rb, self.cutoff, orders=(1, 2))
+        _, c1, c2 = chi_derivs(rb, self.cutoff)
         out[band] = (c2 + (1.0 - 2.0 * self.beta) * c1 / rb) \
             * rb ** (-self.beta) * self.angular(theta[band])
         return out

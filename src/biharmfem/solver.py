@@ -59,15 +59,11 @@ class LevelContext:
     """One mesh level: the mesh, the normwise backward error ``tol`` every
     Poisson solve must reach (see ``fem.DirectSolver``), and the assembly,
     factorization, singular-quadrature and Poisson-solution caches shared
-    between solves; ``factor_nnz``, ``factor_entries``, ``factor_fronts``,
-    ``factor_groups`` and ``backward_error_max`` report the Poisson
-    factor's fill (the nonzeros of its Cholesky factor L, diagonal
-    included), the entries it stores, its fronts, the groups of equal
-    fronts it keeps one H for, and the worst backward error of its
-    solves.  ``finest``, the
-    context of a finer level of the same hierarchy, supplies the singular
-    loads, integrated once on its mesh and restricted to this one, and the
-    pair integrals, which depend on the domain only."""
+    between solves; ``record()`` reports the Poisson factor's health.
+    ``finest``, the context of a finer level of the same hierarchy,
+    supplies the singular loads, integrated once on its mesh and
+    restricted to this one, and the pair integrals, which depend on the
+    domain only."""
 
     mesh: TriMesh
     tol: float = 1e-10
@@ -79,16 +75,18 @@ class LevelContext:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     @property
+    def root(self) -> LevelContext:
+        """The context that holds the hierarchy's shared caches:
+        ``finest``, else this one."""
+        return self if self.finest is None else self.finest
+
+    @property
     def stiffness(self):
-        if "A" not in self._cache:
-            self._cache["A"] = fem.assemble_stiffness(self.mesh)
-        return self._cache["A"]
+        return self.once("A", lambda: fem.assemble_stiffness(self.mesh))
 
     @property
     def mass(self):
-        if "M" not in self._cache:
-            self._cache["M"] = fem.assemble_mass(self.mesh)
-        return self._cache["M"]
+        return self.once("M", lambda: fem.assemble_mass(self.mesh))
 
     def solve_dirichlet(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the Dirichlet-reduced Poisson system with the level's cached
@@ -115,41 +113,25 @@ class LevelContext:
                 mass=self.mass)
         return self._cache["neumann"](rhs)
 
-    def _factors(self) -> list[fem.DirectSolver]:
-        return [self._cache[k] for k in ("dirichlet", "neumann")
-                if k in self._cache]
-
-    @property
-    def factor_nnz(self) -> int:
-        """The nonzeros of the level's Cholesky factor L, its diagonal
-        included; 0 before the first solve."""
-        return sum(s.factor.nnz for s in self._factors())
-
-    @property
-    def factor_entries(self) -> int:
-        """The entries of H the level's factor stores, one H per group of
-        equal fronts, padding included (``cholesky.Cholesky.stored``); 0
-        before the first solve."""
-        return sum(s.factor.stored for s in self._factors())
-
-    @property
-    def factor_fronts(self) -> int:
-        """The fronts of the level's factor; 0 before the first solve."""
-        return sum(len(s.factor.size) for s in self._factors())
-
-    @property
-    def factor_groups(self) -> int:
-        """The groups of equal fronts the level's factor keeps one H for,
-        a front equal to no other of its piece counting as one
-        (``cholesky.Cholesky.n_groups``); 0 before the first solve."""
-        return sum(s.factor.n_groups for s in self._factors())
-
-    @property
-    def backward_error_max(self) -> float:
-        """The worst normwise backward error of the level's Poisson solves
-        so far."""
-        return max((s.backward_error_max for s in self._factors()),
-                   default=0.0)
+    def record(self) -> dict:
+        """The level's factor health, as a new dict: ``factor_nnz``, the
+        nonzeros of its Cholesky factor L, diagonal included;
+        ``factor_entries``, the entries of H it stores, one H per group of
+        equal fronts, padding included (``cholesky.Cholesky.stored``);
+        ``factor_fronts``, its fronts; ``factor_groups``, the groups of
+        equal fronts it keeps one H for, a front equal to no other of its
+        piece counting as one (``cholesky.Cholesky.n_groups``); and
+        ``backward_error_max``, the worst normwise backward error of its
+        Poisson solves.  All are 0 before the first solve."""
+        solvers = [self._cache[k] for k in ("dirichlet", "neumann")
+                   if k in self._cache]
+        factors = [s.factor for s in solvers]
+        return {"factor_nnz": sum(f.nnz for f in factors),
+                "factor_entries": sum(f.stored for f in factors),
+                "factor_fronts": sum(len(f.size) for f in factors),
+                "factor_groups": sum(f.n_groups for f in factors),
+                "backward_error_max": max(
+                    (s.backward_error_max for s in solvers), default=0.0)}
 
     def once(self, key, compute):
         """compute(), computed once per level for each key; arrays come
@@ -173,15 +155,16 @@ class LevelContext:
     def singular_loads(self, bases: list[SingularBasis]):
         """The loads of lap(chi*s) and of chi*s of each of a corner's bases,
         as two lists: one ``corner_loads`` pass over every basis on the
-        ``finest`` mesh (this one when unset), restricted to this mesh, each
-        load kept as ``quadrature(load_singular, basis)`` and
+        ``root`` mesh, restricted to this mesh, each load kept as
+        ``quadrature(load_singular, basis)`` and
         ``quadrature(load_chi_s, basis)`` return it."""
         if any((load_singular, b) not in self._cache for b in bases):
-            if self.finest is None:
+            root = self.root
+            if root is self:
                 loads = corner_loads(self.mesh, bases)
             else:
-                loads = [restrict(self.finest.mesh, rows, self.mesh)
-                         for rows in self.finest.singular_loads(bases)]
+                loads = [restrict(root.mesh, rows, self.mesh)
+                         for rows in root.singular_loads(bases)]
             for fn, rows in zip((load_singular, load_chi_s), loads):
                 rows.flags.writeable = False
                 for basis, row in zip(bases, rows):
@@ -194,8 +177,7 @@ class LevelContext:
 class ModifiedSolveResult:
     """Result of every formulation; the naive solve leaves ``zeta_h`` and
     ``coefficients`` empty.  ``diagnostics`` holds the level's
-    ``factor_nnz``, ``factor_entries``, ``factor_fronts``, ``factor_groups``
-    and ``backward_error_max`` and, for a corrected solve, the Gram
+    ``LevelContext.record()`` and, for a corrected solve, the Gram
     system's."""
 
     w_h: np.ndarray
@@ -260,11 +242,7 @@ def _mixed_solve(ctx: LevelContext, f, bases: list[SingularBasis],
     rhs = ctx.mass @ (w - sum(c * z for c, z in zip(coeffs, zetas)))
     rhs -= sum(c * bs for c, bs in zip(coeffs, chi_s_loads))
     u = poisson(rhs)
-    diagnostics.update(factor_nnz=ctx.factor_nnz,
-                       factor_entries=ctx.factor_entries,
-                       factor_fronts=ctx.factor_fronts,
-                       factor_groups=ctx.factor_groups,
-                       backward_error_max=ctx.backward_error_max)
+    diagnostics.update(ctx.record())
     return ModifiedSolveResult(w, u, zetas, coeffs, diagnostics)
 
 
@@ -280,8 +258,7 @@ def _gram_solve(ctx, w, bases, zetas, chi_s_loads):
             val = float(zetas[a] @ m_zetas[b])
             val += float(zetas[a] @ chi_s_loads[b])
             val += float(zetas[b] @ chi_s_loads[a])
-            val += (ctx.finest or ctx).quadrature(inner_chi_s_pair,
-                                                  bases[a], bases[b])
+            val += ctx.root.quadrature(inner_chi_s_pair, bases[a], bases[b])
             gram[a, b] = gram[b, a] = val
     rhs = np.array([float(w @ mz) + float(w @ bs)
                     for mz, bs in zip(m_zetas, chi_s_loads)])
@@ -327,10 +304,9 @@ def solve_modified(ctx: LevelContext, f, cutoff: CutoffSpec | None = None,
 
     ``truncate_basis`` artificially limits the number of singular functions
     used (reproducing the under-corrected variant); default uses all.  The
-    corner's bases are set up once per hierarchy, on ``ctx.finest`` (this
-    level when unset).
+    corner's bases are set up once per hierarchy, on ``ctx.root``.
     """
-    bases = (ctx.finest or ctx).once(
+    bases = ctx.root.once(
         ("bases", cutoff), lambda: _singular_setup(ctx.mesh.domain, cutoff))
     res = _mixed_solve(ctx, f, bases, truncate_basis)
     res.diagnostics["d_perp"] = len(bases)

@@ -124,15 +124,23 @@ def _run_formulation(name: str, ctx: LevelContext, f, cutoff: CutoffSpec):
     raise ValueError(f"unknown formulation {name!r}")
 
 
+def mesh_levels(domain, levels: int) -> list[TriMesh]:
+    """The meshes of ``domain`` at refinement levels 0 to ``levels``: a
+    negative level raises ``ValueError``, and one too deep to build raises
+    ``MeshError`` (``check_levels``) before the first refinement."""
+    if levels < 0:
+        raise ValueError(f"level must be >= 0, got {levels}")
+    meshes = [initial_mesh(domain)]
+    check_levels(meshes[0], levels)
+    for _ in range(levels):
+        meshes.append(refine_uniform(meshes[-1]))
+    return meshes
+
+
 def run_study(config: StudyConfig) -> StudyReport:
     domain = resolve_domain(config.domain, config.bc_type, config.domain_file)
     f = get_source(config.source)
-    mesh = initial_mesh(domain)
-    check_levels(mesh, config.max_level)
-    meshes = [mesh]
-    for _ in range(config.max_level):
-        mesh = refine_uniform(mesh)
-        meshes.append(mesh)
+    meshes = mesh_levels(domain, config.max_level)
 
     # the singular loads are integrated once, on the finest mesh, and
     # restricted to the coarser ones; a coarse level's context, with its

@@ -4,15 +4,9 @@ from hypothesis import strategies as st
 
 from biharmfem.geometry import (GRID_BOUND, BCType, PolygonDomain,
                                 builtin_domain)
-from biharmfem.mesh import initial_mesh, refine_uniform
-
-
-def mesh_hierarchy(domain, levels):
-    """Meshes at refinement levels 0..levels (inclusive)."""
-    meshes = [initial_mesh(domain)]
-    for _ in range(levels):
-        meshes.append(refine_uniform(meshes[-1]))
-    return meshes
+# meshes at refinement levels 0..levels (inclusive), as every command
+# builds them
+from biharmfem.study import mesh_levels as mesh_hierarchy
 
 
 def unit_square(tag=BCType.DIRICHLET):

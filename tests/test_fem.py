@@ -498,7 +498,7 @@ class TestSubsetFactor:
         ctx = LevelContext(m)
         x = ctx.solve_dirichlet(np.ones(m.n_nodes))
         assert np.array_equal(x, np.zeros(m.n_nodes))
-        assert ctx.factor_nnz == 0
+        assert ctx.record()["factor_nnz"] == 0
 
 
 def _oracle_pair(m):
@@ -887,22 +887,25 @@ class TestSizeClasses:
         ctx = LevelContext(_meshes("III", "B1")[5])
         ctx.solve_dirichlet(np.ones(ctx.mesh.n_nodes))
         factor = ctx._cache["dirichlet"].factor
-        assert ctx.factor_entries == factor.stored \
+        record = ctx.record()
+        assert record["factor_entries"] == factor.stored \
             == sum(H.size for _, _, H in factor.pieces)
         per_front = sum(len(index) * H[0].size
                         for index, _, H in factor.pieces)
         assert per_front == 437342
-        assert per_front <= 1.22 * ctx.factor_nnz
-        assert ctx.factor_entries <= 0.6 * per_front
+        assert per_front <= 1.22 * record["factor_nnz"]
+        assert record["factor_entries"] <= 0.6 * per_front
 
     def test_fronts_and_groups_per_level(self):
         # III/B1 level 5: 1,535 fronts, 138 of them distinct within their
         # pieces, as many as when every piece of two or more fronts is
         # grouped (GROUP_MIN = 2)
         ctx = LevelContext(_meshes("III", "B1")[5])
-        assert ctx.factor_fronts == ctx.factor_groups == 0
+        record = ctx.record()
+        assert record["factor_fronts"] == record["factor_groups"] == 0
         res = solve_naive(ctx, const1)
-        assert (ctx.factor_fronts, ctx.factor_groups) == (1535, 138)
+        record = ctx.record()
+        assert (record["factor_fronts"], record["factor_groups"]) == (1535, 138)
         assert res.diagnostics["factor_fronts"] == 1535
         assert res.diagnostics["factor_groups"] == 138
 

@@ -11,7 +11,7 @@ from biharmfem.solver import (CompatibilityError, LevelContext,
                               SingularVertexError, solve_modified,
                               solve_modified_neumann, solve_naive)
 from biharmfem.sources import const1, quadrant_step, square_eigen, zero
-from biharmfem.study import StudyConfig, run_study
+from biharmfem.study import StudyConfig, _run_formulation, run_study
 from conftest import mesh_hierarchy, unit_square
 from superlu_oracle import to_scipy
 
@@ -134,6 +134,22 @@ class TestModified:
         with pytest.raises(SingularVertexError) as err:
             solve_modified(LevelContext(m), const1)
         assert "2" in str(err.value)
+
+    def test_contributor_not_largest_angle_warns_at_the_caller(self):
+        # vertex 2 (mixed D/N, 135 degrees) contributes; vertex 1 (D/D, 135
+        # degrees) is the first largest angle.  The warning's stacklevel
+        # counts the frames through the root context's ``once``, so it
+        # names the file that called solve_modified
+        D, N = BCType.DIRICHLET, BCType.NEUMANN
+        dom = PolygonDomain(np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 1.0],
+                                      [3.0, 3.0], [0.0, 3.0]]),
+                            (D, D, N, D, D))
+        ctx = LevelContext(mesh_hierarchy(dom, 1)[-1])
+        with pytest.warns(UserWarning, match="vertex 2, which is not the "
+                          "largest") as caught:
+            res = solve_modified(ctx, const1, CutoffSpec(R=1.0))
+        assert [w.filename for w in caught] == [__file__]
+        assert res.diagnostics["d_perp"] == 1
 
     def test_cutoff_parameters_move_coefficient_little(self, lshape_b1_meshes):
         m = lshape_b1_meshes[3]
@@ -396,7 +412,8 @@ class TestSolveHealth:
     def test_diagnostics_report_fill_and_worst_residual(self, name, bc):
         m = mesh_hierarchy(builtin_domain(name, bc), 2)[-1]
         ctx = LevelContext(m)
-        assert ctx.factor_nnz == 0 and ctx.backward_error_max == 0.0
+        assert ctx.record()["factor_nnz"] == 0
+        assert ctx.record()["backward_error_max"] == 0.0
         neumann = not m.domain.has_dirichlet()
         method = "solve_neumann" if neumann else "solve_dirichlet"
         poisson, errors = getattr(ctx, method), []
@@ -419,24 +436,48 @@ class TestSolveHealth:
         modified = solve_modified(ctx, quadrant_step)
         # naive: w and u; modified reuses w and adds each zeta and its u
         assert len(errors) == 3 + len(modified.zeta_h)
-        assert ctx.factor_nnz > m.n_nodes
-        assert 0 < ctx.backward_error_max <= ctx.tol
-        assert ctx.backward_error_max == pytest.approx(max(errors), rel=1e-6,
-                                                       abs=0.0)
+        record = ctx.record()
+        assert record["factor_nnz"] > m.n_nodes
+        assert 0 < record["backward_error_max"] <= ctx.tol
+        assert record["backward_error_max"] == pytest.approx(
+            max(errors), rel=1e-6, abs=0.0)
         # each front's H holds its whole W = F11^-1 and its padding, and the
         # factor keeps one H per group of equal fronts
-        factor = ctx._factors()[0].factor
+        factor = ctx._cache["neumann" if neumann else "dirichlet"].factor
         per_front = sum(len(index) * H[0].size
                         for index, _, H in factor.pieces)
-        assert per_front >= ctx.factor_nnz
-        assert ctx.factor_entries <= per_front
-        assert 0 < ctx.factor_groups <= ctx.factor_fronts == len(factor.size)
+        assert per_front >= record["factor_nnz"]
+        assert record["factor_entries"] <= per_front
+        assert 0 < record["factor_groups"] <= record["factor_fronts"] \
+            == len(factor.size)
         for res in (naive, modified):
             for key in ("factor_nnz", "factor_entries", "factor_fronts",
                         "factor_groups"):
-                assert res.diagnostics[key] == getattr(ctx, key)
-        assert modified.diagnostics["backward_error_max"] == ctx.backward_error_max
-        assert naive.diagnostics["backward_error_max"] <= ctx.backward_error_max
+                assert res.diagnostics[key] == record[key]
+        assert modified.diagnostics["backward_error_max"] \
+            == record["backward_error_max"]
+        assert naive.diagnostics["backward_error_max"] \
+            <= record["backward_error_max"]
+
+    @pytest.mark.parametrize("name, bc, f, formulations", [
+        ("IV", "B3", const1, ("naive", "modified", "modified-truncated")),
+        ("III", "B5", quadrant_step, ("naive", "modified",
+                                      "modified-truncated",
+                                      "neumann-modified"))])
+    def test_record_is_a_fresh_dict_of_the_diagnostics(self, name, bc, f,
+                                                       formulations):
+        ctx = LevelContext(mesh_hierarchy(builtin_domain(name, bc), 2)[-1])
+        keys = ["factor_nnz", "factor_entries", "factor_fronts",
+                "factor_groups", "backward_error_max"]
+        assert ctx.record() == dict.fromkeys(keys, 0)
+        for formulation in formulations:
+            res = _run_formulation(formulation, ctx, f, CutoffSpec())
+            record = ctx.record()
+            assert list(record) == keys
+            assert {k: res.diagnostics[k] for k in keys} == record
+            record["factor_nnz"] = -1
+            assert ctx.record() is not record
+            assert ctx.record()["factor_nnz"] > 0
 
     def test_level_without_free_node_has_no_factor(self):
         ctx = LevelContext(mesh_hierarchy(unit_square(), 0)[0])
